@@ -13,7 +13,7 @@ import numpy as np
 
 from . import kernel_lab as kl
 from .measure_metrics import DiscreteMeasure
-from .rds_core import rng_stream
+from .rds_core import propagate, rng_stream
 
 __all__ = [
     "occupation_measure",
@@ -65,8 +65,7 @@ def path_average_samples(model, f, u0, k_set, n_traj, seed=0):
     acc = np.asarray(f(U), dtype=float).copy()
     if 1 in k_set:
         out[1] = acc.copy()
-    for n in range(1, K):
-        U = model.step_many(U, rng)
+    for n, U, _ in propagate(model, U, rng, K - 1):
         acc += f(U)
         if n + 1 in k_set:
             out[n + 1] = acc / (n + 1)

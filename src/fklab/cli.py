@@ -299,18 +299,17 @@ def _cmd_ldp(cfg, seed, out, threads):
     alphas = cfg.get("alphas", list(np.linspace(-4, 4, 33)))
 
     def pressure(alpha):
+        """Exact Perron pressure Q(alpha f), at any alpha on or off the grid."""
         V = kl.PotentialVector.from_values(kernel, alpha * f_values)
         return float(np.log(kl.perron_triple(kl.build_tilted_matrix(kernel, V), kernel.A).lam))
 
-    Qs = _fanout(pressure, list(alphas), threads)
-    Qmap = dict(zip(alphas, Qs))
     rep = apps.ldp_level1(
         chain,
         f,
         cfg["x_grid"],
         cfg.get("k_set", [50, 100, 200]),
         int(cfg.get("n_traj", 100_000)),
-        lambda a: Qmap[a],
+        pressure,
         alphas,
         u0=np.asarray(cfg.get("u0", kernel.points[0]), dtype=float),
         seed=seed,
@@ -378,12 +377,9 @@ def _cmd_slln(cfg, seed, out, threads):
     n_traj = int(cfg.get("n_traj", 2000))
     K = int(cfg.get("K", 1000))
     u0 = np.asarray(cfg.get("u0", np.zeros(model.dim)), dtype=float)
-    rng = rc.rng_stream(seed, 0)
-    U = np.tile(u0, (n_traj, 1))
     vals = np.empty((n_traj, K))
-    for k in range(K):
-        U = model.step_many(U, rng)
-        vals[:, k] = V(U)
+    for k, U, _ in rc.propagate(model, np.tile(u0, (n_traj, 1)), rc.rng_stream(seed, 0), K):
+        vals[:, k - 1] = V(U)
     mu_f = float(cfg.get("mu_f", vals[:, K // 2 :].mean()))
     rep = apps.slln_time(vals, mu_f, eps=float(cfg.get("eps", 0.1)), C=float(cfg.get("C", 1.0)))
     return {

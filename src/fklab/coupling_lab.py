@@ -20,13 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
+from .feynman_kac import mc_semigroup_series
 from .rds_core import rng_stream
 
 __all__ = [
     "tv_shifted",
     "tv_lipschitz",
     "decoupling_constant",
-    "maximal_coupling_1d",
     "coupled_step",
     "coupled_trajectories",
     "squeezing_check",
@@ -68,26 +68,6 @@ def decoupling_constant(law, N):
     (sum over j <= N of Lip(TV)/b_j) times the state distance."""
     lip = tv_lipschitz(law.density)
     return float(lip * (1.0 / law.b[:N]).sum())
-
-
-def maximal_coupling_1d(density, delta, b, rng):
-    """Maximal coupling of b xi and delta + b xi' for xi, xi' ~ density.
-
-    Returns (xi, xi_prime, coupled); the probability of the complement of
-    ``coupled`` equals the total variation distance between the two laws.
-    """
-    if b <= 0:
-        raise ValueError("b must be positive")
-    s = float(delta) / b
-    xi = float(density.sample(rng, 1)[0])
-    # accept the common part: density of the shifted law at b xi
-    if rng.random() * density.pdf(xi) <= density.pdf(xi - s):
-        return xi, xi - s, True
-    # residual of the shifted law, by rejection
-    while True:
-        y = float(density.sample(rng, 1)[0])
-        if rng.random() * density.pdf(y) > density.pdf(y + s):
-            return xi, y, False
 
 
 def _residual_inverse(density, s, u, iters=60):
@@ -139,34 +119,28 @@ def _coupled_coordinates(density, m1, m2, b, rng):
     return x1, x2, accept
 
 
-def coupled_step(model, N, u, u_prime, rng):
-    """One step of the coupled pair.
+def coupled_step(model, N, U, U_prime, rng):
+    """One step of a batch of coupled pairs (rows of U and U_prime).
 
     Coordinates j <= N: per-coordinate maximal coupling of the shifted kick
     laws.  Coordinates j > N (within the kick range): identical draws, so
     the tail kicks agree bitwise.  Returns
-    (u1, u1_prime, coupled_mask, kick, kick_prime).
+    (U1, U1_prime, coupled_mask, kicks, kicks_prime), each with one row per
+    pair.
     """
-    U = np.vstack([u, u_prime])
-    S = model.map.apply_batch(U)
+    n = U.shape[0]
+    S = model.map.apply_batch(np.vstack([U, U_prime]))
     law = model.kicks
     N = int(min(N, law.dim))
-    x1, x2, coupled = _coupled_coordinates(
-        law.density, S[0, :N], S[1, :N], law.b[:N], rng
-    )
-    v1, v2 = S[0].copy(), S[1].copy()
-    v1[:N], v2[:N] = x1, x2
-    kick = np.zeros(law.dim)
-    kick_prime = np.zeros(law.dim)
-    kick[:N] = x1 - S[0, :N]
-    kick_prime[:N] = x2 - S[1, :N]
-    if law.dim > N:
-        shared = law.b[N:] * law.density.sample(rng, law.dim - N)
-        v1[N : law.dim] += shared
-        v2[N : law.dim] += shared
-        kick[N:] = shared
-        kick_prime[N:] = shared
-    return v1, v2, coupled, kick, kick_prime
+    x1, x2, coupled = _coupled_coordinates(law.density, S[:n, :N], S[n:, :N], law.b[:N], rng)
+    shared = law.b[N:] * law.density.sample(rng, (n, law.dim - N))
+    V1, V2 = S[:n].copy(), S[n:].copy()
+    V1[:, :N], V2[:, :N] = x1, x2
+    V1[:, N : law.dim] += shared
+    V2[:, N : law.dim] += shared
+    kicks = np.hstack([x1 - S[:n, :N], shared])
+    kicks_prime = np.hstack([x2 - S[n:, :N], shared])
+    return V1, V2, coupled, kicks, kicks_prime
 
 
 @dataclass
@@ -212,14 +186,12 @@ def coupled_trajectories(model, N, v, v_prime, K, seed=0, stream=0):
     states[0, 1] = v_prime
     kicks = np.empty((K, 2, law.dim))
     flags = np.empty((K, N), dtype=bool)
-    u, up = np.asarray(v, dtype=float), np.asarray(v_prime, dtype=float)
+    u, up = states[0, :1], states[0, 1:]
     for k in range(K):
         u, up, coupled, kick, kick_prime = coupled_step(model, N, u, up, rng)
-        states[k + 1, 0] = u
-        states[k + 1, 1] = up
-        kicks[k, 0] = kick
-        kicks[k, 1] = kick_prime
-        flags[k] = coupled
+        states[k + 1] = np.vstack([u, up])
+        kicks[k] = np.vstack([kick, kick_prime])
+        flags[k] = coupled[0]
     return CoupledRun(states=states, kicks=kicks, coupled=flags, N=N, seed=seed, stream=stream)
 
 
@@ -241,8 +213,6 @@ def squeezing_check(model, N, pairs, r_max, gamma_N, seed=0, tol=1e-2):
     report inconclusive at that r.
     """
     pairs = np.asarray(pairs, dtype=float)
-    law = model.kicks
-    N = int(min(N, law.dim))
     u = pairs[:, 0, :].copy()
     up = pairs[:, 1, :].copy()
     base = np.linalg.norm(u - up, axis=1)
@@ -256,17 +226,7 @@ def squeezing_check(model, N, pairs, r_max, gamma_N, seed=0, tol=1e-2):
             ratios[r] = np.empty(0)
             occurrences[r] = 0
             continue
-        S = model.map.apply_batch(np.vstack([u[idx], up[idx]]))
-        S1, S2 = S[: idx.size], S[idx.size :]
-        x1, x2, coupled = _coupled_coordinates(
-            law.density, S1[:, :N], S2[:, :N], np.broadcast_to(law.b[:N], (idx.size, N)), rng
-        )
-        u[idx], up[idx] = S1, S2
-        u[idx, :N], up[idx, :N] = x1, x2
-        if law.dim > N:
-            shared = law.b[N:] * law.density.sample(rng, (idx.size, law.dim - N))
-            u[idx, N : law.dim] += shared
-            up[idx, N : law.dim] += shared
+        u[idx], up[idx], coupled, _, _ = coupled_step(model, N, u[idx], up[idx], rng)
         agreed = coupled.all(axis=1)
         alive[idx[~agreed]] = False
         keep = idx[agreed]
@@ -297,8 +257,6 @@ def feller_bound_check(model, V, f_list, pairs, k_max, c, sup_mass, n_traj=4000,
     the weighted total mass at horizon k.  Cells whose Monte Carlo noise
     exceeds the bound's slack are recorded as inconclusive.
     """
-    from .feynman_kac import mc_semigroup
-
     pairs = np.asarray(pairs, dtype=float)
     per_k = np.zeros(k_max)
     inconclusive = []
@@ -307,13 +265,14 @@ def feller_bound_check(model, V, f_list, pairs, k_max, c, sup_mass, n_traj=4000,
             dist = np.linalg.norm(v - vp)
             if dist == 0:
                 continue
+            # every horizon from one pass per side: the horizons share the
+            # pair's two streams, so horizon k reads the prefix of length k
+            pair_seed = seed + 7919 * fi + 31 * pi
+            e1, s1 = mc_semigroup_series(model, V, f, v, k_max, n_traj, rng_stream(pair_seed, 0))
+            e2, s2 = mc_semigroup_series(model, V, f, vp, k_max, n_traj, rng_stream(pair_seed + 1, 0))
             for k in range(1, k_max + 1):
-                e1, s1, _ = mc_semigroup(model, V, f, v, k, n_traj, seed=seed + 7919 * fi + 31 * pi)
-                e2, s2, _ = mc_semigroup(
-                    model, V, f, vp, k, n_traj, seed=seed + 7919 * fi + 31 * pi + 1
-                )
-                lhs = abs(e1 - e2)
-                noise = 3 * np.hypot(s1, s2)
+                lhs = abs(e1[k] - e2[k])
+                noise = 3 * np.hypot(s1[k], s2[k])
                 denom = sup_mass[k - 1] * dist
                 need = (lhs / denom - (c**k) * lip_f) / max(sup_f, 1e-300)
                 if lhs < noise and need > per_k[k - 1]:

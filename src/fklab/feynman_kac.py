@@ -16,13 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .rds_core import rng_stream
+from .measure_metrics import lipschitz_constant
+from .rds_core import propagate, rng_stream
 
 __all__ = [
     "PotentialFn",
     "WeightedEnsemble",
     "xi_weight",
     "mc_semigroup",
+    "mc_semigroup_series",
     "particle_fk",
     "h_estimate",
     "pressure_estimate",
@@ -62,7 +64,11 @@ class PotentialFn:
 
     def shifted(self, c):
         return PotentialFn(
-            fn=lambda U: self.fn(U) + c, lip=self.lip, osc=self.osc, tag=f"{self.tag}+{c:g}"
+            fn=lambda U: self.fn(U) + c,
+            lip=self.lip,
+            osc=self.osc,
+            tag=f"{self.tag}+{c:g}",
+            chain_values=None if self.chain_values is None else self.chain_values + c,
         )
 
     def scaled(self, a):
@@ -71,6 +77,7 @@ class PotentialFn:
             lip=abs(a) * self.lip,
             osc=abs(a) * self.osc,
             tag=f"{a:g}*{self.tag}",
+            chain_values=None if self.chain_values is None else a * self.chain_values,
         )
 
     @classmethod
@@ -82,12 +89,9 @@ class PotentialFn:
         """Potential given by a value per chain state."""
         values = np.asarray(values, dtype=float)
         d = np.linalg.norm(chain.points[:, None, :] - chain.points[None, :, :], axis=-1)
-        diff = np.abs(values[:, None] - values[None, :])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lip = float(np.where(d > 0, diff / d, 0.0).max())
         return cls(
             fn=lambda U: values[chain.index_of(U)],
-            lip=lip,
+            lip=lipschitz_constant(values, d),
             osc=float(values.max() - values.min()),
             tag="chain",
             chain_values=values,
@@ -145,18 +149,25 @@ def mc_semigroup(model, V, f, u0, k, n_traj, seed=0, stderr_cap=None):
     A relative stderr above ``stderr_cap`` is flagged in the returned
     tuple's third slot, never fatal.
     """
-    if n_traj < 2:
-        raise ValueError("need at least two trajectories")
-    rng = rng_stream(seed, 0)
-    U = np.tile(np.asarray(u0, dtype=float), (n_traj, 1))
-    logw = np.zeros(n_traj)
-    for _ in range(int(k)):
-        U = model.step_many(U, rng)
-        logw += V(U)
-    fvals = np.asarray(f(U), dtype=float)
-    est, err = _signed_mean(logw, fvals)
+    ests, errs = mc_semigroup_series(model, V, f, u0, k, n_traj, rng_stream(seed, 0))
+    est, err = float(ests[-1]), float(errs[-1])
     flagged = bool(stderr_cap is not None and abs(est) > 0 and err / abs(est) > stderr_cap)
     return est, err, flagged
+
+
+def mc_semigroup_series(model, V, f, u0, k_max, n_traj, rng):
+    """Monte Carlo estimates of E[f(u_k) exp(sum V(u_n))] from u0 at every
+    horizon k = 0..k_max, read off one ensemble pass drawn from ``rng``;
+    returns (estimates, stderrs), each of length k_max + 1."""
+    if n_traj < 2:
+        raise ValueError("need at least two trajectories")
+    U = np.tile(np.asarray(u0, dtype=float), (n_traj, 1))
+    est = np.empty(int(k_max) + 1)
+    err = np.empty(int(k_max) + 1)
+    est[0], err[0] = _signed_mean(np.zeros(n_traj), np.asarray(f(U), dtype=float))
+    for k, U, logw in propagate(model, U, rng, k_max, V):
+        est[k], err[k] = _signed_mean(logw, np.asarray(f(U), dtype=float))
+    return est, err
 
 
 @dataclass
@@ -222,11 +233,10 @@ def particle_fk(model, V, init, k, n_particles=1000, ess_threshold=0.5, seed=0):
     )
     series = np.empty(k)
     collapses = 0
-    for step in range(1, k + 1):
-        ens.particles = model.step_many(ens.particles, rng)
-        ens.logweights = ens.logweights + V(ens.particles)
+    for step, X, logw in propagate(model, X, rng, k, V):
+        ens.logweights = logw
         ens.k = step
-        ens.ess = _ess(ens.logweights)
+        ens.ess = _ess(logw)
         series[step - 1] = ens.log_mass
         resampled = False
         if ens.ess < ess_threshold * n_particles:
@@ -237,12 +247,12 @@ def particle_fk(model, V, init, k, n_particles=1000, ess_threshold=0.5, seed=0):
                         "effective sample size collapsed repeatedly; increase "
                         "n_particles or reduce the potential's oscillation"
                     )
-            ens.lognorm += _logmeanexp(ens.logweights)
-            w = np.exp(ens.logweights - ens.logweights.max())
+            ens.lognorm += _logmeanexp(logw)
+            w = np.exp(logw - logw.max())
             w /= w.sum()
             idx = rng.choice(n_particles, size=n_particles, p=w)
-            ens.particles = ens.particles[idx].copy()
-            ens.logweights = np.zeros(n_particles)
+            X[:] = X[idx]
+            logw[:] = 0.0
             resampled = True
         ens.history.append((step, ens.ess, resampled))
 
@@ -393,13 +403,11 @@ def pressure_curve(
     alphas = np.asarray(sorted(set(float(a) for a in alphas) | {0.0}))
     shift = 0.0
     if recenter:
-        rng = rng_stream(seed, 1)
         U = np.tile(np.asarray(u0, dtype=float), (recenter_traj, 1))
         acc, cnt = 0.0, 0
         burn = min(200, recenter_k // 10)
-        for step in range(recenter_k // recenter_traj):
-            U = model.step_many(U, rng)
-            if step >= burn // recenter_traj:
+        for k, U, _ in propagate(model, U, rng_stream(seed, 1), recenter_k // recenter_traj):
+            if k > burn // recenter_traj:
                 acc += float(V(U).sum())
                 cnt += U.shape[0]
         shift = acc / max(cnt, 1)
@@ -455,26 +463,16 @@ def met_convergence_mc(model, V, lam, h_at, mu_cloud, f_list, u0s, k_max, n_traj
     fabricated rate.
     """
     u0s = np.atleast_2d(np.asarray(u0s, dtype=float))
+    scale = np.array([float(lam) ** (-k) for k in range(1, k_max + 1)])
     residuals = {}
     stderrs = {}
     for fi, f in enumerate(f_list):
         mu_f = float(np.mean(f(mu_cloud)))
         for ui, u0 in enumerate(u0s):
             rng = rng_stream(seed, 1000 + 31 * fi + ui)
-            U = np.tile(u0, (n_traj, 1))
-            logw = np.zeros(n_traj)
-            res_k = np.empty(k_max)
-            err_k = np.empty(k_max)
-            target = mu_f * h_at[ui]
-            for k in range(1, k_max + 1):
-                U = model.step_many(U, rng)
-                logw += V(U)
-                est, err = _signed_mean(logw, np.asarray(f(U), dtype=float))
-                scale = float(lam) ** (-k)
-                res_k[k - 1] = abs(scale * est - target)
-                err_k[k - 1] = scale * err
-            residuals[(fi, ui)] = res_k
-            stderrs[(fi, ui)] = err_k
+            est, err = mc_semigroup_series(model, V, f, u0, k_max, n_traj, rng)
+            residuals[(fi, ui)] = np.abs(scale * est[1:] - mu_f * h_at[ui])
+            stderrs[(fi, ui)] = scale * err[1:]
     # pool the resolvable late-window part of every residual sequence (the
     # early steps mix transient modes and would bias the rate)
     ks_all, logs_all = [], []

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .measure_metrics import DiscreteMeasure, kantorovich_theta
+from .measure_metrics import DiscreteMeasure, kantorovich_theta, lipschitz_constant
 
 __all__ = [
     "FiniteKernel",
@@ -112,11 +112,7 @@ class PotentialVector:
             raise ValueError(f"potential must have length {kernel.n}")
         if not np.all(np.isfinite(V)):
             raise ValueError("potential must be finite")
-        d = kernel.dists
-        diff = np.abs(V[:, None] - V[None, :])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(d > 0, diff / d, 0.0)
-        return cls(V=V, lip=float(ratios.max()), osc=float(V.max() - V.min()))
+        return cls(V=V, lip=lipschitz_constant(V, kernel.dists), osc=float(V.max() - V.min()))
 
 
 @dataclass(frozen=True)
@@ -223,9 +219,12 @@ def perron_triple(M, A, tol=1e-12, max_iters=100_000) -> EigenTriple:
             hc = None
         if hc is None or np.any(hc <= 0) or not np.all(np.isfinite(hc)):
             # Degenerate extension (complement not dominated by lam): fall
-            # back to a Cesaro surrogate so diagnostics can still run.
+            # back to a Cesaro surrogate, scaled to match hA on A, so
+            # diagnostics can still run.
             extension_ok = False
-            hc = _cesaro_extension(M, A, comp, lam, hA)
+            acc = cesaro_average(M / lam, 512)
+            scale = acc[A].mean() / hA.mean() if hA.mean() > 0 else 1.0
+            hc = np.maximum(acc[comp] / max(scale, 1e-300), 1e-300)
         h[comp] = hc
 
     mu = np.zeros(n)
@@ -234,25 +233,11 @@ def perron_triple(M, A, tol=1e-12, max_iters=100_000) -> EigenTriple:
     return EigenTriple(lam=lam, h=h, mu=mu, extension_ok=extension_ok)
 
 
-def _cesaro_extension(M, A, comp, lam, hA, k=512):
-    """Cesaro average of lam^-n M^n 1 restricted to the complement."""
-    n = M.shape[0]
-    v = np.ones(n)
-    acc = np.zeros(n)
-    for _ in range(k):
-        v = M @ v / lam
-        if not np.all(np.isfinite(v)):
-            break
-        acc += v
-    out = acc[comp] / k
-    scale = acc[A].mean() / k / hA.mean() if hA.mean() > 0 else 1.0
-    out = out / max(scale, 1e-300)
-    return np.maximum(out, 1e-300)
-
-
 def cesaro_average(M, k):
     """Cesaro mean (1/k) sum_{n=1..k} M^n 1 (callers pass M already divided
-    by its Perron value)."""
+    by its Perron value).  The sum stops at the first iterate that
+    overflows, so a matrix whose spectral radius exceeds one still gives a
+    finite (truncated) average."""
     if k < 1:
         raise ValueError("k must be >= 1")
     M = np.asarray(M, dtype=float)
@@ -260,6 +245,8 @@ def cesaro_average(M, k):
     acc = np.zeros_like(v)
     for _ in range(k):
         v = M @ v
+        if not np.all(np.isfinite(v)):
+            break
         acc += v
     return acc / k
 
@@ -391,10 +378,7 @@ def _refine_triple_longdouble(M, triple, iters=300):
 
 
 def _lip_norm(f, dists):
-    diff = np.abs(f[:, None] - f[None, :])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(dists > 0, diff / dists, 0.0)
-    return float(np.abs(f).max() + ratios.max())
+    return float(np.abs(f).max() + lipschitz_constant(f, dists))
 
 
 def normalized_semigroup_apply(M, triple, g, k):

@@ -21,6 +21,7 @@ __all__ = [
     "kantorovich_theta",
     "verify_metric_sandwich",
     "SandwichReport",
+    "lipschitz_constant",
 ]
 
 _MERGE_TOL = 1e-12
@@ -69,17 +70,17 @@ class DiscreteMeasure:
     def integrate(self, values):
         return float(np.asarray(values, dtype=float) @ self.weights)
 
-    def to_json_obj(self):
-        return [[p.tolist(), float(w)] for p, w in zip(self.support, self.weights)]
 
-    @classmethod
-    def from_json_obj(cls, obj):
-        pts = [p for p, _ in obj]
-        w = [wi for _, wi in obj]
-        return cls(np.asarray(pts, dtype=float), np.asarray(w, dtype=float))
+def lipschitz_constant(values, dists):
+    """Largest ratio |f_i - f_j| / d_ij over the pairs of distinct points."""
+    diff = np.abs(values[:, None] - values[None, :])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.where(dists > 0, diff / dists, 0.0).max())
 
 
 def _merge_close(pts, w):
+    """Sort the points and sum the (signed) weights of points closer than
+    the merge tolerance to their predecessor."""
     if pts.shape[0] <= 1:
         return pts, w
     order = np.lexsort(pts.T[::-1])
@@ -96,19 +97,10 @@ def _merge_close(pts, w):
 
 
 def _union_support(mu1, mu2):
+    """Common support of the two measures with the signed weights of
+    mu1 - mu2, coincident points collapsed."""
     pts = np.vstack([mu1.support, mu2.support])
-    c = np.concatenate([mu1.weights, -mu2.weights])
-    # collapse coincident points of the two supports
-    order = np.lexsort(pts.T[::-1])
-    pts, c = pts[order], c[order]
-    out_pts, out_c = [pts[0]], [c[0]]
-    for p, ci in zip(pts[1:], c[1:]):
-        if np.linalg.norm(p - out_pts[-1]) <= _MERGE_TOL:
-            out_c[-1] += ci
-        else:
-            out_pts.append(p)
-            out_c.append(ci)
-    return np.asarray(out_pts), np.asarray(out_c)
+    return _merge_close(pts, np.concatenate([mu1.weights, -mu2.weights]))
 
 
 def dual_lipschitz(mu1: DiscreteMeasure, mu2: DiscreteMeasure) -> float:

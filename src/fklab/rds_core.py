@@ -4,8 +4,9 @@ The state recursion is ``u_k = S(u_{k-1}) + eta_k`` where ``S`` is a
 deterministic time-one map (see :mod:`fklab.dynamics_maps`) and the kick
 ``eta`` has independent coordinates ``b_j xi_j`` with a common compactly
 supported density.  Counter-based Philox streams keyed by
-``(master seed, stream id)`` make every trajectory bitwise reproducible and
-independent of how callers parallelize.
+``(master seed, stream id)`` make every run bitwise reproducible; every
+ensemble is advanced by :func:`propagate`, drawing all its rows from one
+stream.
 
 A finite Markov chain on embedded points is provided as a second model type
 so the Monte Carlo estimators can be cross-checked against the exact
@@ -27,10 +28,9 @@ __all__ = [
     "FiniteChainModel",
     "Trajectory",
     "rng_stream",
-    "sample_kick",
     "sample_kicks",
+    "propagate",
     "simulate",
-    "simulate_ensemble",
     "attainability_cloud",
     "attainability_hausdorff",
     "hausdorff_distance",
@@ -139,13 +139,9 @@ class KickLaw:
         return mass, err
 
 
-def sample_kick(law: KickLaw, rng):
-    """One kick vector; coordinate-wise |eta_j| <= b_j always."""
-    return law.b * law.density.sample(rng, law.dim)
-
-
 def sample_kicks(law: KickLaw, rng, n):
-    """(n, dim) batch of kicks from a single stream."""
+    """(n, dim) batch of kicks from a single stream; coordinate-wise
+    |eta_j| <= b_j always."""
     xi = law.density.sample(rng, (n, law.dim))
     return xi * law.b[None, :]
 
@@ -186,19 +182,13 @@ class RDSModel:
         return self.map.dim
 
     def step(self, u, rng):
-        v = self.map.apply(u)
-        v[: self.kicks.dim] += sample_kick(self.kicks, rng)
-        return v
+        """One step of a single state; draws what a one-row ensemble draws."""
+        return self.step_many(np.asarray(u, dtype=float)[None, :], rng)[0]
 
-    def step_many(self, U, rngs):
-        """One step of an ensemble; ``rngs`` is one generator per row (the
-        per-trajectory stream contract) or a single shared generator."""
+    def step_many(self, U, rng):
+        """One step of an ensemble, all kicks drawn from the one stream."""
         V = self.map.apply_batch(U)
-        if isinstance(rngs, np.random.Generator):
-            V[:, : self.kicks.dim] += sample_kicks(self.kicks, rngs, U.shape[0])
-        else:
-            for i, rng in enumerate(rngs):
-                V[i, : self.kicks.dim] += sample_kick(self.kicks, rng)
+        V[:, : self.kicks.dim] += sample_kicks(self.kicks, rng, U.shape[0])
         return V
 
 
@@ -245,18 +235,38 @@ class FiniteChainModel:
         nxt = (u[:, None] > cum).sum(axis=1)
         return np.minimum(nxt, self.P.shape[0] - 1)
 
-    def step(self, u, rng):
-        i = self.index_of(u[None, :])[0]
-        j = self.step_indices(np.array([i]), rng)[0]
-        return self.points[j].copy()
-
-    def step_many(self, U, rngs):
-        idx = self.index_of(U)
-        if isinstance(rngs, np.random.Generator):
-            nxt = self.step_indices(idx, rngs)
-        else:
-            nxt = np.array([self.step_indices(idx[i : i + 1], rng)[0] for i, rng in enumerate(rngs)])
+    def step_many(self, U, rng):
+        nxt = self.step_indices(self.index_of(U), rng)
         return self.points[nxt].copy()
+
+
+def propagate(model, X, rng, steps, V=None, active=None):
+    """The one ensemble loop: advance the rows of ``X`` in place for up to
+    ``steps`` steps, drawing from the single generator ``rng``.
+
+    Yields ``(k, X, logw)`` after step k = 1..steps, where ``logw`` holds
+    each row's running sum V(u_1) + ... + V(u_k) (zeros without ``V``).
+    Consumers may modify ``X``, ``logw`` and the boolean mask ``active`` in
+    place between steps (resampling, freezing rows); only rows active at a
+    step are advanced and weighted, and the loop ends early once no row is
+    active.  A non-finite state raises :class:`FloatingPointError` naming
+    the step and the row.
+    """
+    rows = slice(None)
+    logw = np.zeros(X.shape[0])
+    for k in range(1, int(steps) + 1):
+        if active is not None:
+            rows = np.flatnonzero(active)
+            if rows.size == 0:
+                return
+        Y = model.step_many(X[rows], rng)
+        if not np.isfinite(Y).all():
+            bad = np.arange(X.shape[0])[rows][np.argmin(np.isfinite(Y).all(axis=1))]
+            raise FloatingPointError(f"non-finite state at step {k} in row {bad}")
+        X[rows] = Y
+        if V is not None:
+            logw[rows] += V(Y)
+        yield k, X, logw
 
 
 def simulate(model, u0, K, seed, stream=0):
@@ -265,43 +275,11 @@ def simulate(model, u0, K, seed, stream=0):
     u0 = np.asarray(u0, dtype=float)
     if not np.all(np.isfinite(u0)):
         raise ValueError("u0 must be finite")
-    rng = rng_stream(seed, stream)
     states = np.empty((K + 1, u0.shape[0]))
     states[0] = u0
-    u = u0.copy()
-    for k in range(1, K + 1):
-        u = model.step(u, rng)
-        if not np.all(np.isfinite(u)) or np.linalg.norm(u) > 1e8:
-            raise FloatingPointError(f"state blew up at step {k}")
-        states[k] = u
+    for k, X, _ in propagate(model, u0[None, :].copy(), rng_stream(seed, stream), K):
+        states[k] = X[0]
     return Trajectory(states=states, seed=seed, stream=stream)
-
-
-def simulate_ensemble(model, U0, K, seed, streams=None, shared=False, keep="all"):
-    """Ensemble simulation with batched map application.
-
-    With ``shared=False`` each trajectory i consumes its own Philox stream
-    ``streams[i]`` and reproduces :func:`simulate` bitwise.  ``shared=True``
-    draws all kicks from the single stream (seed, 0); this is faster and
-    still deterministic per seed, and is what the plain Monte Carlo
-    statistics use.  ``keep`` is "all" (full paths) or "last".
-    """
-    U = np.atleast_2d(np.asarray(U0, dtype=float)).copy()
-    n = U.shape[0]
-    if shared:
-        rngs = rng_stream(seed, 0)
-    else:
-        if streams is None:
-            streams = np.arange(n)
-        rngs = [rng_stream(seed, int(s)) for s in streams]
-    if keep == "all":
-        out = np.empty((K + 1, n, U.shape[1]))
-        out[0] = U
-    for k in range(1, K + 1):
-        U = model.step_many(U, rngs)
-        if keep == "all":
-            out[k] = U
-    return out if keep == "all" else U
 
 
 def hausdorff_distance(X, Y):
@@ -341,23 +319,23 @@ def attainability_cloud(model, B, k, seed=0, kicks_per_point=8, max_points=10_00
     return cloud
 
 
+def _ball_sample(rng, radius, n, dim):
+    """n uniform points of the centred dim-ball of the given radius."""
+    x = rng.normal(size=(n, dim))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    r = radius * rng.random(n) ** (1.0 / dim)
+    return x * r[:, None]
+
+
 def attainability_hausdorff(model, R, eps_grid, k, n_samples=400, seed=0):
     """d_H between attainability clouds from B_R and B_{R+eps} over a
     decreasing eps grid (empirical check of the Hausdorff continuity)."""
     rng = rng_stream(seed, 55)
-    dim = model.dim
-
-    def ball_sample(radius, n):
-        x = rng.normal(size=(n, dim))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        r = radius * rng.random(n) ** (1.0 / dim)
-        return x * r[:, None]
-
-    base_pts = ball_sample(R, n_samples)
+    base_pts = _ball_sample(rng, R, n_samples, model.dim)
     base = attainability_cloud(model, base_pts, k, seed=seed)
     gaps = []
     for eps in sorted(eps_grid, reverse=True):
-        pts = np.vstack([base_pts, ball_sample(R + eps, n_samples)])
+        pts = np.vstack([base_pts, _ball_sample(rng, R + eps, n_samples, model.dim)])
         enlarged = attainability_cloud(model, pts, k, seed=seed)
         gaps.append((float(eps), hausdorff_distance(enlarged, base)))
     return gaps
@@ -365,7 +343,7 @@ def attainability_hausdorff(model, R, eps_grid, k, n_samples=400, seed=0):
 
 @dataclass
 class HittingReport:
-    taus: dict
+    taus: dict  # start index -> first hitting times (horizon + 1 if censored)
     delta: float
     censored_fraction: float
     horizon: int
@@ -385,22 +363,17 @@ def hitting_time_stats(model, u0s, eps, n_traj=1000, horizon=1000, seed=0, targe
     censored = 0
     total = 0
     for m, u0 in enumerate(np.atleast_2d(np.asarray(u0s, dtype=float))):
-        rng = rng_stream(seed, m)
         U = np.tile(u0, (n_traj, 1))
-        alive = np.ones(n_traj, dtype=bool)
         tau = np.full(n_traj, horizon + 1, dtype=int)
         hit0 = np.linalg.norm(U, axis=1) <= eps
         tau[hit0] = 0
-        alive[hit0] = False
-        k = 0
-        while alive.any() and k < horizon:
-            k += 1
+        alive = ~hit0
+        for k, U, _ in propagate(model, U, rng_stream(seed, m), horizon, active=alive):
             idx = np.flatnonzero(alive)
-            U[idx] = model.step_many(U[idx], rng)
-            hit = np.linalg.norm(U[idx], axis=1) <= eps
-            tau[idx[hit]] = k
-            alive[idx[hit]] = False
-        taus[tuple(np.round(u0, 12))] = tau
+            hit = idx[np.linalg.norm(U[idx], axis=1) <= eps]
+            tau[hit] = k
+            alive[hit] = False
+        taus[m] = tau
         censored += int((tau > horizon).sum())
         total += n_traj
 
@@ -469,17 +442,13 @@ def attraction_counter(
     reps = int(np.ceil(n_traj / u0s.shape[0]))
     U = np.repeat(u0s, reps, axis=0)[:n_traj].copy()
     n = U.shape[0]
-    rng = rng_stream(seed, 0)
     counts = np.zeros(n, dtype=int)
     settled = np.zeros(n, dtype=int)
     active = np.ones(n, dtype=bool)
     cf = model.contraction_factor
     can_settle = cf is not None and cf < 1 and settle_frac * cf + spacing / eps <= 0.95
-    for _ in range(horizon):
+    for _, U, _ in propagate(model, U, rng_stream(seed, 0), horizon, active=active):
         idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        U[idx] = model.step_many(U[idx], rng)
         dist = tree.query(U[idx])[0]
         counts[idx] += dist > eps
         if can_settle:
@@ -541,9 +510,7 @@ def verify_map_conditions(model, plan: SamplePlan):
     # (A) dissipativity of iterated S
     diss = {}
     for R in plan.radii:
-        x = rng.normal(size=(plan.n_samples, dim))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        U = x * (R * rng.random(plan.n_samples) ** (1.0 / dim))[:, None]
+        U = _ball_sample(rng, R, plan.n_samples, dim)
         denom = np.maximum(np.linalg.norm(U, axis=1), plan.r)
         a_seq = []
         W = U.copy()

@@ -180,3 +180,31 @@ def test_slln_command(tmp_path):
         "exponential-not-rejected", "heavy-tail-favored",
         "exponential-fit-degrades", "insufficient-tail",
     )
+
+
+def test_ldp_command(tmp_path):
+    # the tilt solve evaluates the pressure off the alpha grid
+    P = [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]
+    f = [0.1, 0.5, 0.9]
+    mean = float(np.mean(f))  # doubly stochastic: uniform stationary law
+    cfg = write_cfg(
+        tmp_path,
+        {"kernel": {"points": [[0.0], [1.0], [2.0]], "P": P, "A": [0, 1, 2]},
+         "f": f, "x_grid": [mean + 0.05, mean + 0.1], "k_set": [10, 20, 30],
+         "n_traj": 2000, "seed": 3},
+    )
+    out = tmp_path / "out"
+    assert run_cli(["ldp", "--config", cfg, "--out", str(out)]) == 0
+    leg = np.asarray(json.loads((out / "results.json").read_text())["legendre"], dtype=float)
+    assert np.all(np.isfinite(leg)) and np.all(leg >= 0)
+
+
+def test_simulate_overflow_exits_3(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path,
+        {"model": {"kind": "toy", "factors": [1e100, 1e100], "rho": 1.0},
+         "u0": [1.0, 1.0], "K": 10, "seed": 1},
+    )
+    with np.errstate(over="ignore"):
+        assert run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert "non-finite state at step 4 in row 0" in capsys.readouterr().err

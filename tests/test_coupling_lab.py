@@ -35,18 +35,18 @@ def test_tv_symmetry(law):
 
 def test_maximal_coupling_identical_laws(law):
     rng = rc.rng_stream(0, 0)
-    for _ in range(100):
-        xi, xip, coupled = cl.maximal_coupling_1d(law.density, 0.0, 0.5, rng)
-        assert coupled
-        assert 0.5 * xi == pytest.approx(0.0 + 0.5 * xip, abs=1e-15)
+    x1, x2, coupled = cl._coupled_coordinates(law.density, np.zeros(100), np.zeros(100), 0.5, rng)
+    assert coupled.all()
+    assert np.array_equal(x1, x2)
 
 
 def test_maximal_coupling_disjoint_supports(law):
+    # shift 1.3 against kick scale 0.5: the supports [0.8, 1.8] and
+    # [-0.5, 0.5] are disjoint, so the coupling never succeeds
     rng = rc.rng_stream(1, 0)
-    for _ in range(100):
-        xi, xip, coupled = cl.maximal_coupling_1d(law.density, 1.3, 0.5, rng)
-        assert not coupled
-        assert abs(xi) <= 1 and abs(xip) <= 1
+    x1, x2, coupled = cl._coupled_coordinates(law.density, np.full(100, 1.3), np.zeros(100), 0.5, rng)
+    assert not coupled.any()
+    assert np.all(np.abs(x1 - 1.3) <= 0.5) and np.all(np.abs(x2) <= 0.5)
 
 
 def test_coupling_probability_matches_tv_oracle(law):
@@ -75,8 +75,9 @@ def test_coupled_marginals_ks(law):
 
 def test_coupled_step_identical_states(model):
     rng = rc.rng_stream(4, 0)
-    u = np.full(6, 0.2)
-    u1, u1p, coupled, kick, kickp = cl.coupled_step(model, 3, u, u.copy(), rng)
+    U = np.full((4, 6), 0.2)
+    u1, u1p, coupled, kick, kickp = cl.coupled_step(model, 3, U, U.copy(), rng)
+    assert u1.shape == (4, 6) and coupled.shape == (4, 3) and kick.shape == (4, 6)
     assert coupled.all()
     assert np.array_equal(u1, u1p)
     assert np.array_equal(kick, kickp)
@@ -86,10 +87,21 @@ def test_coupled_step_zero_map_always_couples(law):
     tiny = ToyDiagonalMap(factors=np.full(6, 1e-300))
     model0 = rc.RDSModel(map=tiny, kicks=law, rho=1.0)
     rng = rc.rng_stream(5, 0)
-    for _ in range(50):
-        u1, u1p, coupled, _, _ = cl.coupled_step(model0, 4, np.full(6, 0.5), np.full(6, -0.5), rng)
-        assert coupled.all()
-        assert np.array_equal(u1[:4], u1p[:4])
+    u1, u1p, coupled, _, _ = cl.coupled_step(model0, 4, np.full((50, 6), 0.5), np.full((50, 6), -0.5), rng)
+    assert coupled.all()
+    assert np.array_equal(u1[:, :4], u1p[:, :4])
+
+
+def test_coupled_step_tail_kicks_shared_per_pair(model):
+    rng = rc.rng_stream(14, 0)
+    U = rng.uniform(-0.3, 0.3, size=(200, 6))
+    u1, u1p, coupled, kick, kickp = cl.coupled_step(model, 3, U, U + 0.05, rng)
+    S1, S2 = model.map.apply_batch(U), model.map.apply_batch(U + 0.05)
+    assert np.array_equal(kick[:, 3:], kickp[:, 3:])
+    assert np.array_equal(u1[:, 3:], S1[:, 3:] + kick[:, 3:])
+    assert np.array_equal(u1p[:, 3:], S2[:, 3:] + kickp[:, 3:])
+    assert np.array_equal(u1[:, :3][coupled], u1p[:, :3][coupled])
+    assert 0 < coupled.mean() < 1
 
 
 def test_property_b_bitwise_along_runs(model):

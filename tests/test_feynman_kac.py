@@ -72,6 +72,32 @@ def test_mc_semigroup_matches_matrix_power(chain_setup):
         assert abs(est - exact) <= 3 * err
 
 
+def test_mc_semigroup_series_reads_every_horizon(chain_setup):
+    # one pass gives, at every horizon, the numbers of a fresh run to that
+    # horizon on the same stream
+    K, V, triple, chain, Vfn = chain_setup
+    f = lambda U: U[:, 0]
+    est, err = fk.mc_semigroup_series(chain, Vfn, f, K.points[2], 6, 300, rc.rng_stream(9, 0))
+    assert est.shape == err.shape == (7,)
+    for k in range(7):
+        e, s, _ = fk.mc_semigroup(chain, Vfn, f, K.points[2], k, 300, seed=9)
+        assert (est[k], err[k]) == (e, s)
+    with pytest.raises(ValueError):
+        fk.mc_semigroup_series(chain, Vfn, f, K.points[2], 3, 1, rc.rng_stream(9, 0))
+
+
+def test_shifted_scaled_keep_chain_values(chain_setup):
+    K, V, triple, chain, Vfn = chain_setup
+    vals = Vfn.chain_values
+    assert np.array_equal(Vfn.scaled(0.7).chain_values, 0.7 * vals)
+    assert np.array_equal(Vfn.shifted(0.3).chain_values, vals + 0.3)
+    both = Vfn.shifted(-0.2).scaled(1.5)
+    assert np.array_equal(both.chain_values, 1.5 * (vals - 0.2))
+    # the table agrees with the transformed function on the states
+    assert np.allclose(both(K.points), both.chain_values, rtol=0, atol=1e-15)
+    assert fk.PotentialFn.zero().scaled(2.0).chain_values is None
+
+
 def test_particle_fk_markov_case(chain_setup):
     K, _, _, chain, _ = chain_setup
     res = fk.particle_fk(chain, fk.PotentialFn.zero(), K.points[0], k=50, n_particles=4000, seed=4)

@@ -144,6 +144,15 @@ def test_cesaro_two_state_converges():
     assert np.abs(h100 - 1.0).max() < 1e-6
 
 
+def test_cesaro_average_stops_at_overflow():
+    # spectral radius far above one: iterates overflow at n = 2, and the
+    # average keeps only the finite part of the sum
+    M = np.array([[1e200, 0.0], [0.0, 1.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        avg = kl.cesaro_average(M, 4)
+    assert np.array_equal(avg, np.array([1e200, 1.0]) / 4)
+
+
 def test_cesaro_error_nonincreasing(rng):
     K, V = random_kernel_potential(rng, 7)
     M = kl.build_tilted_matrix(K, V)

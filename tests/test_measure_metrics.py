@@ -3,8 +3,10 @@ import pytest
 
 from fklab.measure_metrics import (
     DiscreteMeasure,
+    _union_support,
     dual_lipschitz,
     kantorovich_theta,
+    lipschitz_constant,
     verify_metric_sandwich,
 )
 
@@ -105,6 +107,21 @@ def test_support_merge_dedupes():
     assert m.support.shape[0] == 2
     assert m.weights.sum() == pytest.approx(1.0)
     assert sorted(m.weights) == pytest.approx([0.5, 0.5])
+
+
+def test_union_support_collapses_shared_points():
+    a = DiscreteMeasure(np.array([[0.0], [1.0]]), [0.5, 0.5])
+    b = DiscreteMeasure(np.array([[1.0], [2.0]]), [0.25, 0.75])
+    pts, c = _union_support(a, b)
+    assert pts[:, 0].tolist() == [0.0, 1.0, 2.0]
+    assert c.tolist() == [0.5, 0.25, -0.75]
+
+
+def test_lipschitz_constant_skips_coincident_points():
+    pts = np.array([0.0, 0.0, 1.0, 3.0])
+    d = np.abs(pts[:, None] - pts[None, :])
+    assert lipschitz_constant(np.array([0.0, 5.0, 1.0, 2.0]), d) == 4.0  # |5 - 1| / 1
+    assert lipschitz_constant(np.array([0.0, 0.0, 1.0, 2.0]), d) == 1.0
 
 
 def test_sandwich_identical_measures(rng):

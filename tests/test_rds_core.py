@@ -87,11 +87,47 @@ def test_deterministic_iteration_without_kicks(toy_model):
 
 
 def test_ensemble_matches_simulate_per_stream(toy_model):
-    U0 = np.tile(np.full(6, 0.4), (4, 1))
-    ens = rc.simulate_ensemble(toy_model, U0, 25, seed=21, streams=np.arange(4))
+    # a one-row ensemble on stream i is simulate(stream=i), bitwise, and a
+    # single step draws exactly what a one-row ensemble step draws
+    u0 = np.full(6, 0.4)
     for i in range(4):
-        solo = rc.simulate(toy_model, U0[i], 25, seed=21, stream=i)
-        assert np.array_equal(ens[:, i, :], solo.states)
+        solo = rc.simulate(toy_model, u0, 25, seed=21, stream=i)
+        X = u0[None, :].copy()
+        for k, X, _ in rc.propagate(toy_model, X, rc.rng_stream(21, i), 25):
+            assert np.array_equal(X[0], solo.states[k])
+        u = toy_model.step(u0, rc.rng_stream(21, i))
+        assert np.array_equal(u, solo.states[1])
+
+
+def test_propagate_weights_and_active_rows(toy_model):
+    V = lambda U: U[:, 0]
+    X = np.tile(np.full(6, 0.4), (3, 1))
+    active = np.array([True, False, True])
+    seen = []
+    for k, X, logw in rc.propagate(toy_model, X, rc.rng_stream(3, 0), 10, V=V, active=active):
+        seen.append((k, X[:, 0].copy(), logw.copy()))
+        if k == 4:
+            active[0] = False
+        if k == 6:
+            active[2] = False
+    assert [k for k, _, _ in seen] == [1, 2, 3, 4, 5, 6]  # ends once no row is active
+    assert all(x[1] == 0.4 and w[1] == 0.0 for _, x, w in seen)  # frozen row untouched
+    # logw is the running sum of V over each row's own steps
+    assert seen[3][2][0] == pytest.approx(sum(x[0] for _, x, _ in seen[:4]), rel=1e-12)
+    assert seen[-1][2][0] == seen[3][2][0]
+    assert seen[-1][2][2] == pytest.approx(sum(x[2] for _, x, _ in seen), rel=1e-12)
+
+
+def test_propagate_raises_on_non_finite_state():
+    law = rc.KickLaw.from_decay(2, b0=0.3)
+    model = rc.RDSModel(map=ToyDiagonalMap(factors=np.full(2, 1e100)), kicks=law, rho=1.0)
+    # rows starting at norm ~1 overflow at step 4 (1e100^4); the frozen row
+    # 0 never moves and row 1, started at zero, is one step behind
+    X = np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
+    active = np.array([False, True, True])
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="step 4 in row 2"):
+        for _ in rc.propagate(model, X, rc.rng_stream(0, 0), 10, active=active):
+            pass
 
 
 def test_attainability_cloud_trivials(toy_model):
@@ -125,6 +161,15 @@ def test_hitting_time_immediate_hit(toy_model):
     rep = rc.hitting_time_stats(toy_model, [np.zeros(6)], eps=0.5, n_traj=50, horizon=50, seed=1)
     taus = next(iter(rep.taus.values()))
     assert np.all(taus == 0)
+
+
+def test_hitting_time_duplicate_starts_kept_apart(toy_model):
+    u0 = np.full(6, 0.9)
+    rep = rc.hitting_time_stats(toy_model, [u0, u0], eps=0.3, n_traj=50, horizon=100, seed=4)
+    assert sorted(rep.taus) == [0, 1]
+    assert all(tau.shape == (50,) for tau in rep.taus.values())
+    # each start has its own stream
+    assert not np.array_equal(rep.taus[0], rep.taus[1])
 
 
 def test_hitting_time_contraction_bound(toy_model):
@@ -210,13 +255,13 @@ def test_chain_model_roundtrip(rng):
     P = np.array([[0.2, 0.5, 0.3], [0.3, 0.4, 0.3], [0.5, 0.25, 0.25]])
     chain = rc.FiniteChainModel(points=pts, P=P)
     assert chain.index_of(np.array([[1.0], [2.5]])).tolist() == [1, 2]
-    gen = rc.rng_stream(0, 0)
-    ens = rc.simulate_ensemble(chain, np.zeros((5000, 1)), 400, seed=12, shared=True)
+    states = [X[:, 0].copy() for k, X, _ in rc.propagate(chain, np.zeros((5000, 1)), rc.rng_stream(12, 0), 400)
+              if k >= 200]
     # occupation matches the stationary distribution
     w, V = np.linalg.eig(P.T)
     pi = np.abs(V[:, np.argmax(w.real)].real)
     pi /= pi.sum()
-    occ = np.array([(np.abs(ens[200:, :, 0] - p) < 1e-9).mean() for p in pts[:, 0]])
+    occ = np.array([(np.abs(np.asarray(states) - p) < 1e-9).mean() for p in pts[:, 0]])
     assert np.abs(occ - pi).max() < 0.02
 
 
