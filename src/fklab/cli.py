@@ -328,6 +328,8 @@ def _cmd_ldp(cfg, seed, out, threads):
 
 def _cmd_attract(cfg, seed, out, threads):
     model = _build_model(cfg["model"])
+    if isinstance(model, rc.FiniteChainModel):
+        raise ConfigError("attract needs a continuous map model (kind 'toy' or 'burgers'), not a chain")
     eps = float(cfg.get("eps", 0.1))
     n_traj = int(cfg.get("n_traj", 2000))
     horizon = int(cfg.get("horizon", 400))

@@ -298,10 +298,20 @@ def _kick_mesh(law, rng, n):
     return mesh
 
 
+def _require_map(model, what):
+    """Reject models without a continuous map S (finite chains)."""
+    if getattr(model, "map", None) is None:
+        raise ValueError(
+            f"{what} needs a continuous map model u_k = S(u_(k-1)) + eta_k, "
+            f"not {type(model).__name__}"
+        )
+
+
 def attainability_cloud(model, B, k, seed=0, kicks_per_point=8, max_points=10_000):
     """Monte Carlo outer approximation of the k-step attainability set from
     the sample cloud ``B``: push forward through S and add meshed kicks,
     subsampling to ``max_points`` per stage."""
+    _require_map(model, "attainability_cloud")
     cloud = np.atleast_2d(np.asarray(B, dtype=float))
     if cloud.size == 0:
         raise ValueError("B must be a nonempty sample")
@@ -433,6 +443,7 @@ def attraction_counter(
     stays below eps forever (cloud points are attainable, hence the true
     attractor distance is at most the cloud distance).
     """
+    _require_map(model, "attraction_counter")
     cloud = np.atleast_2d(np.asarray(cloud, dtype=float))
     tree = cKDTree(cloud)
     spacing = tree.query(cloud, k=2)[0][:, 1].max()

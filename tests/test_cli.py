@@ -165,6 +165,16 @@ def test_attract_command(tmp_path):
     assert res["hitting"]["delta"] > 0
 
 
+def test_attract_on_chain_exits_2(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path,
+        {"model": {"kind": "chain", "points": [[0.0], [1.0]], "P": [[0.5, 0.5], [0.5, 0.5]]},
+         "eps": 0.3, "n_traj": 10, "horizon": 5, "seed": 1},
+    )
+    assert run_cli(["attract", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "continuous map" in capsys.readouterr().err
+
+
 def test_slln_command(tmp_path):
     cfg = write_cfg(
         tmp_path,

@@ -98,6 +98,56 @@ def test_burgers_blowup_detection():
         bm.apply(huge)
 
 
+def test_burgers_blowup_names_the_row_in_the_batch(rng):
+    # the bad row sits in the second chunk; its index counts from the batch
+    bm = BurgersMap(nu=1e-4, modes=16, dt=0.25)
+    bad = bm._tables["chunk"] + 5
+    U = 1e-3 * rng.normal(size=(bad + 10, bm.dim))
+    U[bad] = 2e3
+    with pytest.raises(FloatingPointError, match=rf"inner step 0 in row {bad}\b"):
+        bm.apply_batch(U)
+
+
+def reference_etdrk2(bm, U):
+    """ETDRK2 with the nonlinear term on the 4M grid, all rows at once."""
+    M, G = bm.modes, 4 * bm.modes
+    j = np.arange(1, M + 1)
+    z = -bm.nu * j**2 * bm.dt
+    E, phi1, phi2 = np.exp(z), np.expm1(z) / z, (np.expm1(z) - z) / z**2
+    Z = (U[:, 0::2] - 1j * U[:, 1::2]) / (2 * np.sqrt(np.pi))
+
+    def nonlinear(Z):
+        spec = np.zeros((Z.shape[0], G // 2 + 1), dtype=complex)
+        spec[:, 1 : M + 1] = G * Z
+        u = np.fft.irfft(spec, n=G, axis=-1)
+        return -0.5j * j * (np.fft.rfft(u * u, axis=-1) / G)[:, 1 : M + 1]
+
+    for _ in range(bm.steps_per_unit):
+        N0 = nonlinear(Z)
+        Za = E * Z + bm.dt * phi1 * N0
+        Z = Za + bm.dt * phi2 * (nonlinear(Za) - N0)
+    out = np.empty_like(U)
+    out[:, 0::2] = 2 * np.sqrt(np.pi) * Z.real
+    out[:, 1::2] = -2 * np.sqrt(np.pi) * Z.imag
+    return out
+
+
+@pytest.mark.parametrize("modes, G, chunk", [(16, 50, 436), (64, 200, 110)])
+def test_burgers_chunks_and_grid_match_4m_reference(rng, modes, G, chunk):
+    # the 3M+1 grid is alias-free like 4M, so only roundoff separates them;
+    # a coarse dt keeps the reference loop cheap without changing that
+    bm = BurgersMap(nu=0.5, modes=modes, dt=5e-3)
+    assert (bm._tables["G"], bm._tables["chunk"]) == (G, chunk)
+    U = 0.8 * rng.normal(size=(2 * chunk + 3, bm.dim)) * np.exp(-0.2 * np.arange(bm.dim))
+    ref = reference_etdrk2(bm, U)
+    for n in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+        assert np.abs(bm.apply_batch(U[:n]) - ref[:n]).max() < 1e-12
+    out = bm.apply_batch(U)
+    for i in (0, chunk - 1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 2):
+        assert np.array_equal(bm.apply(U[i]), out[i])
+    assert bm.physical(U[0]).shape[-1] == 4 * modes
+
+
 def test_toy_map_zero_and_linearity(rng):
     toy = ToyDiagonalMap.geometric(5, base=0.7, ratio=0.8)
     assert np.all(toy.apply(np.zeros(5)) == 0)

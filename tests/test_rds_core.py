@@ -265,6 +265,14 @@ def test_chain_model_roundtrip(rng):
     assert np.abs(occ - pi).max() < 0.02
 
 
+def test_attraction_needs_a_continuous_map():
+    chain = rc.FiniteChainModel(points=np.array([[0.0], [1.0]]), P=np.full((2, 2), 0.5))
+    with pytest.raises(ValueError, match="continuous map"):
+        rc.attainability_cloud(chain, np.zeros((1, 1)), 2)
+    with pytest.raises(ValueError, match="continuous map"):
+        rc.attraction_counter(chain, np.array([[0.0], [1.0]]), 2.0, np.zeros((1, 1)), n_traj=4, horizon=3)
+
+
 def test_chain_rejects_non_stochastic():
     with pytest.raises(ValueError):
         rc.FiniteChainModel(points=np.array([[0.0], [1.0]]), P=np.array([[0.5, 0.6], [0.5, 0.5]]))
