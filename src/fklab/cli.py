@@ -116,6 +116,13 @@ def _build_model(cfg):
     return rc.RDSModel(map=m, kicks=law, rho=float(cfg.get("rho", 1.0)), contraction_factor=contraction)
 
 
+def _build_map_model(cfg, command):
+    model = _build_model(cfg)
+    if isinstance(model, rc.FiniteChainModel):
+        raise ConfigError(f"{command} needs a continuous map model (kind 'toy' or 'burgers'), not a chain")
+    return model
+
+
 def _load_kernel(cfg):
     if "kernel" not in cfg:
         raise ConfigError("config requires a 'kernel' section")
@@ -235,11 +242,18 @@ def _cmd_met_check(cfg, seed, out, threads):
 
 
 def _cmd_coupling_check(cfg, seed, out, threads):
-    model = _build_model(cfg["model"])
-    N = int(cfg.get("N", model.kicks.dim // 2))
+    model = _build_map_model(cfg["model"], "coupling-check")
+    kick_dim = model.kicks.dim
+    N = int(cfg.get("N", kick_dim // 2))
     n_samples = int(cfg.get("n_samples", 100_000))
     delta = float(cfg.get("delta", 0.1))
     j = int(cfg.get("coordinate", 0))
+    if not 0 <= N <= kick_dim:
+        raise ConfigError(f"N = {N} must lie in 0..kick_dim = {kick_dim}")
+    if not 0 <= j < kick_dim:
+        raise ConfigError(f"coordinate {j} must lie in 0..{kick_dim - 1} (kick_dim = {kick_dim})")
+    if n_samples < 1:
+        raise ConfigError(f"n_samples = {n_samples} must be at least 1")
     b = float(model.kicks.b[j])
     rng = rc.rng_stream(seed, 0)
     x1, x2, coupled = coupling_lab._coupled_coordinates(
@@ -327,9 +341,7 @@ def _cmd_ldp(cfg, seed, out, threads):
 
 
 def _cmd_attract(cfg, seed, out, threads):
-    model = _build_model(cfg["model"])
-    if isinstance(model, rc.FiniteChainModel):
-        raise ConfigError("attract needs a continuous map model (kind 'toy' or 'burgers'), not a chain")
+    model = _build_map_model(cfg["model"], "attract")
     eps = float(cfg.get("eps", 0.1))
     n_traj = int(cfg.get("n_traj", 2000))
     horizon = int(cfg.get("horizon", 400))

@@ -5,12 +5,15 @@ coordinates coincide as often as possible (each coordinate by a maximal
 coupling of the two shifted kick laws) while the remaining coordinates
 share literally the same kick draws.  On the all-agree event the pair
 difference lives in the tail modes and contracts at the smoothing rate of
-the map; the total-variation overlap computed by quadrature serves as the
-exact oracle for every coupling probability.
+the map; the closed-form total-variation overlap serves as the exact oracle
+for every coupling probability.
 
 The couplings are sampled in state space: on the agreement event both
 components are assigned the same float, so agreement is bitwise and the
-tail-kick identity holds exactly by construction.
+tail-kick identity holds exactly by construction.  On the disagreement
+event the second component is the reflection of the first about the
+midpoint of the two means (reflection-maximal coupling, Bou-Rabee, Eberle
+and Zimmer 2020), which needs no further random draws.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .feynman_kac import mc_semigroup_series
 from .rds_core import rng_stream
@@ -35,32 +37,19 @@ __all__ = [
 ]
 
 
-def tv_shifted(density, s, tol=1e-12):
-    """Total variation distance between the density and its shift by s,
-    1 - integral of the pointwise minimum (adaptive quadrature)."""
-    lo, hi = density.support
-    s = float(s)
-    a, b = max(lo, lo + s), min(hi, hi + s)
-    if a >= b:
-        return 1.0
-    pts = [x for x in (s / 2.0,) if a < x < b]
-    overlap, _ = integrate.quad(
-        lambda x: min(density.pdf(x), density.pdf(x - s)),
-        a,
-        b,
-        points=pts or None,
-        epsabs=tol,
-        limit=200,
-    )
-    return float(min(1.0, max(0.0, 1.0 - overlap)))
+def tv_shifted(density, s):
+    """Total variation distance between the density and its shift by s.
+
+    For a symmetric unimodal density the two curves cross at s/2, so the
+    distance is P(|xi| < |s|/2) = 2 CDF(|s|/2) - 1.
+    """
+    return float(2.0 * density.cdf(abs(float(s)) / 2.0) - 1.0)
 
 
-def tv_lipschitz(density, n_grid=400):
-    """Largest slope of s -> TV(p, p(. - s)), estimated on a fine grid."""
-    lo, hi = density.support
-    ss = np.linspace(0, hi - lo, n_grid)
-    tv = np.array([tv_shifted(density, s) for s in ss])
-    return float(np.max(np.diff(tv) / np.diff(ss)))
+def tv_lipschitz(density):
+    """Largest slope of s -> TV(p, p(. - s)): the slope is p(s/2), largest
+    at s = 0."""
+    return float(density.pdf(0.0))
 
 
 def decoupling_constant(law, N):
@@ -70,39 +59,15 @@ def decoupling_constant(law, N):
     return float(lip * (1.0 / law.b[:N]).sum())
 
 
-def _residual_inverse(density, s, u, iters=60):
-    """Exact samples from the residual density (p(x) - p(x - s))_+ / TV by
-    inverting its CDF t -> (P(t) - P(t - s)) / TV with bisection.
-
-    The residual CDF is monotone on (-support, s/2) for s > 0; negative
-    shifts go through the mirror symmetry of the density.  Rejection from p
-    would need O(1/TV) proposals per sample, which is hopeless for the tiny
-    shifts produced by nearby pair states.
-    """
-    s = np.asarray(s, dtype=float)
-    u = np.asarray(u, dtype=float)
-    sign = np.where(s >= 0, 1.0, -1.0)
-    sa = np.abs(s)
-    lo_sup, hi_sup = density.support
-    tv = density.cdf(sa / 2.0) - density.cdf(sa / 2.0 - sa)
-    target = u * tv
-    lo = np.full(s.shape, float(lo_sup))
-    hi = np.minimum(sa / 2.0, float(hi_sup))
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        val = density.cdf(mid) - density.cdf(mid - sa)
-        high = val > target
-        hi = np.where(high, mid, hi)
-        lo = np.where(high, lo, mid)
-    return sign * 0.5 * (lo + hi)
-
-
 def _coupled_coordinates(density, m1, m2, b, rng):
     """Vectorized maximal coupling of the state laws m1 + b xi, m2 + b xi.
 
-    On the coupled event both outputs are the identical float; otherwise the
-    two sides get independent samples of the respective residual laws.
-    Returns (x1, x2, coupled).
+    Side 1 draws x1 = m1 + b xi and side 2 keeps it with probability
+    min(1, p(xi + s) / p(xi)), s = (m1 - m2) / b; on the coupled event both
+    outputs are the identical float.  Otherwise side 2 takes the reflection
+    x2 = m2 - b xi of x1 about (m1 + m2) / 2: for a symmetric density the
+    rejected xi follow the residual law of side 1, and their mirror images
+    follow the residual law of side 2.  Returns (x1, x2, coupled).
     """
     m1 = np.asarray(m1, dtype=float)
     m2 = np.asarray(m2, dtype=float)
@@ -111,11 +76,7 @@ def _coupled_coordinates(density, m1, m2, b, rng):
     xi = density.sample(rng, m1.shape)
     accept = rng.uniform(0.0, 1.0, m1.shape) * density.pdf(xi) <= density.pdf(xi + s)
     x1 = m1 + b * xi
-    x2 = np.where(accept, x1, 0.0)
-    need = ~accept
-    if need.any():
-        y = _residual_inverse(density, s[need], rng.random(int(need.sum())))
-        x2[need] = m2[need] + b[need] * y
+    x2 = np.where(accept, x1, m2 - b * xi)
     return x1, x2, accept
 
 
@@ -162,17 +123,6 @@ class CoupledRun:
     @property
     def tail_kicks_equal(self):
         return bool(np.array_equal(self.kicks[:, 0, self.N :], self.kicks[:, 1, self.N :]))
-
-    @property
-    def agree_steps(self):
-        """Number of leading steps with full agreement on the coupled block."""
-        full = self.coupled.all(axis=1)
-        out = 0
-        for flag in full:
-            if not flag:
-                break
-            out += 1
-        return out
 
 
 def coupled_trajectories(model, N, v, v_prime, K, seed=0, stream=0):

@@ -152,6 +152,25 @@ def test_coupling_check_command(tmp_path):
     assert min(res["ks_pvalues"]) > 1e-3
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"model": {"kind": "chain", "points": [[0.0], [1.0]], "P": [[0.5, 0.5], [0.5, 0.5]]}}, "not a chain"),
+        ({"model": TOY_MODEL, "coordinate": 6}, "coordinate 6"),
+        ({"model": TOY_MODEL, "coordinate": -1}, "coordinate -1"),
+        ({"model": TOY_MODEL, "N": 9}, "N = 9"),
+        ({"model": TOY_MODEL, "n_samples": 0}, "n_samples = 0"),
+    ],
+    ids=["chain", "coordinate-past-kicks", "negative-coordinate", "N-past-kicks", "no-samples"],
+)
+def test_coupling_check_rejects_bad_config(tmp_path, capsys, payload, message):
+    cfg = write_cfg(tmp_path, {"n_samples": 1000, **payload, "seed": 4})
+    out = tmp_path / "out"
+    assert run_cli(["coupling-check", "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "results.json").exists()
+
+
 def test_attract_command(tmp_path):
     cfg = write_cfg(
         tmp_path,

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from fklab import coupling_lab as cl
 from fklab import rds_core as rc
@@ -19,11 +19,30 @@ def model(law):
 
 
 def test_tv_quadrature_matches_closed_form(law):
-    # symmetric unimodal density: overlap = 2 (1 - CDF(s/2)) for 0 <= s <= 2
-    for s in (0.0, 0.2, 0.7, 1.4, 1.999, 2.5):
-        quad_tv = cl.tv_shifted(law.density, s)
-        closed = 1.0 if s > 2 else 1 - 2 * (1 - law.density.cdf(s / 2))
-        assert quad_tv == pytest.approx(closed, abs=1e-10)
+    # reference: 1 - integral of min(p(x), p(x - s)) by adaptive quadrature,
+    # split at the crossing point s/2
+    p = law.density
+    for s in (-1.4, -0.3, 0.0, 1e-6, 0.2, 1.4, 1.999, 2.0, 2.5):
+        lo, hi = max(-1.0, s - 1.0), min(1.0, s + 1.0)
+        overlap = 0.0
+        if lo < hi:
+            overlap, _ = integrate.quad(
+                lambda x: min(p.pdf(x), p.pdf(x - s)),
+                lo,
+                hi,
+                points=[s / 2.0] if lo < s / 2.0 < hi else None,
+                epsabs=1e-13,
+                limit=200,
+            )
+        assert cl.tv_shifted(p, s) == pytest.approx(1.0 - overlap, abs=1e-12)
+
+
+def test_tv_lipschitz_is_density_at_zero(law):
+    p = law.density
+    assert cl.tv_lipschitz(p) == float(p.pdf(0.0))
+    ss = np.linspace(0.0, 2.0, 400)
+    tv = np.array([cl.tv_shifted(p, s) for s in ss])
+    assert cl.tv_lipschitz(p) == pytest.approx(np.max(np.diff(tv) / np.diff(ss)), abs=1e-5)
 
 
 def test_tv_symmetry(law):
@@ -73,6 +92,35 @@ def test_coupled_marginals_ks(law):
     assert stats.kstest(x2 / b, law.density.cdf).pvalue > 1e-3
 
 
+def test_residual_law_ks(law):
+    # off the coupled event side 2 follows its residual law, whose CDF is
+    # (F(t) - F(t - s)) / TV up to the crossing point s/2 and 1 beyond it
+    rng = rc.rng_stream(15, 0)
+    n = 400_000
+    delta, b = 0.31, 0.4
+    s = delta / b
+    x1, x2, coupled = cl._coupled_coordinates(law.density, np.full(n, delta), np.zeros(n), b, rng)
+    F, tv = law.density.cdf, cl.tv_shifted(law.density, s)
+
+    def residual_cdf(t):
+        t = np.minimum(t, s / 2.0)
+        return (F(t) - F(t - s)) / tv
+
+    y = x2[~coupled] / b
+    assert y.size > 10_000
+    assert stats.kstest(y, residual_cdf).pvalue > 1e-3
+
+
+def test_reflection_off_the_coupled_event(law):
+    # x2 is the mirror image of x1 about the midpoint of the two means
+    rng = rc.rng_stream(16, 0)
+    m1 = rng.uniform(-0.5, 0.5, size=(20_000, 3))
+    m2 = m1 + rng.uniform(-0.6, 0.6, size=m1.shape)
+    x1, x2, coupled = cl._coupled_coordinates(law.density, m1, m2, law.b[:3], rng)
+    assert 0 < coupled.mean() < 1
+    assert np.max(np.abs((x1 + x2) - (m1 + m2))[~coupled]) <= 1e-15
+
+
 def test_coupled_step_identical_states(model):
     rng = rc.rng_stream(4, 0)
     U = np.full((4, 6), 0.2)
@@ -118,7 +166,7 @@ def test_property_b_bitwise_along_runs(model):
 
 
 def test_decoupling_probability_linear_in_distance(model, law):
-    # P(decouple in one step) <= C_N ||u - u'||, with the quadrature constant
+    # P(decouple in one step) <= C_N ||u - u'||, with the closed-form constant
     rng = rc.rng_stream(7, 0)
     N = 3
     C_N = cl.decoupling_constant(law, N)
