@@ -103,7 +103,8 @@ def _build_model(cfg):
         contraction = float(m.factors[0]) if m.q == 0 and m.factors[0] < 1 else None
     elif kind == "burgers":
         m = BurgersMap(nu=float(cfg["nu"]), modes=int(cfg.get("modes", 64)), dt=float(cfg.get("dt", 1e-3)))
-        contraction = cfg.get("contraction_factor")
+        contraction = cfg.get("contraction_factor")  # assumed, not measured
+        contraction = None if contraction is None else float(contraction)
     elif kind == "chain":
         return rc.FiniteChainModel(
             points=np.asarray(cfg["points"], dtype=float), P=np.asarray(cfg["P"], dtype=float)
@@ -205,8 +206,11 @@ def _cmd_pressure(cfg, seed, out, threads):
             "sigma_V_stderr": curve.sigma_V_stderr,
             "convex": curve.convex,
             "mean_shift": curve.mean_shift,
+            "accepted": curve.accepted,
         }
         print(f"sigma_V = {curve.sigma_V:.6g}")
+        if not curve.accepted.all():
+            print(f"fit rejected at alpha = {curve.alphas[~curve.accepted].tolist()}", file=sys.stderr)
         return result
     fit = fk.pressure_estimate(model, V, u0, k_max=k_max, n_traj=n_traj, seed=seed)
     _write_csv(
@@ -376,6 +380,8 @@ def _cmd_attract(cfg, seed, out, threads):
             "censored_fraction": att.censored_fraction,
             "resolution": att.resolution,
             "max_count": int(att.counts.max()),
+            "contraction_factor": model.contraction_factor,
+            "settling_shortcut": att.settling_shortcut,
         },
         "hitting": {
             "delta": hit.delta,

@@ -379,6 +379,7 @@ class PressureCurve:
     sigma_V_stderr: float
     convex: bool
     mean_shift: float
+    accepted: np.ndarray  # each alpha's fit verdict (True at alpha = 0)
 
 
 def pressure_curve(
@@ -413,15 +414,17 @@ def pressure_curve(
         shift = acc / max(cnt, 1)
     Vc = V.shifted(-shift) if shift != 0.0 else V
 
-    Qs, errs = [], []
+    Qs, errs, accepted = [], [], []
     for i, a in enumerate(alphas):
         if a == 0.0:
             Qs.append(0.0)
             errs.append(0.0)
+            accepted.append(True)
             continue
         fit = pressure_estimate(model, Vc.scaled(a), u0, k_max, n_traj, seed=seed + 17 * i)
         Qs.append(fit.Q)
         errs.append(fit.stderr)
+        accepted.append(fit.accepted)
     Qs = np.asarray(Qs)
     errs = np.asarray(errs)
 
@@ -442,6 +445,7 @@ def pressure_curve(
         sigma_V_stderr=float(sigma_err),
         convex=convex,
         mean_shift=float(shift),
+        accepted=np.asarray(accepted),
     )
 
 

@@ -2,11 +2,12 @@
 
 The state recursion is ``u_k = S(u_{k-1}) + eta_k`` where ``S`` is a
 deterministic time-one map (see :mod:`fklab.dynamics_maps`) and the kick
-``eta`` has independent coordinates ``b_j xi_j`` with a common compactly
-supported density.  Counter-based Philox streams keyed by
-``(master seed, stream id)`` make every run bitwise reproducible; every
-ensemble is advanced by :func:`propagate`, drawing all its rows from one
-stream.
+``eta`` has independent coordinates ``b_j xi_j`` with xi_j from the quartic
+bump density 2 Beta(3, 3) - 1, drawn exactly by Ulrich's symmetric-Beta
+transform from two uniforms each (Ulrich 1984, Appl. Statist. 33:158).
+Counter-based Philox streams keyed by ``(master seed, stream id)`` make
+every run bitwise reproducible; every ensemble is advanced by
+:func:`propagate`, drawing all its rows from one stream.
 
 A finite Markov chain on embedded points is provided as a second model type
 so the Monte Carlo estimators can be cross-checked against the exact
@@ -18,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 from scipy.spatial import cKDTree
 
 __all__ = [
@@ -48,17 +48,19 @@ def rng_stream(seed, stream=0):
 
 
 class QuarticBumpDensity:
-    """p(x) = (15/16)(1 - x^2)^2 on [-1, 1].
+    """p(x) = (15/16)(1 - x^2)^2 on [-1, 1], the law of 2 Beta(3, 3) - 1.
 
     Continuously differentiable, positive at the origin, supported in the
-    unit interval; sampled by rejection from the uniform envelope with
-    acceptance 8/15 per proposal round.  The closed forms of
-    ``coupling_lab`` rely on two of its properties: symmetry (the
+    unit interval.  Sampled exactly by Ulrich's symmetric-Beta transform
+    xi = sqrt(1 - U1^(2/5)) cos(2 pi U2) (Ulrich 1984, Appl. Statist. 33:158;
+    Devroye 1986, Non-Uniform Random Variate Generation): every coordinate
+    takes exactly two uniforms, laid out row after row, so the draw of entry
+    (i, j) of a batch sits at a fixed offset of the stream and the first
+    rows of a batch do not depend on how many rows follow.  The closed forms
+    of ``coupling_lab`` rely on two of its properties: symmetry (the
     reflection coupling maps one residual law onto the other) and
     unimodality (the total variation of a shift by s is 2 CDF(|s|/2) - 1).
     """
-
-    name = "quartic_bump"
 
     @staticmethod
     def pdf(x):
@@ -73,77 +75,49 @@ class QuarticBumpDensity:
 
     @staticmethod
     def sample(rng, size):
-        total = int(np.prod(size))
-        out = np.empty(total)
-        need = np.ones(total, dtype=bool)
-        while need.any():
-            k = int(need.sum())
-            x = rng.uniform(-1.0, 1.0, k)
-            u = rng.uniform(0.0, 1.0, k)
-            ok = u <= (1.0 - x**2) ** 2
-            idx = np.flatnonzero(need)[ok]
-            out[idx] = x[ok]
-            need[idx] = False
-        return out.reshape(size)
-
-
-DENSITIES = {QuarticBumpDensity.name: QuarticBumpDensity}
+        """Array of shape ``size`` (a tuple) from ``rng.random(size + (2,))``."""
+        u = rng.random(tuple(size) + (2,))
+        return np.sqrt(1.0 - u[..., 0] ** 0.4) * np.cos(2.0 * np.pi * u[..., 1])
 
 
 @dataclass(frozen=True)
 class KickLaw:
-    """Coordinate kick law: eta_j = b_j xi_j with xi_j i.i.d. ~ density.
+    """Coordinate kick law: eta_j = b_j xi_j with xi_j i.i.d. from the
+    quartic bump, so |eta_j| <= b_j; the kick acts on ``dim = len(b)``
+    coordinates."""
 
-    ``b0`` and ``s`` record the decay profile when built from
-    ``from_decay`` (b_j = b0 j^-s, square-summable for s > 1/2).
-    """
-
-    dim: int
     b: np.ndarray
-    density_kind: str = "quartic_bump"
-    b0: float | None = None
-    s: float | None = None
+    density = QuarticBumpDensity
 
     def __post_init__(self):
         b = np.asarray(self.b, dtype=float)
         object.__setattr__(self, "b", b)
-        if b.shape != (self.dim,):
-            raise ValueError("b must have length dim")
+        if b.ndim != 1 or b.size == 0:
+            raise ValueError("b must be a nonempty vector")
         if np.any(b <= 0):
             raise ValueError("all b_j must be positive")
-        if self.density_kind not in DENSITIES:
-            raise ValueError(f"unknown density {self.density_kind}")
-        if self.s is not None and self.s <= 0.5:
-            raise ValueError("decay exponent must exceed 1/2 for square-summability")
 
     @classmethod
     def from_decay(cls, dim, b0=0.3, s=1.0):
+        """b_j = b0 j^-s, j = 1..dim (square-summable for s > 1/2)."""
+        if s <= 0.5:
+            raise ValueError("decay exponent must exceed 1/2 for square-summability")
         j = np.arange(1, dim + 1, dtype=float)
-        return cls(dim=dim, b=b0 * j ** (-s), b0=b0, s=s)
+        return cls(b=b0 * j ** (-s))
 
     @property
-    def density(self):
-        return DENSITIES[self.density_kind]
+    def dim(self):
+        return len(self.b)
 
     @property
     def radius(self):
         """Norm bound sqrt(sum b_j^2) valid for every sample."""
         return float(np.sqrt((self.b**2).sum()))
 
-    def validate_density(self, tol=1e-10):
-        """Quadrature check of the density contract (mass one, positive at 0,
-        support in [-1, 1])."""
-        p = self.density
-        mass, err = integrate.quad(p.pdf, -1.0, 1.0, epsabs=1e-13)
-        assert abs(mass - 1.0) <= tol, f"density mass {mass} off by more than {tol}"
-        assert p.pdf(0.0) > 0
-        assert p.pdf(1.5) == 0 and p.pdf(-1.5) == 0
-        return mass, err
-
 
 def sample_kicks(law: KickLaw, rng, n):
-    """(n, dim) batch of kicks from a single stream; coordinate-wise
-    |eta_j| <= b_j always."""
+    """(n, dim) batch of kicks from a single stream, row after row, taking
+    exactly 2 n dim uniforms; coordinate-wise |eta_j| <= b_j always."""
     xi = law.density.sample(rng, (n, law.dim))
     return xi * law.b[None, :]
 
@@ -420,6 +394,7 @@ class AttractionReport:
     alpha_moment: float
     censored_fraction: float
     resolution: float
+    settling_shortcut: bool  # whether the map's contraction factor let trajectories settle
 
 
 def attraction_counter(
@@ -443,7 +418,9 @@ def attraction_counter(
     contraction factor ``cf < 1`` and the settled distance must satisfy
     settle_frac * cf + resolution / eps <= 0.95, so the next cloud distance
     stays below eps forever (cloud points are attainable, hence the true
-    attractor distance is at most the cloud distance).
+    attractor distance is at most the cloud distance).  The report records
+    whether this shortcut was on (``settling_shortcut``); a contraction
+    factor that was assumed rather than measured makes it an assumption.
     """
     _require_map(model, "attraction_counter")
     cloud = np.atleast_2d(np.asarray(cloud, dtype=float))
@@ -489,6 +466,7 @@ def attraction_counter(
         alpha_moment=alpha_moment,
         censored_fraction=censored,
         resolution=float(spacing),
+        settling_shortcut=bool(can_settle),
     )
 
 

@@ -3,7 +3,8 @@
 Each test prints one PASS/FAIL line (visible with ``pytest -v -s`` or in
 the captured output of a failing run).  The heavy ensemble criteria are
 marked ``slow`` so day-to-day runs can deselect them; the full suite runs
-them by default.
+them by default.  Every test here carries the ``acceptance`` marker, so
+``pytest -m acceptance`` runs the criteria alone.
 """
 
 import time
@@ -17,6 +18,8 @@ from fklab import kernel_lab as kl, rds_core as rc
 from fklab.dynamics_maps import BurgersMap, ToyDiagonalMap, l1_circle_metric
 from fklab.measure_metrics import DiscreteMeasure, dual_lipschitz, verify_metric_sandwich
 from conftest import dense_perron_triple, random_kernel_potential
+
+pytestmark = pytest.mark.acceptance
 
 
 def _line(num, name, ok, detail=""):

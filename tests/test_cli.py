@@ -126,6 +126,27 @@ def test_reproducible_across_thread_counts(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_pressure_curve_reports_each_fit_verdict(tmp_path, capsys, monkeypatch):
+    # a rejected fit keeps the exit code but reaches results.json and stderr
+    from dataclasses import replace
+
+    from fklab import feynman_kac as fk
+
+    estimate = fk.pressure_estimate
+    monkeypatch.setattr(fk, "pressure_estimate", lambda *a, **k: replace(estimate(*a, **k), accepted=False))
+    cfg = write_cfg(
+        tmp_path,
+        {"model": TOY_MODEL, "potential": {"kind": "coordinate", "index": 0, "scale": 1.0, "clip": 2.0},
+         "u0": [0] * 6, "k_max": 20, "n_traj": 100, "alphas": [-0.2, 0.2], "recenter_k": 200, "seed": 13},
+    )
+    out = tmp_path / "out"
+    assert run_cli(["pressure", "--config", cfg, "--out", str(out)]) == 0
+    res = json.loads((out / "results.json").read_text())
+    assert res["alphas"] == [-0.2, 0.0, 0.2]
+    assert res["accepted"] == [False, True, False]
+    assert "fit rejected at alpha = [-0.2, 0.2]" in capsys.readouterr().err
+
+
 def test_seed_override_changes_manifest(tmp_path):
     cfg = write_cfg(
         tmp_path,
@@ -182,6 +203,25 @@ def test_attract_command(tmp_path):
     res = json.loads((out / "results.json").read_text())
     assert res["attraction"]["delta"] > 0
     assert res["hitting"]["delta"] > 0
+
+
+@pytest.mark.parametrize("factor, shortcut", [(0.5, True), (None, False)], ids=["assumed", "absent"])
+def test_attract_reports_settling_assumption(tmp_path, factor, shortcut):
+    # a burgers contraction_factor is not measured; results.json says
+    # whether it switched the settling shortcut on
+    model = {"kind": "burgers", "nu": 0.5, "modes": 8, "dt": 0.05, "kick_dim": 4, "rho": 1.0}
+    if factor is not None:
+        model["contraction_factor"] = factor
+    cfg = write_cfg(
+        tmp_path,
+        {"model": model, "eps": 0.3, "n_traj": 100, "horizon": 40, "cloud_k": 15,
+         "cloud_points": 800, "hit_eps": 0.5, "seed": 6},
+    )
+    out = tmp_path / "out"
+    assert run_cli(["attract", "--config", cfg, "--out", str(out)]) == 0
+    att = json.loads((out / "results.json").read_text())["attraction"]
+    assert att["contraction_factor"] == factor
+    assert att["settling_shortcut"] is shortcut
 
 
 def test_attract_on_chain_exits_2(tmp_path, capsys):

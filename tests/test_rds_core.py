@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from fklab import rds_core as rc
 from fklab.dynamics_maps import ToyDiagonalMap
@@ -15,18 +15,22 @@ def toy_model():
 
 def test_kick_law_validation():
     with pytest.raises(ValueError):
-        rc.KickLaw(dim=3, b=[0.1, 0.0, 0.2])
+        rc.KickLaw(b=[0.1, 0.0, 0.2])
+    for b in ([], [[0.1, 0.2]]):
+        with pytest.raises(ValueError, match="nonempty vector"):
+            rc.KickLaw(b=b)
     with pytest.raises(ValueError):
         rc.KickLaw.from_decay(4, s=0.4)
     law = rc.KickLaw.from_decay(4, b0=0.5, s=1.0)
     assert np.allclose(law.b, 0.5 / np.arange(1, 5))
+    assert law.dim == 4
 
 
 def test_density_contract():
-    law = rc.KickLaw.from_decay(3)
-    mass, err = law.validate_density(tol=1e-10)
+    d = rc.KickLaw.from_decay(3).density
+    mass, _ = integrate.quad(d.pdf, -1.0, 1.0, epsabs=1e-13)
     assert abs(mass - 1.0) < 1e-10
-    d = law.density
+    assert d.cdf(1.0) - d.cdf(-1.0) == 1.0
     assert d.pdf(0.0) == pytest.approx(15.0 / 16.0)
     # C1 at the support edge
     assert d.pdf(1.0) == 0.0
@@ -54,6 +58,25 @@ def test_kick_marginal_matches_density():
         assert res.pvalue > 1e-3
 
 
+def test_kicks_take_two_uniforms_each_row_after_row():
+    # after a batch the stream continues exactly like a twin that drew
+    # 2 n dim uniforms, and each kick is the transform of its own pair
+    law = rc.KickLaw.from_decay(5, b0=0.4)
+    gen, twin = rc.rng_stream(4, 0), rc.rng_stream(4, 0)
+    kicks = rc.sample_kicks(law, gen, 300)
+    u = twin.random(2 * 300 * law.dim).reshape(300, law.dim, 2)
+    assert np.array_equal(gen.random(8), twin.random(8))
+    xi = np.sqrt(1.0 - u[..., 0] ** 0.4) * np.cos(2.0 * np.pi * u[..., 1])
+    assert np.allclose(kicks, xi * law.b, rtol=0, atol=1e-15)
+
+
+def test_kick_batch_prefix_is_the_smaller_batch():
+    law = rc.KickLaw.from_decay(4, b0=0.5)
+    big = rc.sample_kicks(law, rc.rng_stream(6, 2), 7 + 13)
+    small = rc.sample_kicks(law, rc.rng_stream(6, 2), 7)
+    assert np.array_equal(big[:7], small)
+
+
 def test_simulate_deterministic(toy_model):
     u0 = np.full(6, 0.5)
     t1 = rc.simulate(toy_model, u0, 40, seed=9, stream=5)
@@ -76,7 +99,7 @@ def test_simulate_zero_map_is_pure_noise():
 
 def test_deterministic_iteration_without_kicks(toy_model):
     # a vanishing kick amplitude approximates the unforced map
-    law = rc.KickLaw(dim=6, b=np.full(6, 1e-15))
+    law = rc.KickLaw(b=np.full(6, 1e-15))
     model = rc.RDSModel(map=toy_model.map, kicks=law, rho=1.0)
     u0 = np.full(6, 0.8)
     traj = rc.simulate(model, u0, 5, seed=0)
