@@ -104,7 +104,10 @@ def _build_model(cfg):
     elif kind == "burgers":
         m = BurgersMap(nu=float(cfg["nu"]), modes=int(cfg.get("modes", 64)), dt=float(cfg.get("dt", 1e-3)))
         contraction = cfg.get("contraction_factor")  # assumed, not measured
-        contraction = None if contraction is None else float(contraction)
+        if contraction is not None:
+            if isinstance(contraction, bool) or not isinstance(contraction, (int, float)):
+                raise ConfigError(f"contraction_factor must be a number, not {contraction!r}")
+            contraction = float(contraction)
     elif kind == "chain":
         return rc.FiniteChainModel(
             points=np.asarray(cfg["points"], dtype=float), P=np.asarray(cfg["P"], dtype=float)

@@ -224,6 +224,15 @@ def test_attract_reports_settling_assumption(tmp_path, factor, shortcut):
     assert att["settling_shortcut"] is shortcut
 
 
+@pytest.mark.parametrize("factor", [[0.5], "0.5", True, {"c": 0.5}], ids=["list", "string", "bool", "object"])
+def test_attract_rejects_non_number_contraction_factor(tmp_path, capsys, factor):
+    model = {"kind": "burgers", "nu": 0.5, "modes": 8, "dt": 0.05, "kick_dim": 4,
+             "contraction_factor": factor}
+    cfg = write_cfg(tmp_path, {"model": model, "eps": 0.3, "n_traj": 10, "horizon": 5, "seed": 6})
+    assert run_cli(["attract", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "contraction_factor" in capsys.readouterr().err
+
+
 def test_attract_on_chain_exits_2(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,

@@ -31,6 +31,8 @@ def test_density_contract():
     mass, _ = integrate.quad(d.pdf, -1.0, 1.0, epsabs=1e-13)
     assert abs(mass - 1.0) < 1e-10
     assert d.cdf(1.0) - d.cdf(-1.0) == 1.0
+    assert d.pdf(0.0) > 0
+    assert d.pdf(1.5) == 0 and d.pdf(-1.5) == 0
     assert d.pdf(0.0) == pytest.approx(15.0 / 16.0)
     # C1 at the support edge
     assert d.pdf(1.0) == 0.0
