@@ -238,8 +238,9 @@ def slln_time(paths_f, mu_f, eps, C=1.0):
     (T = 1 when no violation).  The tail of T is fitted both as exponential
     (log p vs m) and polynomial (log p vs log m); the verdict reports which
     fits better, and the exponential fit's slope across nested windows,
-    whose drift toward zero indicates a heavier-than-exponential tail.
-    This is a diagnostic, not a proof.
+    whose drift toward zero indicates a heavier-than-exponential tail.  A
+    tail with fewer than three positive points, or a flat one, is
+    "insufficient-tail".  This is a diagnostic, not a proof.
     """
     paths_f = np.asarray(paths_f, dtype=float)
     n, K = paths_f.shape
@@ -259,7 +260,7 @@ def slln_time(paths_f, mu_f, eps, C=1.0):
     ms_k, tail_k = ms[keep], tail[keep]
     exp_r2 = poly_r2 = np.nan
     slopes = []
-    if ms_k.size >= 3:
+    if ms_k.size >= 3 and tail_k.min() < tail_k.max():
         exp_r2 = _r2(ms_k, np.log(tail_k))
         poly_r2 = _r2(np.log(ms_k), np.log(tail_k))
         for frac in (1.0, 0.5, 0.25):
@@ -291,4 +292,4 @@ def _r2(x, y):
     pred = slope * x + intercept
     ss_res = float(((y - pred) ** 2).sum())
     ss_tot = float(((y - y.mean()) ** 2).sum())
-    return 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return 1.0 - ss_res / ss_tot

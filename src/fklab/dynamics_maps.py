@@ -8,8 +8,8 @@ vector equals the L2 norm of the field; kicks from :mod:`fklab.rds_core`
 act directly on these coordinates.
 
 Diffusion is integrated exactly through the ETDRK2 exponential factors; the
-quadratic term is evaluated pseudo-spectrally on the smallest fast even FFT
-size G >= 3M+1 (200 points at M=64, 50 at M=16).  Zero padding to G > 3M
+quadratic term is evaluated pseudo-spectrally on the smallest 2*3*5-smooth
+FFT size G >= 3M+1 (200 points at M=64, 50 at M=16).  Zero padding to G > 3M
 keeps every product mode 1..M free of aliases (the 3/2-rule for quadratic
 nonlinearities).  ``physical()`` and the L1 norm use the 4M grid instead,
 because the trapezoid rule for |u| is not exact and its grid is part of the
@@ -24,9 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft as sfft
+from numpy import fft as sfft
 
 __all__ = ["BurgersMap", "ToyDiagonalMap", "l1_circle_metric"]
+
+
+def _fast_len(n):
+    """Smallest 2*3*5-smooth integer >= n (scipy's ``next_fast_len(n, real=True)``)."""
+    e = range(n.bit_length() + 1)  # 2 ** e[-1] >= n bounds every exponent
+    return min(m for m in (2**a * 3**b * 5**c for a in e for b in e for c in e) if m >= n)
 
 
 @dataclass(frozen=True)
@@ -47,7 +53,7 @@ class BurgersMap:
         phi1 = np.expm1(z) / z
         phi2 = (np.expm1(z) - z) / z**2
         M = self.modes
-        G = sfft.next_fast_len(3 * M + 1, real=True)
+        G = _fast_len(3 * M + 1)
         row_bytes = 48 * M + 32 * (G // 2 + 1) + 16 * G
         tables = {
             "j": j,

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .measure_metrics import lipschitz_constant
 from .rds_core import propagate, rng_stream
@@ -112,6 +111,8 @@ class PotentialFn:
     def wall(cls, cloud, delta, eps):
         """Vanishes on the attractor cloud, equals delta outside its
         eps-neighborhood: V(u) = delta min(1, dist(u, cloud)/eps)."""
+        from scipy.spatial import cKDTree
+
         tree = cKDTree(np.atleast_2d(np.asarray(cloud, dtype=float)))
 
         def fn(U):

@@ -16,9 +16,8 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .measure_metrics import DiscreteMeasure, kantorovich_theta, lipschitz_constant
+from .measure_metrics import DiscreteMeasure, distances, kantorovich_theta, lipschitz_constant
 
 __all__ = [
     "FiniteKernel",
@@ -90,7 +89,7 @@ class FiniteKernel:
     @property
     def dists(self):
         """Pairwise Euclidean distances between the embedded states."""
-        return cdist(self.points, self.points)
+        return distances(self.points, self.points)
 
     @property
     def diam(self):
@@ -589,7 +588,7 @@ def kantorovich_contraction_factor(M, triple, points, theta, m):
     are degenerate (0/0) and skipped.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    d = cdist(points, points)
+    d = distances(points, points)
     diam = float(d.max())
     if diam > 0 and theta < 1.0 / diam:
         raise ValueError("theta must be at least 1/diam for the metric sandwich")
@@ -621,7 +620,7 @@ def contraction_search(M, triple, points, feller_C=None, m_max=64):
     ``m_max`` on the theta grid.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    diam = float(cdist(points, points).max())
+    diam = float(distances(points, points).max())
     base = 1.0 / diam if diam > 0 else 1.0
     thetas = [max(base, 4.0 * feller_C)] if feller_C else []
     thetas += [base, 4 * base, 16 * base, 64 * base]

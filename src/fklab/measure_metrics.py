@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial.distance import cdist
 
 __all__ = [
     "DiscreteMeasure",
@@ -22,6 +20,7 @@ __all__ = [
     "verify_metric_sandwich",
     "SandwichReport",
     "lipschitz_constant",
+    "distances",
 ]
 
 _MERGE_TOL = 1e-12
@@ -71,6 +70,23 @@ class DiscreteMeasure:
         return float(np.asarray(values, dtype=float) @ self.weights)
 
 
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on its first call."""
+    from scipy import optimize
+
+    return optimize.linprog(*args, **kwargs)
+
+
+def distances(x, y):
+    """Euclidean distances between the rows of ``x`` and of ``y``, summed
+    coordinate by coordinate in order as scipy's ``cdist`` does, so the two
+    agree bitwise in any dimension."""
+    sq = np.zeros((x.shape[0], y.shape[0]))
+    for k in range(x.shape[1]):
+        sq += (x[:, None, k] - y[None, :, k]) ** 2
+    return np.sqrt(sq)
+
+
 def lipschitz_constant(values, dists):
     """Largest ratio |f_i - f_j| / d_ij over the pairs of distinct points."""
     diff = np.abs(values[:, None] - values[None, :])
@@ -113,18 +129,16 @@ def dual_lipschitz(mu1: DiscreteMeasure, mu2: DiscreteMeasure) -> float:
     m = pts.shape[0]
     if m == 1 or np.abs(c).max() == 0:
         return 0.0
-    d = cdist(pts, pts)
+    d = distances(pts, pts)
     iu, ju = np.triu_indices(m, k=1)
     npairs = iu.size
     # variables: f (m), s, t
     nvar = m + 2
-    rows = []
     # f_i - s <= 0 and -f_i - s <= 0
     box = np.zeros((2 * m, nvar))
     box[:m, :m] = np.eye(m)
     box[m:, :m] = -np.eye(m)
     box[:, m] = -1.0
-    rows.append(box)
     # +-(f_i - f_j) - t d_ij <= 0
     lipc = np.zeros((2 * npairs, nvar))
     lipc[np.arange(npairs), iu] = 1.0
@@ -133,13 +147,11 @@ def dual_lipschitz(mu1: DiscreteMeasure, mu2: DiscreteMeasure) -> float:
     lipc[npairs + np.arange(npairs), ju] = 1.0
     lipc[:npairs, m + 1] = -d[iu, ju]
     lipc[npairs:, m + 1] = -d[iu, ju]
-    rows.append(lipc)
     # s + t <= 1
     cap = np.zeros((1, nvar))
     cap[0, m] = 1.0
     cap[0, m + 1] = 1.0
-    rows.append(cap)
-    A_ub = np.vstack(rows)
+    A_ub = np.vstack([box, lipc, cap])
     b_ub = np.zeros(A_ub.shape[0])
     b_ub[-1] = 1.0
     obj = np.zeros(nvar)
@@ -164,17 +176,13 @@ def kantorovich_theta(mu1: DiscreteMeasure, mu2: DiscreteMeasure, theta: float) 
         raise ValueError("kantorovich_theta expects probability measures")
     x, y = mu1.support, mu2.support
     m, n = x.shape[0], y.shape[0]
-    cost = np.minimum(1.0, theta * cdist(x, y))
+    cost = np.minimum(1.0, theta * distances(x, y))
     if m == 1:
         return float(cost[0] @ mu2.weights)
     if n == 1:
         return float(cost[:, 0] @ mu1.weights)
     # primal plan LP: row sums = mu1, column sums = mu2
-    A_eq = np.zeros((m + n, m * n))
-    for i in range(m):
-        A_eq[i, i * n : (i + 1) * n] = 1.0
-    for j in range(n):
-        A_eq[m + j, j::n] = 1.0
+    A_eq = np.vstack([np.kron(np.eye(m), np.ones(n)), np.kron(np.ones(m), np.eye(n))])
     b_eq = np.concatenate([mu1.weights, mu2.weights])
     res = linprog(
         cost.ravel(), A_eq=A_eq[:-1], b_eq=b_eq[:-1], bounds=(0, None), method="highs"

@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
+
+from .measure_metrics import distances
 
 __all__ = [
     "QuarticBumpDensity",
@@ -174,22 +175,23 @@ class FiniteChainModel:
 
     States travel as coordinate vectors so every downstream statistic
     (occupation measures, potentials, metrics) treats both model types
-    uniformly; indices are recovered by nearest-point lookup.
+    uniformly; ``index_of`` recovers indices as nearest points.
     """
 
     points: np.ndarray
     P: np.ndarray
-    _tree: cKDTree = field(repr=False, compare=False, default=None)
     _cum: np.ndarray = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         P = np.asarray(self.P, dtype=float)
+        n = len(pts)
+        if P.shape != (n, n) or not np.all(np.isfinite(P) & (P >= 0)):
+            raise ValueError(f"chain P must be a finite nonnegative {n}x{n} matrix, got shape {P.shape}")
         if not np.allclose(P.sum(axis=1), 1.0, atol=1e-10):
             raise ValueError("chain rows must sum to one")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "P", P)
-        object.__setattr__(self, "_tree", cKDTree(pts))
         object.__setattr__(self, "_cum", np.cumsum(P, axis=1))
 
     @classmethod
@@ -201,8 +203,13 @@ class FiniteChainModel:
         return self.points.shape[1]
 
     def index_of(self, U):
+        """Index of the nearest point to each row of ``U``, in row blocks
+        whose distance tables (about four at once) stay near 1 MiB."""
         U = np.atleast_2d(np.asarray(U, dtype=float))
-        _, idx = self._tree.query(U)
+        block = max(1, 2**15 // self.points.shape[0])
+        idx = np.empty(U.shape[0], dtype=np.intp)
+        for lo in range(0, U.shape[0], block):
+            idx[lo : lo + block] = distances(U[lo : lo + block], self.points).argmin(axis=1)
         return idx
 
     def step_indices(self, idx, rng):
@@ -260,10 +267,9 @@ def simulate(model, u0, K, seed, stream=0):
 
 def hausdorff_distance(X, Y):
     """Symmetric Hausdorff distance between two point clouds."""
-    tx, ty = cKDTree(X), cKDTree(Y)
-    d_xy = tx.query(Y)[0].max()
-    d_yx = ty.query(X)[0].max()
-    return float(max(d_xy, d_yx))
+    from scipy.spatial import cKDTree
+
+    return float(max(cKDTree(X).query(Y)[0].max(), cKDTree(Y).query(X)[0].max()))
 
 
 def _kick_mesh(law, rng, n):
@@ -422,6 +428,8 @@ def attraction_counter(
     whether this shortcut was on (``settling_shortcut``); a contraction
     factor that was assumed rather than measured makes it an assumption.
     """
+    from scipy.spatial import cKDTree
+
     _require_map(model, "attraction_counter")
     cloud = np.atleast_2d(np.asarray(cloud, dtype=float))
     tree = cKDTree(cloud)

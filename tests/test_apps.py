@@ -124,6 +124,17 @@ def test_slln_time_constant_path():
     assert rep.censored_fraction == 0.0
 
 
+def test_slln_time_flat_tail_is_insufficient():
+    # one row violates the envelope to the end, the others never do, so the
+    # tail of T has a single level and shows no decay to fit
+    paths = np.zeros((200, 200))
+    paths[0, :74] = 1.0
+    rep = apps.slln_time(paths, mu_f=0.0, eps=0.1, C=1.0)
+    assert np.unique(rep.tail_p).size == 1
+    assert rep.verdict == "insufficient-tail"
+    assert np.isnan(rep.exp_r2) and np.isnan(rep.poly_r2)
+
+
 def test_slln_time_monotone_in_envelope(chain_setup):
     K, chain = chain_setup
     rng = rc.rng_stream(9, 0)

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -241,6 +245,33 @@ def test_attract_on_chain_exits_2(tmp_path, capsys):
     )
     assert run_cli(["attract", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "continuous map" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "points, P",
+    [
+        ([[0.0], [1.0], [2.0]], [[0.5, 0.5], [0.5, 0.5]]),
+        ([[0.0], [1.0]], [[0.5, 0.5]]),
+        ([[0.0], [1.0]], [[1.5, -0.5], [0.5, 0.5]]),
+    ],
+    ids=["size-mismatch", "non-square", "negative"],
+)
+def test_simulate_rejects_malformed_chain(tmp_path, capsys, points, P):
+    cfg = write_cfg(
+        tmp_path,
+        {"model": {"kind": "chain", "points": points, "P": P}, "u0": points[-1], "K": 5, "seed": 1},
+    )
+    assert run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "chain P" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported only inside the functions that use it
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, fklab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_slln_command(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fklab.dynamics_maps import BurgersMap, ToyDiagonalMap, l1_circle_metric
+from fklab.dynamics_maps import BurgersMap, ToyDiagonalMap, _fast_len, l1_circle_metric
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +130,13 @@ def reference_etdrk2(bm, U):
     out[:, 0::2] = 2 * np.sqrt(np.pi) * Z.real
     out[:, 1::2] = -2 * np.sqrt(np.pi) * Z.imag
     return out
+
+
+def test_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len
+
+    Ms = range(1, 257)
+    assert [_fast_len(3 * M + 1) for M in Ms] == [next_fast_len(3 * M + 1, real=True) for M in Ms]
 
 
 @pytest.mark.parametrize("modes, G, chunk", [(16, 50, 436), (64, 200, 110)])

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fklab.measure_metrics import (
     DiscreteMeasure,
     _union_support,
+    distances,
     dual_lipschitz,
     kantorovich_theta,
     lipschitz_constant,
@@ -150,3 +154,16 @@ def test_sandwich_random_pairs(rng):
 def test_sandwich_rejects_small_theta():
     with pytest.raises(ValueError):
         verify_metric_sandwich(dirac(0.0), dirac(1.0), theta=0.01, diam=2.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_distances_equal_cdist_bitwise(data):
+    # dimensions past 8 too, where a pairwise-summed reduction would differ
+    from scipy.spatial.distance import cdist
+
+    d = data.draw(st.integers(1, 40))
+    coord = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    x = data.draw(arrays(float, (data.draw(st.integers(1, 24)), d), elements=coord))
+    y = data.draw(arrays(float, (data.draw(st.integers(1, 24)), d), elements=coord))
+    assert np.array_equal(distances(x, y), cdist(x, y))

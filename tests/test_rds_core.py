@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import integrate, stats
 
 from fklab import rds_core as rc
@@ -301,6 +304,44 @@ def test_attraction_needs_a_continuous_map():
 def test_chain_rejects_non_stochastic():
     with pytest.raises(ValueError):
         rc.FiniteChainModel(points=np.array([[0.0], [1.0]]), P=np.array([[0.5, 0.6], [0.5, 0.5]]))
+
+
+@pytest.mark.parametrize(
+    "P",
+    [
+        [[0.5, 0.5], [0.5, 0.5]],
+        [[0.5, 0.5, 0.0]],
+        [[1.5, -0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]],
+        [[np.nan, 1.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]],
+        [[np.inf, 1.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]],
+    ],
+    ids=["size-mismatch", "non-square", "negative", "nan", "inf"],
+)
+def test_chain_rejects_malformed_P(P):
+    with pytest.raises(ValueError, match="chain P"):
+        rc.FiniteChainModel(points=np.array([[0.0], [1.0], [2.0]]), P=np.array(P))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_index_of_is_the_kd_tree_nearest_point(data):
+    from scipy.spatial import cKDTree
+
+    n, d = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 5))
+    grid = st.integers(-10_000, 10_000).map(lambda i: i / 1000)  # points stay distinguishable
+    pts = data.draw(arrays(float, (n, d), elements=grid, unique=True))
+    chain = rc.FiniteChainModel(points=pts, P=np.full((n, n), 1.0 / n))
+    assert chain.index_of(pts).tolist() == list(range(n))
+    assert chain.index_of(pts).tolist() == cKDTree(pts).query(pts)[1].tolist()
+    coord = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
+    U = data.draw(arrays(float, (data.draw(st.integers(1, 30)), d), elements=coord))
+    ours, ref = chain.index_of(U), cKDTree(pts).query(U)[1]
+    reps = -(-(2**15 + 1) // len(U))  # enough rows to span more than one row block
+    assert np.array_equal(chain.index_of(np.tile(U, (reps, 1))), np.tile(ours, reps))
+    sq = ((U[:, None, :] - pts[None]) ** 2).sum(-1)
+    rows = np.arange(U.shape[0])
+    # equal, or an exact tie the tree breaks the other way
+    assert np.all((ours == ref) | np.isclose(sq[rows, ours], sq[rows, ref], rtol=1e-12, atol=0))
 
 
 def test_rng_stream_independence():
