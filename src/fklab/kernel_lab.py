@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measure_metrics import DiscreteMeasure, distances, kantorovich_theta, lipschitz_constant
+from .measure_metrics import DiscreteMeasure, _solve, _transport_block, distances, lipschitz_constant
 
 __all__ = [
     "FiniteKernel",
@@ -72,6 +72,8 @@ class FiniteKernel:
         n = self.n
         if P.shape != (n, n):
             raise ValueError(f"P must be {n}x{n}, got {P.shape}")
+        if not (np.isfinite(points).all() and np.isfinite(P).all()):
+            raise ValueError("kernel points and P must be finite")
         if np.any(P < 0):
             raise ValueError("kernel entries must be nonnegative")
         if np.any(P.sum(axis=1) <= 0):
@@ -585,7 +587,8 @@ def kantorovich_contraction_factor(M, triple, points, theta, m):
     pairs, in the Kantorovich metric for the truncated cost 1 ^ (theta d).
 
     For ``m = 0`` the factor is one by definition.  Identical point pairs
-    are degenerate (0/0) and skipped.
+    are degenerate (0/0) and skipped; the transport LPs of all other pairs
+    are solved as one stacked LP.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     d = distances(points, points)
@@ -599,17 +602,10 @@ def kantorovich_contraction_factor(M, triple, points, theta, m):
     # dual semigroup on measures: row u of (M/lam)^m, reweighted by h
     K = np.linalg.matrix_power(M / triple.lam, int(m))
     rows = K * triple.h[None, :] / triple.h[:, None]
-    factor = 0.0
-    for u in range(n):
-        mu_u = DiscreteMeasure(points, rows[u])
-        for v in range(u + 1, n):
-            if d[u, v] == 0:
-                continue
-            mu_v = DiscreteMeasure(points, rows[v])
-            num = kantorovich_theta(mu_u, mu_v, theta)
-            den = min(1.0, theta * d[u, v])
-            factor = max(factor, num / den)
-    return factor
+    mus = [DiscreteMeasure(points, row) for row in rows]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if d[u, v] != 0]
+    nums = _solve([_transport_block(mus[u], mus[v], theta) for u, v in pairs], "transport")
+    return max([0.0] + [num / min(1.0, theta * d[u, v]) for num, (u, v) in zip(nums, pairs)])
 
 
 def contraction_search(M, triple, points, feller_C=None, m_max=64):

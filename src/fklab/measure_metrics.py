@@ -4,7 +4,11 @@ Two metrics are computed: the dual-Lipschitz norm (supremum of the integral
 difference over functions with sup-norm plus Lipschitz constant at most one)
 and the Kantorovich distance for the truncated cost ``1 ^ (theta d)``.  The
 first is solved in the dual variables (function values), the second as a
-primal transport plan; each is the smaller LP in its case.
+primal transport plan; each is the smaller LP in its case.  Independent LPs
+share no variable or constraint, so a batch of them (the two metrics of one
+sandwich check, every state pair of one contraction factor) is stacked
+block-diagonally and solved in one HiGHS call; an optimum of the stack is
+optimal in each block.
 """
 
 from __future__ import annotations
@@ -42,6 +46,8 @@ class DiscreteMeasure:
         w = np.asarray(self.weights, dtype=float).ravel()
         if pts.shape[0] != w.shape[0]:
             raise ValueError("support and weights must have equal length")
+        if not (np.isfinite(pts).all() and np.isfinite(w).all()):
+            raise ValueError("support and weights must be finite")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
         pts, w = _merge_close(pts, w)
@@ -65,9 +71,6 @@ class DiscreteMeasure:
         """Equal-weight empirical measure on the given sample points."""
         samples = np.atleast_2d(np.asarray(samples, dtype=float))
         return cls(samples, np.full(samples.shape[0], 1.0 / samples.shape[0]))
-
-    def integrate(self, values):
-        return float(np.asarray(values, dtype=float) @ self.weights)
 
 
 def linprog(*args, **kwargs):
@@ -119,59 +122,61 @@ def _union_support(mu1, mu2):
     return _merge_close(pts, np.concatenate([mu1.weights, -mu2.weights]))
 
 
-def dual_lipschitz(mu1: DiscreteMeasure, mu2: DiscreteMeasure) -> float:
-    """Dual-Lipschitz distance: sup { <f, mu1 - mu2> : sup|f| + Lip(f) <= 1 }.
+_STACK_ENTRIES = 2**20  # dense constraint entries per stacked solve (8 MiB)
 
-    Solved exactly as an LP in the variables (f_1..f_m, s, t) with
-    |f_i| <= s, |f_i - f_j| <= t d_ij and s + t <= 1.
-    """
+
+def _solve(items, kind):
+    """Values of independent problems, each a float known in closed form or
+    an LP block ``(c, A_ub, b_ub, A_eq, b_eq, bounds)`` whose value is
+    ``c @ x`` at an optimum.  The blocks are stacked block-diagonally and
+    solved in one HiGHS call; a stack whose dense constraint matrix would
+    exceed ``_STACK_ENTRIES`` entries (a contraction factor on more than 8
+    states) is halved first."""
+    from scipy.linalg import block_diag
+
+    blocks = [b for b in items if not isinstance(b, float)]
+    entries = sum(len(b[1]) + len(b[3]) for b in blocks) * sum(len(b[0]) for b in blocks)
+    if len(blocks) > 1 and entries > _STACK_ENTRIES:
+        return _solve(items[: len(items) // 2], kind) + _solve(items[len(items) // 2 :], kind)
+    values = iter(())
+    if blocks:
+        c, A_ub, b_ub, A_eq, b_eq, bounds = zip(*blocks)
+        res = linprog(
+            np.concatenate(c), A_ub=block_diag(*A_ub), b_ub=np.concatenate(b_ub),
+            A_eq=block_diag(*A_eq), b_eq=np.concatenate(b_eq), bounds=np.vstack(bounds), method="highs",
+        )
+        if not res.success:
+            raise RuntimeError(f"{kind} LP failed: {res.message}")
+        values = (float(ci @ xi) for ci, xi in zip(c, np.split(res.x, np.cumsum([len(ci) for ci in c])[:-1])))
+    return [b if isinstance(b, float) else next(values) for b in items]
+
+
+def _dual_lipschitz_block(mu1, mu2):
+    """LP in the variables (f_1..f_m, s, t) minimising -<f, mu1 - mu2> under
+    +-f_i - s <= 0, +-(f_i - f_j) - t d_ij <= 0 (i < j) and s + t <= 1; 0.0
+    when the measures agree."""
     pts, c = _union_support(mu1, mu2)
     m = pts.shape[0]
     if m == 1 or np.abs(c).max() == 0:
         return 0.0
-    d = distances(pts, pts)
     iu, ju = np.triu_indices(m, k=1)
-    npairs = iu.size
-    # variables: f (m), s, t
-    nvar = m + 2
-    # f_i - s <= 0 and -f_i - s <= 0
-    box = np.zeros((2 * m, nvar))
-    box[:m, :m] = np.eye(m)
-    box[m:, :m] = -np.eye(m)
-    box[:, m] = -1.0
-    # +-(f_i - f_j) - t d_ij <= 0
-    lipc = np.zeros((2 * npairs, nvar))
-    lipc[np.arange(npairs), iu] = 1.0
-    lipc[np.arange(npairs), ju] = -1.0
-    lipc[npairs + np.arange(npairs), iu] = -1.0
-    lipc[npairs + np.arange(npairs), ju] = 1.0
-    lipc[:npairs, m + 1] = -d[iu, ju]
-    lipc[npairs:, m + 1] = -d[iu, ju]
-    # s + t <= 1
-    cap = np.zeros((1, nvar))
-    cap[0, m] = 1.0
-    cap[0, m + 1] = 1.0
-    A_ub = np.vstack([box, lipc, cap])
-    b_ub = np.zeros(A_ub.shape[0])
-    b_ub[-1] = 1.0
-    obj = np.zeros(nvar)
-    obj[:m] = -c  # maximize c . f
-    bounds = [(None, None)] * m + [(0, None), (0, None)]
-    res = linprog(obj, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success:
-        raise RuntimeError(f"dual-Lipschitz LP failed: {res.message}")
-    return float(-res.fun)
+    D = np.eye(m)[iu] - np.eye(m)[ju]
+    st = np.zeros((2 * m + 2 * iu.size + 1, 2))
+    st[: 2 * m, 0] = -1.0
+    st[2 * m : -1, 1] = -np.tile(distances(pts, pts)[iu, ju], 2)
+    st[-1] = 1.0
+    A_ub = np.hstack([np.vstack([np.eye(m), -np.eye(m), D, -D, np.zeros((1, m))]), st])
+    b_ub = np.r_[np.zeros(len(A_ub) - 1), 1.0]
+    bounds = np.array([(-np.inf, np.inf)] * m + [(0.0, np.inf)] * 2)
+    return np.concatenate([-c, [0.0, 0.0]]), A_ub, b_ub, np.zeros((0, m + 2)), np.zeros(0), bounds
 
 
-def kantorovich_theta(mu1: DiscreteMeasure, mu2: DiscreteMeasure, theta: float) -> float:
-    """Kantorovich transport distance for the truncated metric 1 ^ (theta d).
-
-    Requires probability inputs; the truncated cost is itself a metric, so
-    the optimal plan value coincides with the Lipschitz dual and lies in
-    [0, 1].
-    """
-    if theta <= 0:
-        raise ValueError("theta must be positive")
+def _transport_block(mu1, mu2, theta):
+    """Primal plan LP of ``kantorovich_theta`` (row sums mu1, column sums
+    mu2, the redundant last equality dropped), or its value when either
+    measure is a single atom."""
+    if not 0 < theta < np.inf:
+        raise ValueError("theta must be positive and finite")
     if not (mu1.is_probability and mu2.is_probability):
         raise ValueError("kantorovich_theta expects probability measures")
     x, y = mu1.support, mu2.support
@@ -181,15 +186,29 @@ def kantorovich_theta(mu1: DiscreteMeasure, mu2: DiscreteMeasure, theta: float) 
         return float(cost[0] @ mu2.weights)
     if n == 1:
         return float(cost[:, 0] @ mu1.weights)
-    # primal plan LP: row sums = mu1, column sums = mu2
     A_eq = np.vstack([np.kron(np.eye(m), np.ones(n)), np.kron(np.ones(m), np.eye(n))])
     b_eq = np.concatenate([mu1.weights, mu2.weights])
-    res = linprog(
-        cost.ravel(), A_eq=A_eq[:-1], b_eq=b_eq[:-1], bounds=(0, None), method="highs"
-    )
-    if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    return float(res.fun)
+    bounds = np.tile([0.0, np.inf], (m * n, 1))
+    return cost.ravel(), np.zeros((0, m * n)), np.zeros(0), A_eq[:-1], b_eq[:-1], bounds
+
+
+def dual_lipschitz(mu1: DiscreteMeasure, mu2: DiscreteMeasure) -> float:
+    """Dual-Lipschitz distance: sup { <f, mu1 - mu2> : sup|f| + Lip(f) <= 1 }.
+
+    Solved exactly as an LP in the variables (f_1..f_m, s, t) with
+    |f_i| <= s, |f_i - f_j| <= t d_ij and s + t <= 1.
+    """
+    return max(0.0, -_solve([_dual_lipschitz_block(mu1, mu2)], "dual-Lipschitz")[0])
+
+
+def kantorovich_theta(mu1: DiscreteMeasure, mu2: DiscreteMeasure, theta: float) -> float:
+    """Kantorovich transport distance for the truncated metric 1 ^ (theta d).
+
+    Requires probability inputs; the truncated cost is itself a metric, so
+    the optimal plan value coincides with the Lipschitz dual and lies in
+    [0, 1].
+    """
+    return _solve([_transport_block(mu1, mu2, theta)], "transport")[0]
 
 
 @dataclass(frozen=True)
@@ -203,12 +222,12 @@ class SandwichReport:
 
 def verify_metric_sandwich(mu1, mu2, theta, diam, tol=1e-9) -> SandwichReport:
     """Check (1+theta)^-1 K_theta <= dual-Lipschitz <= diam * K_theta."""
-    if diam <= 0:
-        raise ValueError("diam must be positive")
+    if not 0 < diam < np.inf:
+        raise ValueError("diam must be positive and finite")
     if theta < 1.0 / diam:
         raise ValueError("theta below the 1/diam threshold")
-    K = kantorovich_theta(mu1, mu2, theta)
-    L = dual_lipschitz(mu1, mu2)
+    K, v = _solve([_transport_block(mu1, mu2, theta), _dual_lipschitz_block(mu1, mu2)], "metric sandwich")
+    L = max(0.0, -v)
     lower = K / (1.0 + theta)
     upper = diam * K
     ok = (lower <= L + tol) and (L <= upper + tol)

@@ -190,6 +190,9 @@ class FiniteChainModel:
             raise ValueError(f"chain P must be a finite nonnegative {n}x{n} matrix, got shape {P.shape}")
         if not np.allclose(P.sum(axis=1), 1.0, atol=1e-10):
             raise ValueError("chain rows must sum to one")
+        i, j = np.nonzero(np.triu(distances(pts, pts) == 0, k=1))
+        if i.size:  # index_of could not tell the two states apart
+            raise ValueError(f"chain points {i[0]} and {j[0]} coincide")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "_cum", np.cumsum(P, axis=1))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fklab import kernel_lab as kl
+from fklab import measure_metrics
 
 
 def random_kernel_potential(rng, n, strict_subset=False, v_scale=1.0):
@@ -68,3 +69,17 @@ def dense_perron_triple(M, A):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Number of variables of each HiGHS call made while the test runs."""
+    calls = []
+    solver = measure_metrics.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(np.size(args[0]))  # the positional c, as the benchmark's trace reads it
+        return solver(*args, **kwargs)
+
+    monkeypatch.setattr(measure_metrics, "linprog", counting)
+    return calls

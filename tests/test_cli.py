@@ -265,6 +265,22 @@ def test_simulate_rejects_malformed_chain(tmp_path, capsys, points, P):
     assert "chain P" in capsys.readouterr().err
 
 
+def test_eigen_rejects_non_finite_kernel(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"kernel": {"points": [[0.0], [1.0]], "P": [[np.nan, 0.5], [0.5, 0.5]], "A": [0, 1]}})
+    assert run_cli(["eigen", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_ldp_rejects_coincident_points(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path,
+        {"kernel": {"points": [[0.0], [0.0], [1.0]], "P": [[0, 1, 0], [0, 0, 1], [1, 0, 0]], "A": [0, 1, 2]},
+         "f": [0.0, 1.0, 0.5], "x_grid": [0.5], "k_set": [3, 6], "n_traj": 10, "seed": 3},
+    )
+    assert run_cli(["ldp", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "chain points 0 and 1 coincide" in capsys.readouterr().err
+
+
 def test_import_loads_no_scipy():
     # scipy is imported only inside the functions that use it
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fklab import kernel_lab as kl
+from fklab import measure_metrics
 from conftest import dense_perron_triple, random_kernel_potential
 
 
@@ -47,6 +48,20 @@ def test_kernel_invariance_validation():
             P=np.array([[0.5, 0.4, 0.1], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]),
             A=[0, 1],
         )
+
+
+@pytest.mark.parametrize(
+    "points, P",
+    [
+        ([[0.0], [1.0]], [[np.nan, 0.5], [0.5, 0.5]]),
+        ([[0.0], [1.0]], [[np.inf, 0.5], [0.5, 0.5]]),
+        ([[0.0], [np.nan]], [[0.5, 0.5], [0.5, 0.5]]),
+    ],
+    ids=["nan-P", "inf-P", "nan-point"],
+)
+def test_kernel_rejects_non_finite_input(points, P):
+    with pytest.raises(ValueError, match="must be finite"):
+        kl.FiniteKernel(points=np.array(points), P=np.array(P), A=[0, 1])
 
 
 def test_perron_triple_two_state_by_hand():
@@ -323,6 +338,56 @@ def test_contraction_search_halves_distance(rng):
         assert factor <= 0.5
         check = kl.kantorovich_contraction_factor(M, t, K.points, theta, m)
         assert check == pytest.approx(factor, rel=1e-9)
+
+
+def test_contraction_factor_is_one_solve(rng, lp_calls):
+    K, V = random_kernel_potential(rng, 6, v_scale=0.5)
+    M = kl.build_tilted_matrix(K, V)
+    t = kl.perron_triple(M, K.A)
+    theta = 4.0 / K.diam
+    factor = kl.kantorovich_contraction_factor(M, t, K.points, theta, 2)
+    assert len(lp_calls) == 1
+    # the pair-by-pair definition, one transport LP per pair of distinct states
+    rows = np.linalg.matrix_power(M / t.lam, 2) * t.h[None, :] / t.h[:, None]
+    mus = [measure_metrics.DiscreteMeasure(K.points, row) for row in rows]
+    pairwise = max(
+        measure_metrics.kantorovich_theta(mus[u], mus[v], theta) / min(1.0, theta * K.dists[u, v])
+        for u in range(6)
+        for v in range(u + 1, 6)
+    )
+    assert factor == pytest.approx(pairwise, abs=1e-12)
+    assert len(lp_calls) == 1 + 15
+
+
+def test_contraction_search_is_one_solve_per_factor(rng, lp_calls, monkeypatch):
+    factor_calls = []
+    factor = kl.kantorovich_contraction_factor
+    monkeypatch.setattr(kl, "kantorovich_contraction_factor", lambda *a: factor_calls.append(1) or factor(*a))
+    K, V = random_kernel_potential(rng, 5, v_scale=0.5)
+    M = kl.build_tilted_matrix(K, V)
+    kl.contraction_search(M, kl.perron_triple(M, K.A), K.points)
+    assert len(lp_calls) == len(factor_calls) >= 1
+
+
+def test_contraction_factor_skips_coincident_pairs(lp_calls):
+    # states 0 and 1 share a point: only the pairs (0, 2) and (1, 2) are stacked
+    K = kl.FiniteKernel(points=np.array([[0.0], [0.0], [1.0]]), P=np.full((3, 3), 1 / 3), A=[0, 1, 2])
+    M = kl.build_tilted_matrix(K, kl.PotentialVector.from_values(K, [0.0, 0.0, 0.0]))
+    t = kl.perron_triple(M, K.A)
+    assert kl.kantorovich_contraction_factor(M, t, K.points, 1.0, 1) == pytest.approx(0.0, abs=1e-12)
+    assert len(lp_calls) == 1
+    same = kl.FiniteKernel(points=np.zeros((2, 1)), P=np.full((2, 2), 0.5), A=[0, 1])
+    M = kl.build_tilted_matrix(same, kl.PotentialVector.from_values(same, [0.0, 0.0]))
+    assert kl.kantorovich_contraction_factor(M, kl.perron_triple(M, same.A), same.points, 1.0, 1) == 0.0
+    assert len(lp_calls) == 1  # every pair degenerate: no solve
+
+
+def test_contraction_factor_rejects_non_finite_theta(rng, lp_calls):
+    K, V = random_kernel_potential(rng, 4)
+    M = kl.build_tilted_matrix(K, V)
+    with pytest.raises(ValueError, match="theta"):
+        kl.kantorovich_contraction_factor(M, kl.perron_triple(M, K.A), K.points, np.nan, 1)
+    assert lp_calls == []
 
 
 def test_contraction_theta_threshold(rng):

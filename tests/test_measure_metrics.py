@@ -1,11 +1,17 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fklab import measure_metrics
 from fklab.measure_metrics import (
     DiscreteMeasure,
+    _dual_lipschitz_block,
+    _solve,
+    _transport_block,
     _union_support,
     distances,
     dual_lipschitz,
@@ -167,3 +173,93 @@ def test_distances_equal_cdist_bitwise(data):
     x = data.draw(arrays(float, (data.draw(st.integers(1, 24)), d), elements=coord))
     y = data.draw(arrays(float, (data.draw(st.integers(1, 24)), d), elements=coord))
     assert np.array_equal(distances(x, y), cdist(x, y))
+
+
+def _measure(data, d):
+    # coordinates on a coarse grid, so support points often coincide and merge
+    m = data.draw(st.integers(1, 6))
+    pts = data.draw(arrays(float, (m, d), elements=st.integers(-4, 4).map(lambda k: k / 4)))
+    w = data.draw(arrays(float, m, elements=st.floats(0.05, 1.0)))
+    return DiscreteMeasure(pts, w / w.sum())
+
+
+def _plan_lp(mu1, mu2, theta):
+    # the transport plan LP with every row and column constraint, no shortcut
+    from scipy.optimize import linprog
+
+    m, n = len(mu1.weights), len(mu2.weights)
+    A_eq = np.vstack([np.kron(np.eye(m), np.ones(n)), np.kron(np.ones(m), np.eye(n))])
+    cost = np.minimum(1.0, theta * distances(mu1.support, mu2.support)).ravel()
+    return linprog(cost, A_eq=A_eq, b_eq=np.concatenate([mu1.weights, mu2.weights]), method="highs").fun
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_stacked_values_equal_one_solve_per_problem(data):
+    d = data.draw(st.integers(1, 3))
+    items, alone = [], []
+    for _ in range(data.draw(st.integers(1, 5))):
+        mu1, mu2 = _measure(data, d), _measure(data, d)
+        if data.draw(st.booleans()):
+            theta = data.draw(st.floats(0.25, 8.0))
+            items.append(_transport_block(mu1, mu2, theta))
+            alone.append(kantorovich_theta(mu1, mu2, theta))
+            if min(len(mu1.weights), len(mu2.weights)) == 1:  # a closed-form shortcut
+                assert alone[-1] == pytest.approx(_plan_lp(mu1, mu2, theta), abs=1e-12)
+        else:
+            items.append(_dual_lipschitz_block(mu1, mu2))
+            alone.append(-dual_lipschitz(mu1, mu2))
+    stacked = _solve(items, "mixed")
+    assert np.allclose(stacked, alone, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_sandwich_equals_separate_metrics(data):
+    d = data.draw(st.integers(1, 3))
+    mu1, mu2 = _measure(data, d), _measure(data, d)
+    theta = data.draw(st.floats(0.5, 8.0))
+    rep = verify_metric_sandwich(mu1, mu2, theta=theta, diam=4.0)
+    assert rep.kantorovich == pytest.approx(kantorovich_theta(mu1, mu2, theta), abs=1e-12)
+    assert rep.dual_lip == pytest.approx(dual_lipschitz(mu1, mu2), abs=1e-12)
+
+
+def test_sandwich_is_one_solve(rng, lp_calls):
+    for k in range(1, 6):
+        a, b = random_measure(rng, m=5), random_measure(rng, m=5)
+        verify_metric_sandwich(a, b, theta=2.0, diam=2 * np.sqrt(2) + 0.1)
+        assert len(lp_calls) == k
+    assert lp_calls[0] == 25 + 12  # the plan's 5 x 5 variables, then (f, s, t) on 10 points
+
+
+def test_oversized_stack_is_halved(rng, lp_calls, monkeypatch):
+    pairs = [(random_measure(rng, m=4), random_measure(rng, m=4)) for _ in range(6)]
+    items = [_transport_block(a, b, 2.0) for a, b in pairs]
+    whole = _solve(items, "transport")
+    monkeypatch.setattr(measure_metrics, "_STACK_ENTRIES", 2 * 7 * 2 * 16)  # two blocks per stack
+    assert _solve(items, "transport") == pytest.approx(whole, abs=1e-12)
+    assert len(lp_calls) == 1 + 4  # halves of 3 blocks split again into 1 + 2
+
+
+def test_failed_stack_names_the_kind(rng, monkeypatch):
+    monkeypatch.setattr(measure_metrics, "linprog", lambda *a, **k: SimpleNamespace(success=False, message="stub"))
+    with pytest.raises(RuntimeError, match="metric sandwich LP failed: stub"):
+        verify_metric_sandwich(random_measure(rng), random_measure(rng), theta=1.0, diam=4.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_measure_rejects_non_finite_input(bad):
+    with pytest.raises(ValueError, match="finite"):
+        DiscreteMeasure([[0.0], [bad]], [0.5, 0.5])
+    with pytest.raises(ValueError, match="finite"):
+        DiscreteMeasure([[0.0], [1.0]], [0.5, bad])
+
+
+@pytest.mark.parametrize("theta", [np.nan, np.inf])
+def test_non_finite_theta_is_rejected_before_any_solve(rng, lp_calls, theta):
+    a, b = random_measure(rng), random_measure(rng)
+    with pytest.raises(ValueError, match="theta"):
+        kantorovich_theta(a, b, theta)
+    with pytest.raises(ValueError, match="theta"):
+        verify_metric_sandwich(a, b, theta=theta, diam=4.0)
+    assert lp_calls == []

@@ -322,6 +322,16 @@ def test_chain_rejects_malformed_P(P):
         rc.FiniteChainModel(points=np.array([[0.0], [1.0], [2.0]]), P=np.array(P))
 
 
+def test_chain_rejects_coincident_points():
+    # on the 3-cycle, index_of would send state 1 to state 0 and never use row 1
+    cycle = np.roll(np.eye(3), 1, axis=1)
+    with pytest.raises(ValueError, match="chain points 0 and 1 coincide"):
+        rc.FiniteChainModel(points=np.array([[0.0], [0.0], [1.0]]), P=cycle)
+    # distinct points whose squared distance underflows to zero count as coincident
+    with pytest.raises(ValueError, match="chain points 1 and 2 coincide"):
+        rc.FiniteChainModel(points=np.array([[1.0], [0.0], [1e-300]]), P=cycle)
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_index_of_is_the_kd_tree_nearest_point(data):
