@@ -3,8 +3,8 @@
 The state recursion is ``u_k = S(u_{k-1}) + eta_k`` where ``S`` is a
 deterministic time-one map (see :mod:`fklab.dynamics_maps`) and the kick
 ``eta`` has independent coordinates ``b_j xi_j`` with xi_j from the quartic
-bump density 2 Beta(3, 3) - 1, drawn exactly by Ulrich's symmetric-Beta
-transform from two uniforms each (Ulrich 1984, Appl. Statist. 33:158).
+bump density 2 Beta(3, 3) - 1, drawn exactly from three uniforms each as
+Beta(3, 3) = U1^(1/3) U2^(1/4) U3^(1/5) (Devroye 1986).
 Counter-based Philox streams keyed by ``(master seed, stream id)`` make
 every run bitwise reproducible; every ensemble is advanced by
 :func:`propagate`, drawing all its rows from one stream.
@@ -52,15 +52,16 @@ class QuarticBumpDensity:
     """p(x) = (15/16)(1 - x^2)^2 on [-1, 1], the law of 2 Beta(3, 3) - 1.
 
     Continuously differentiable, positive at the origin, supported in the
-    unit interval.  Sampled exactly by Ulrich's symmetric-Beta transform
-    xi = sqrt(1 - U1^(2/5)) cos(2 pi U2) (Ulrich 1984, Appl. Statist. 33:158;
-    Devroye 1986, Non-Uniform Random Variate Generation): every coordinate
-    takes exactly two uniforms, laid out row after row, so the draw of entry
-    (i, j) of a batch sits at a fixed offset of the stream and the first
-    rows of a batch do not depend on how many rows follow.  The closed forms
-    of ``coupling_lab`` rely on two of its properties: symmetry (the
-    reflection coupling maps one residual law onto the other) and
-    unimodality (the total variation of a shift by s is 2 CDF(|s|/2) - 1).
+    unit interval.  Sampled exactly without trigonometry: XY ~ Beta(a, b + c)
+    for independent X ~ Beta(a, b) and Y ~ Beta(a + b, c), and U^(1/k) ~
+    Beta(k, 1), so xi = 2 U1^(1/3) U2^(1/4) U3^(1/5) - 1 (Devroye 1986),
+    computed as 2 exp(log V1 / 3 + log V2 / 4 + log V3 / 5) - 1 on V = 1 - U,
+    exact and in (0, 1].  Each coordinate takes exactly three uniforms, row
+    after row, so entry (i, j) of a batch sits at a fixed stream offset and
+    the first rows of a batch do not depend on how many rows follow.  The
+    closed forms of ``coupling_lab`` rely on its symmetry (the reflection
+    coupling maps one residual law onto the other) and unimodality (the
+    total variation of a shift by s is 2 CDF(|s|/2) - 1).
     """
 
     @staticmethod
@@ -76,9 +77,11 @@ class QuarticBumpDensity:
 
     @staticmethod
     def sample(rng, size):
-        """Array of shape ``size`` (a tuple) from ``rng.random(size + (2,))``."""
-        u = rng.random(tuple(size) + (2,))
-        return np.sqrt(1.0 - u[..., 0] ** 0.4) * np.cos(2.0 * np.pi * u[..., 1])
+        """Array of shape ``size`` (a tuple) from ``rng.random(size + (3,))``."""
+        v = rng.random(tuple(size) + (3,))
+        np.log(np.subtract(1.0, v, out=v), out=v)
+        # elementwise, not a BLAS product, which rounds a one-row batch differently
+        return 2.0 * np.exp(v[..., 0] / 3 + v[..., 1] / 4 + v[..., 2] / 5) - 1.0
 
 
 @dataclass(frozen=True)
@@ -95,14 +98,14 @@ class KickLaw:
         object.__setattr__(self, "b", b)
         if b.ndim != 1 or b.size == 0:
             raise ValueError("b must be a nonempty vector")
-        if np.any(b <= 0):
-            raise ValueError("all b_j must be positive")
+        if not np.all((b > 0) & np.isfinite(b)):
+            raise ValueError(f"all b_j must be positive and finite, got b = {b}")
 
     @classmethod
     def from_decay(cls, dim, b0=0.3, s=1.0):
         """b_j = b0 j^-s, j = 1..dim (square-summable for s > 1/2)."""
-        if s <= 0.5:
-            raise ValueError("decay exponent must exceed 1/2 for square-summability")
+        if not s > 0.5:  # NaN fails too
+            raise ValueError(f"decay exponent must exceed 1/2 for square-summability, got s = {s}")
         j = np.arange(1, dim + 1, dtype=float)
         return cls(b=b0 * j ** (-s))
 
@@ -118,7 +121,7 @@ class KickLaw:
 
 def sample_kicks(law: KickLaw, rng, n):
     """(n, dim) batch of kicks from a single stream, row after row, taking
-    exactly 2 n dim uniforms; coordinate-wise |eta_j| <= b_j always."""
+    exactly 3 n dim uniforms; coordinate-wise |eta_j| <= b_j always."""
     xi = law.density.sample(rng, (n, law.dim))
     return xi * law.b[None, :]
 
@@ -151,8 +154,8 @@ class RDSModel:
     def __post_init__(self):
         if self.kicks.dim > self.dim:
             raise ValueError("kick dimension exceeds state dimension")
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
+        if not 0 < self.rho < np.inf:
+            raise ValueError(f"rho must be positive and finite, got {self.rho}")
 
     @property
     def dim(self):

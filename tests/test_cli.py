@@ -265,6 +265,29 @@ def test_simulate_rejects_malformed_chain(tmp_path, capsys, points, P):
     assert "chain P" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("kick_b0", float("nan"), "b_j must be positive and finite"),
+        ("kick_b0", float("inf"), "b_j must be positive and finite"),
+        ("kick_s", float("nan"), "decay exponent"),
+        ("rho", float("nan"), "rho must be positive and finite"),
+        ("rho", float("inf"), "rho must be positive and finite"),
+    ],
+    ids=["nan-b0", "inf-b0", "nan-s", "nan-rho", "inf-rho"],
+)
+@pytest.mark.parametrize("command", ["simulate", "attract"])
+def test_non_finite_model_input_exits_2(tmp_path, capsys, command, key, value, message):
+    cfg = write_cfg(
+        tmp_path,
+        {"model": {**TOY_MODEL, key: value}, "u0": [0.5] * 6, "K": 5,
+         "eps": 0.3, "n_traj": 10, "horizon": 5, "cloud_k": 2, "cloud_points": 50, "seed": 1},
+    )
+    assert run_cli([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "results.json").exists()
+
+
 def test_eigen_rejects_non_finite_kernel(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"kernel": {"points": [[0.0], [1.0]], "P": [[np.nan, 0.5], [0.5, 0.5]], "A": [0, 1]}})
     assert run_cli(["eigen", "--config", cfg, "--out", str(tmp_path / "out")]) == 2

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,28 @@ def test_kick_law_validation():
     law = rc.KickLaw.from_decay(4, b0=0.5, s=1.0)
     assert np.allclose(law.b, 0.5 / np.arange(1, 5))
     assert law.dim == 4
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: rc.KickLaw(b=[0.1, np.nan]), "b_j"),
+        (lambda: rc.KickLaw(b=[np.inf, 0.1]), "b_j"),
+        (lambda: rc.KickLaw.from_decay(3, b0=np.nan), "b_j"),
+        (lambda: rc.KickLaw.from_decay(3, b0=np.inf), "b_j"),
+        (lambda: rc.KickLaw.from_decay(3, s=np.nan), "decay exponent"),
+    ],
+    ids=["nan-b", "inf-b", "nan-b0", "inf-b0", "nan-s"],
+)
+def test_kick_law_rejects_non_finite_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("rho", [np.nan, np.inf, 0.0, -1.0])
+def test_model_rejects_bad_rho(toy_model, rho):
+    with pytest.raises(ValueError, match="rho must be positive and finite"):
+        rc.RDSModel(map=toy_model.map, kicks=toy_model.kicks, rho=rho)
 
 
 def test_density_contract():
@@ -63,16 +87,68 @@ def test_kick_marginal_matches_density():
         assert res.pvalue > 1e-3
 
 
-def test_kicks_take_two_uniforms_each_row_after_row():
+def beta_product(u):
+    """The sampler's transform of the uniform triples in the last axis."""
+    return 2.0 * (1.0 - u[..., 0]) ** (1 / 3) * (1.0 - u[..., 1]) ** 0.25 * (1.0 - u[..., 2]) ** 0.2 - 1.0
+
+
+def test_kicks_take_three_uniforms_each_row_after_row():
     # after a batch the stream continues exactly like a twin that drew
-    # 2 n dim uniforms, and each kick is the transform of its own pair
+    # 3 n dim uniforms, and each kick is the transform of its own triple
     law = rc.KickLaw.from_decay(5, b0=0.4)
     gen, twin = rc.rng_stream(4, 0), rc.rng_stream(4, 0)
     kicks = rc.sample_kicks(law, gen, 300)
-    u = twin.random(2 * 300 * law.dim).reshape(300, law.dim, 2)
+    u = twin.random(3 * 300 * law.dim).reshape(300, law.dim, 3)
     assert np.array_equal(gen.random(8), twin.random(8))
-    xi = np.sqrt(1.0 - u[..., 0] ** 0.4) * np.cos(2.0 * np.pi * u[..., 1])
-    assert np.allclose(kicks, xi * law.b, rtol=0, atol=1e-15)
+    assert np.allclose(kicks, beta_product(u) * law.b, rtol=0, atol=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    extra=st.integers(0, 40),
+    b=arrays(float, st.integers(1, 7), elements=st.floats(1e-3, 1e3)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kick_stream_contract(n, extra, b, seed):
+    law = rc.KickLaw(b=b)
+    gen, twin = rc.rng_stream(seed, 1), rc.rng_stream(seed, 1)
+    big = rc.sample_kicks(law, gen, n + extra)
+    assert np.all(np.abs(big) <= law.b)
+    # the first n rows are the n-row batch, and both streams then agree
+    assert np.array_equal(rc.sample_kicks(law, twin, n), big[:n])
+    twin.random(3 * extra * law.dim)
+    assert np.array_equal(gen.random(5), twin.random(5))
+
+
+def test_kick_moments():
+    # E xi^2 = 1/7 and E xi^4 = 1/21, within 5 standard errors; the
+    # variances use E xi^6 = 5/231 and E xi^8 = 5/429
+    n = 10**6
+    xi = rc.QuarticBumpDensity.sample(rc.rng_stream(8, 0), (n,))
+    for k, mean, var in ((2, 1 / 7, 1 / 21 - 1 / 49), (4, 1 / 21, 5 / 429 - 1 / 441)):
+        assert abs((xi**k).mean() - mean) <= 5 * np.sqrt(var / n)
+
+
+class StubGenerator:
+    """Returns the given values, cycled, for any requested shape."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, size):
+        return np.resize(self.values, size)
+
+
+@pytest.mark.parametrize("values", [[0.0], [1 - 2**-53], [0.0, 1 - 2**-53, 0.5]], ids=["zero", "top", "mixed"])
+def test_sample_at_the_ends_of_the_uniforms(values):
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        xi = rc.QuarticBumpDensity.sample(StubGenerator(values), (4, 3))
+    assert xi.shape == (4, 3)
+    assert np.all(np.isfinite(xi)) and np.all(np.abs(xi) <= 1.0)
+    if values == [0.0]:
+        assert np.all(xi == 1.0)
 
 
 def test_kick_batch_prefix_is_the_smaller_batch():
