@@ -13,7 +13,7 @@ import numpy as np
 
 from . import kernel_lab as kl
 from .measure_metrics import DiscreteMeasure
-from .rds_core import propagate, rng_stream
+from .rds_core import initial_ensemble, propagate, rng_stream
 
 __all__ = [
     "occupation_measure",
@@ -40,32 +40,15 @@ def occupation_measure(trajectory, k) -> DiscreteMeasure:
 
 def path_average_samples(model, f, u0, k_set, n_traj, seed=0):
     """Samples of <f, zeta_k> = (1/k) sum_{n=0}^{k-1} f(u_n) for each k in
-    ``k_set``, over a common ensemble (vectorized, shared stream).
-
-    Finite chains with a tabulated potential run entirely in index space,
-    which matters at the ensemble sizes the deviation probabilities need.
+    ``k_set``, over one ensemble of ``n_traj`` rows from ``u0`` advanced by
+    ``propagate`` on a shared stream.  ``f`` sees the model's ensemble
+    states, so on a chain it is a value table (``PotentialFn.from_chain``).
     """
     k_set = sorted(int(k) for k in k_set)
-    K = max(k_set)
-    rng = rng_stream(seed, 0)
-    values = getattr(f, "chain_values", None)
-    out = {}
-    if values is not None and hasattr(model, "step_indices"):
-        idx = np.full(n_traj, model.index_of(np.asarray(u0, dtype=float)[None, :])[0])
-        acc = values[idx].astype(float)
-        if 1 in k_set:
-            out[1] = acc.copy()
-        for n in range(1, K):
-            idx = model.step_indices(idx, rng)
-            acc += values[idx]
-            if n + 1 in k_set:
-                out[n + 1] = acc / (n + 1)
-        return {k: out[k] for k in k_set}
-    U = np.tile(np.asarray(u0, dtype=float), (n_traj, 1))
+    U = initial_ensemble(model, u0, n_traj)
     acc = np.asarray(f(U), dtype=float).copy()
-    if 1 in k_set:
-        out[1] = acc.copy()
-    for n, U, _ in propagate(model, U, rng, K - 1):
+    out = {1: acc.copy()} if 1 in k_set else {}
+    for n, U, _ in propagate(model, U, rng_stream(seed, 0), k_set[-1] - 1):
         acc += f(U)
         if n + 1 in k_set:
             out[n + 1] = acc / (n + 1)

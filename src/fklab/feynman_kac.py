@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measure_metrics import lipschitz_constant
-from .rds_core import propagate, rng_stream
+from .measure_metrics import distances, lipschitz_constant
+from .rds_core import FiniteChainModel, initial_ensemble, propagate, rng_stream
 
 __all__ = [
     "PotentialFn",
@@ -42,21 +42,19 @@ class EnsembleCollapse(RuntimeError):
 class PotentialFn:
     """Potential V with recorded Lipschitz/oscillation bounds.
 
-    ``fn`` maps an (n, dim) batch to (n,) values.  The bounds are contracts
-    used by diagnostics, not enforced pointwise.  For chain potentials the
-    per-state value table is kept in ``chain_values`` so chain ensembles can
-    run in index space.
+    ``fn`` maps a batch of ensemble states to (n,) values: (n, dim)
+    coordinates for a map model, the (n, 1) index column for a chain (whose
+    potentials are value tables, see ``from_chain``).  The bounds are
+    contracts used by diagnostics, not enforced pointwise.
     """
 
     fn: object
     lip: float
     osc: float
     tag: str = ""
-    chain_values: np.ndarray | None = None
 
     def __call__(self, U):
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        out = np.asarray(self.fn(U), dtype=float)
+        out = np.asarray(self.fn(np.atleast_2d(U)), dtype=float)
         if np.any(np.isnan(out)):
             raise ValueError("potential produced NaN")
         return out
@@ -67,7 +65,6 @@ class PotentialFn:
             lip=self.lip,
             osc=self.osc,
             tag=f"{self.tag}+{c:g}",
-            chain_values=None if self.chain_values is None else self.chain_values + c,
         )
 
     def scaled(self, a):
@@ -76,7 +73,6 @@ class PotentialFn:
             lip=abs(a) * self.lip,
             osc=abs(a) * self.osc,
             tag=f"{a:g}*{self.tag}",
-            chain_values=None if self.chain_values is None else a * self.chain_values,
         )
 
     @classmethod
@@ -85,15 +81,18 @@ class PotentialFn:
 
     @classmethod
     def from_chain(cls, chain, values):
-        """Potential given by a value per chain state."""
-        values = np.asarray(values, dtype=float)
-        d = np.linalg.norm(chain.points[:, None, :] - chain.points[None, :, :], axis=-1)
+        """Potential given by a value per chain state: the table ``values``
+        indexed by the chain's index states."""
+        if not isinstance(chain, FiniteChainModel):
+            raise ValueError(f"a chain potential needs a chain model, not {type(chain).__name__}")
+        values = np.array(values, dtype=float)
+        if values.shape != chain.points.shape[:1] or not np.isfinite(values).all():
+            raise ValueError(f"a chain potential needs one finite value per state ({len(chain.points)})")
         return cls(
-            fn=lambda U: values[chain.index_of(U)],
-            lip=lipschitz_constant(values, d),
+            fn=lambda X: values[X[:, 0]],
+            lip=lipschitz_constant(values, distances(chain.points, chain.points)),
             osc=float(values.max() - values.min()),
             tag="chain",
-            chain_values=values,
         )
 
     @classmethod
@@ -162,7 +161,7 @@ def mc_semigroup_series(model, V, f, u0, k_max, n_traj, rng):
     returns (estimates, stderrs), each of length k_max + 1."""
     if n_traj < 2:
         raise ValueError("need at least two trajectories")
-    U = np.tile(np.asarray(u0, dtype=float), (n_traj, 1))
+    U = initial_ensemble(model, u0, n_traj)
     est = np.empty(int(k_max) + 1)
     err = np.empty(int(k_max) + 1)
     est[0], err[0] = _signed_mean(np.zeros(n_traj), np.asarray(f(U), dtype=float))
@@ -216,19 +215,15 @@ def particle_fk(model, V, init, k, n_particles=1000, ess_threshold=0.5, seed=0):
     """Sequential importance sampling with multinomial resampling.
 
     Returns an :class:`FKResult` with the eigenvalue estimate (slope of the
-    log-mass series over its last half), the terminal equal-weight particle
-    cloud as the eigenmeasure estimate, and the full ensemble.
+    log-mass series over its last half), the terminal equal-weight cloud of
+    ensemble states as the eigenmeasure estimate, and the full ensemble.
     """
     if n_particles < 100:
         raise ValueError("need at least 100 particles")
     if not 0 < ess_threshold < 1:
         raise ValueError("ess_threshold must be in (0, 1)")
     rng = rng_stream(seed, 0)
-    init = np.atleast_2d(np.asarray(init, dtype=float))
-    if init.shape[0] == 1:
-        X = np.tile(init[0], (n_particles, 1))
-    else:
-        X = init[rng.integers(0, init.shape[0], n_particles)].copy()
+    X = initial_ensemble(model, init, n_particles, rng)
     ens = WeightedEnsemble(
         particles=X, logweights=np.zeros(n_particles), k=0, lognorm=0.0, ess=float(n_particles)
     )
@@ -405,7 +400,7 @@ def pressure_curve(
     alphas = np.asarray(sorted(set(float(a) for a in alphas) | {0.0}))
     shift = 0.0
     if recenter:
-        U = np.tile(np.asarray(u0, dtype=float), (recenter_traj, 1))
+        U = initial_ensemble(model, u0, recenter_traj)
         acc, cnt = 0.0, 0
         burn = min(200, recenter_k // 10)
         for k, U, _ in propagate(model, U, rng_stream(seed, 1), recenter_k // recenter_traj):
@@ -462,10 +457,10 @@ def met_convergence_mc(model, V, lam, h_at, mu_cloud, f_list, u0s, k_max, n_traj
     """Residual decay |lam^-k P_k f(u) - <f, mu> h(u)| from Monte Carlo.
 
     ``h_at`` maps each start point (by row index) to its eigenfunction
-    estimate; ``mu_cloud`` is an equal-weight eigenmeasure cloud.  Rates are
-    fitted only on residuals statistically resolvable above their Monte
-    Carlo noise; otherwise the verdict is "inconclusive" rather than a
-    fabricated rate.
+    estimate; ``mu_cloud`` is an equal-weight eigenmeasure cloud of ensemble
+    states (as from ``particle_fk``), which each f takes.  Rates are fitted
+    only on residuals statistically resolvable above their Monte Carlo
+    noise; otherwise the verdict is "inconclusive", not a fabricated rate.
     """
     u0s = np.atleast_2d(np.asarray(u0s, dtype=float))
     scale = np.array([float(lam) ** (-k) for k in range(1, k_max + 1)])

@@ -11,7 +11,9 @@ every run bitwise reproducible; every ensemble is advanced by
 
 A finite Markov chain on embedded points is provided as a second model type
 so the Monte Carlo estimators can be cross-checked against the exact
-finite-state computations of :mod:`fklab.kernel_lab`.
+finite-state computations of :mod:`fklab.kernel_lab`.  A chain's ensemble
+state is its state index, an (n, 1) ``intp`` column: coordinates enter once,
+through :func:`initial_ensemble`, and leave through the chain's ``coords``.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = [
     "FiniteChainModel",
     "Trajectory",
     "rng_stream",
+    "initial_ensemble",
     "sample_kicks",
     "propagate",
     "simulate",
@@ -128,12 +131,9 @@ def sample_kicks(law: KickLaw, rng, n):
 
 @dataclass(frozen=True)
 class Trajectory:
-    states: np.ndarray  # (K+1, dim)
+    states: np.ndarray  # (K+1, dim); a chain's are (K+1, 1) indices (see its coords)
     seed: int
     stream: int
-
-    def __len__(self):
-        return self.states.shape[0]
 
 
 @dataclass(frozen=True)
@@ -176,9 +176,10 @@ class RDSModel:
 class FiniteChainModel:
     """Markov chain on n embedded points with row-stochastic matrix P.
 
-    States travel as coordinate vectors so every downstream statistic
-    (occupation measures, potentials, metrics) treats both model types
-    uniformly; ``index_of`` recovers indices as nearest points.
+    Its ensemble state is the (n, 1) ``intp`` column of state indices: a
+    step is a table lookup, a potential a value table (``from_chain``).
+    ``index_of`` snaps coordinates to indices on entry (:func:`initial_ensemble`)
+    and ``coords`` maps indices back to points, for consumers that need them.
     """
 
     points: np.ndarray
@@ -219,14 +220,30 @@ class FiniteChainModel:
         return idx
 
     def step_indices(self, idx, rng):
+        """Next state of each index in ``idx``, one uniform per row."""
         u = rng.random(idx.shape[0])
         cum = self._cum[idx]
         nxt = (u[:, None] > cum).sum(axis=1)
         return np.minimum(nxt, self.P.shape[0] - 1)
 
-    def step_many(self, U, rng):
-        nxt = self.step_indices(self.index_of(U), rng)
-        return self.points[nxt].copy()
+    def step_many(self, X, rng):
+        return self.step_indices(X[:, 0], rng)[:, None]
+
+    def coords(self, X):
+        """Points of the index states ``X``: the one way out of index space."""
+        return self.points[X[:, 0]]
+
+
+def initial_ensemble(model, init, n, rng=None):
+    """The one way into an ensemble: n copies of the start point ``init``, or
+    n rows drawn with ``rng`` from a cloud; a chain snaps coordinates to the
+    index of the nearest point."""
+    init = np.atleast_2d(np.asarray(init, dtype=float))
+    if init.shape[1] != model.dim or not np.isfinite(init).all():
+        raise ValueError(f"start points must be finite, with {model.dim} coordinates, got shape {init.shape}")
+    if isinstance(model, FiniteChainModel):
+        init = model.index_of(init)[:, None]
+    return np.repeat(init, n, axis=0) if init.shape[0] == 1 else init[rng.integers(0, init.shape[0], n)]
 
 
 def propagate(model, X, rng, steps, V=None, active=None):
@@ -260,15 +277,11 @@ def propagate(model, X, rng, steps, V=None, active=None):
 
 def simulate(model, u0, K, seed, stream=0):
     """Trajectory of length K from u0, bitwise-deterministic per
-    (model, seed, stream, u0)."""
-    u0 = np.asarray(u0, dtype=float)
-    if not np.all(np.isfinite(u0)):
-        raise ValueError("u0 must be finite")
-    states = np.empty((K + 1, u0.shape[0]))
-    states[0] = u0
-    for k, X, _ in propagate(model, u0[None, :].copy(), rng_stream(seed, stream), K):
-        states[k] = X[0]
-    return Trajectory(states=states, seed=seed, stream=stream)
+    (model, seed, stream, u0); its states are the model's ensemble states,
+    so a chain's are indices (its ``coords`` gives the points)."""
+    X = initial_ensemble(model, u0, 1)
+    steps = [Y.copy() for _, Y, _ in propagate(model, X.copy(), rng_stream(seed, stream), K)]
+    return Trajectory(states=np.concatenate([X] + steps), seed=seed, stream=stream)
 
 
 def hausdorff_distance(X, Y):
@@ -355,13 +368,14 @@ def hitting_time_stats(model, u0s, eps, n_traj=1000, horizon=1000, seed=0, targe
     moment and reported as a fraction; the returned delta is then a bound
     for the observed part only.
     """
+    _require_map(model, "hitting_time_stats")
     if eps <= 0:
         raise ValueError("eps must be positive")
     taus = {}
     censored = 0
     total = 0
     for m, u0 in enumerate(np.atleast_2d(np.asarray(u0s, dtype=float))):
-        U = np.tile(u0, (n_traj, 1))
+        U = initial_ensemble(model, u0, n_traj)
         tau = np.full(n_traj, horizon + 1, dtype=int)
         hit0 = np.linalg.norm(U, axis=1) <= eps
         tau[hit0] = 0

@@ -177,7 +177,7 @@ def test_criterion_05_mc_exact_bridge(chain_bridge):
     res = fk.particle_fk(chain, Vfn, K.points[1], k=60, n_particles=10_000, seed=4)
     lam_ok = abs(res.lam - triple.lam) <= 3 * res.lam_stderr
     d_mu = dual_lipschitz(
-        DiscreteMeasure.from_samples(res.mu_cloud), DiscreteMeasure(K.points, triple.mu)
+        DiscreteMeasure.from_samples(chain.coords(res.mu_cloud)), DiscreteMeasure(K.points, triple.mu)
     )
     mu_ok = d_mu <= 0.05
     h_ok = True

@@ -20,6 +20,7 @@ def chain_setup():
 def test_occupation_measure_trivials(chain_setup):
     _, chain = chain_setup
     traj = rc.simulate(chain, chain.points[0], 10, seed=1)
+    traj = rc.Trajectory(states=chain.coords(traj.states), seed=traj.seed, stream=traj.stream)
     m1 = apps.occupation_measure(traj, 1)
     assert m1.support.shape[0] == 1
     assert np.allclose(m1.support[0], traj.states[0])
@@ -39,7 +40,7 @@ def test_occupation_converges_to_stationary(chain_setup):
     dists = []
     for k in (100, 400, 1600):
         traj = rc.simulate(chain, chain.points[0], k, seed=3)
-        dists.append(dual_lipschitz(apps.occupation_measure(traj, k), target))
+        dists.append(dual_lipschitz(apps.occupation_measure(chain.coords(traj.states), k), target))
     assert dists[-1] < 0.08
     assert dists[-1] <= dists[0] + 0.02
 
@@ -139,14 +140,13 @@ def test_slln_time_monotone_in_envelope(chain_setup):
     K, chain = chain_setup
     rng = rc.rng_stream(9, 0)
     n_traj, Klen = 400, 800
-    U = np.tile(chain.points[0], (n_traj, 1))
+    X = rc.initial_ensemble(chain, chain.points[0], n_traj)
     f_values = np.linspace(-1, 1, K.n)
     mu = kl.perron_triple(K.P, K.A).mu
     mu_f = float(f_values @ mu)
     vals = np.empty((n_traj, Klen))
-    for k in range(Klen):
-        U = chain.step_many(U, rng)
-        vals[:, k] = f_values[chain.index_of(U)]
+    for k, X, _ in rc.propagate(chain, X, rng, Klen):
+        vals[:, k - 1] = f_values[X[:, 0]]
     rep_tight = apps.slln_time(vals, mu_f, eps=0.05, C=0.5)
     rep_loose = apps.slln_time(vals, mu_f, eps=0.45, C=0.5)
     # wider envelope: stochastically smaller T

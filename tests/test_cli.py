@@ -26,6 +26,12 @@ TOY_MODEL = {
 }
 
 
+CHAIN_MODEL = {
+    "kind": "chain", "points": [[0.0], [1.0], [2.5]],
+    "P": [[0.2, 0.5, 0.3], [0.3, 0.4, 0.3], [0.5, 0.25, 0.25]],
+}
+
+
 def test_eigen_two_state_example(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,
@@ -356,3 +362,105 @@ def test_simulate_overflow_exits_3(tmp_path, capsys):
     with np.errstate(over="ignore"):
         assert run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
     assert "non-finite state at step 4 in row 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "model, values, message",
+    [
+        (TOY_MODEL, [0.1] * 6, "needs a chain model"),
+        (CHAIN_MODEL, [0.1], "one finite value per state"),
+        (CHAIN_MODEL, [0.1, float("nan"), 0.3], "one finite value per state"),
+    ],
+    ids=["toy-model", "short-table", "nan-entry"],
+)
+def test_pressure_rejects_bad_chain_potential(tmp_path, capsys, model, values, message):
+    # rejected when the potential is built, before any step is taken
+    cfg = write_cfg(
+        tmp_path,
+        {"model": model, "potential": {"kind": "chain_values", "values": values},
+         "u0": [0.0] * (6 if model is TOY_MODEL else 1), "k_max": 20, "n_traj": 100, "seed": 1},
+    )
+    out = tmp_path / "out"
+    assert run_cli(["pressure", "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "results.json").exists()
+
+
+def test_pressure_on_chain_tabulates_any_potential(tmp_path):
+    # a coordinate potential on a chain is its table on the points:
+    # 0.5 x clipped at 1 is (0, 0.5, 1) on the points 0, 1 and 2.5
+    base = {"model": CHAIN_MODEL, "u0": [1.0], "k_max": 20, "n_traj": 200, "seed": 2}
+    results = {}
+    for name, potential in (
+        ("coordinate", {"kind": "coordinate", "index": 0, "scale": 0.5, "clip": 1.0}),
+        ("table", {"kind": "chain_values", "values": [0.0, 0.5, 1.0]}),
+        ("zero", {"kind": "zero"}),
+    ):
+        cfg = write_cfg(tmp_path, {**base, "potential": potential}, name=f"{name}.json")
+        out = tmp_path / name
+        assert run_cli(["pressure", "--config", cfg, "--out", str(out)]) == 0
+        res = json.loads((out / "results.json").read_text())
+        res.pop("config_sha256")
+        results[name] = res
+    assert results["coordinate"] == results["table"]
+    assert results["zero"]["Q"] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_simulate_on_chain_writes_points(tmp_path):
+    from fklab import rds_core as rc
+
+    cfg = write_cfg(tmp_path, {"model": CHAIN_MODEL, "u0": [1.2], "K": 30, "seed": 5})
+    out = tmp_path / "out"
+    assert run_cli(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    rows = np.loadtxt(out / "trajectory.csv", delimiter=",", comments="#", skiprows=2)
+    assert rows[0].tolist() == [0.0, 1.2]  # u0 as given, off the chain's points
+    # then the chain started from the nearest point, 1.0
+    chain = rc.FiniteChainModel(points=CHAIN_MODEL["points"], P=CHAIN_MODEL["P"])
+    traj = rc.simulate(chain, [1.0], 30, seed=5)
+    assert np.array_equal(rows[1:, 1], chain.coords(traj.states)[1:, 0])
+    final = json.loads((out / "results.json").read_text())["final_norm"]
+    assert final == abs(rows[-1, 1])
+
+
+@pytest.mark.parametrize("n_samples, method", [(9_999, "exact"), (10_000, "asymp")])
+def test_coupling_check_ks_method_by_sample_count(tmp_path, monkeypatch, n_samples, method):
+    # the exact KS p-value's cost depends on the draws at large n; from
+    # n = 10,000 on the asymptotic one is used, within about 1% of it
+    from scipy import stats
+
+    kstest, seen = stats.kstest, []
+
+    def spy(*args, **kwargs):
+        res = kstest(*args, **kwargs)
+        seen.append((kwargs.get("method"), res.pvalue, kstest(*args, method="exact").pvalue))
+        return res
+
+    monkeypatch.setattr(stats, "kstest", spy)
+    cfg = write_cfg(tmp_path, {"model": TOY_MODEL, "n_samples": n_samples, "delta": 0.1, "seed": 4})
+    out = tmp_path / "out"
+    assert run_cli(["coupling-check", "--config", cfg, "--out", str(out)]) == 0
+    assert [m for m, _, _ in seen] == [method, method]
+    assert json.loads((out / "results.json").read_text())["ks_pvalues"] == [p for _, p, _ in seen]
+    for _, p, exact in seen:
+        assert p == pytest.approx(exact, rel=0.02)
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("simulate", {"K": 5}), ("pressure", {"potential": {"kind": "chain_values", "values": [0.1, 0.2, 0.3]},
+                                           "k_max": 20, "n_traj": 100})],
+)
+def test_chain_start_point_of_wrong_width_exits_2(tmp_path, capsys, command, extra):
+    # a 1-coordinate u0 on a chain in the plane is not snapped on its first coordinate
+    model = {**CHAIN_MODEL, "points": [[0.0, 0.0], [1.0, 5.0], [0.2, 9.0]]}
+    cfg = write_cfg(tmp_path, {"model": model, "u0": [0.9], **extra, "seed": 1})
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "start points must be finite, with 2 coordinates" in capsys.readouterr().err
+    assert not (out / "results.json").exists()
+
+
+def test_conditions_on_chain_model_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"model": CHAIN_MODEL, "seed": 1})
+    assert run_cli(["conditions", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "conditions needs a continuous map" in capsys.readouterr().err

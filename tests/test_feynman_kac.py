@@ -67,7 +67,8 @@ def test_mc_semigroup_matches_matrix_power(chain_setup):
     M = kl.build_tilted_matrix(K, V)
     f = K.points[:, 0]
     for k, u0_idx in ((1, 0), (4, 2), (8, 3)):
-        est, err, _ = fk.mc_semigroup(chain, Vfn, lambda U: U[:, 0], K.points[u0_idx], k, 40_000, seed=10 + k)
+        f_chain = lambda X: chain.coords(X)[:, 0]  # f on the chain's index states
+        est, err, _ = fk.mc_semigroup(chain, Vfn, f_chain, K.points[u0_idx], k, 40_000, seed=10 + k)
         exact = (np.linalg.matrix_power(M, k) @ f)[u0_idx]
         assert abs(est - exact) <= 3 * err
 
@@ -86,16 +87,32 @@ def test_mc_semigroup_series_reads_every_horizon(chain_setup):
         fk.mc_semigroup_series(chain, Vfn, f, K.points[2], 3, 1, rc.rng_stream(9, 0))
 
 
-def test_shifted_scaled_keep_chain_values(chain_setup):
+def test_shifted_scaled_chain_potential_is_a_table(chain_setup):
+    # a chain potential is its value table read at the index states, and
+    # shifted/scaled transform that table
     K, V, triple, chain, Vfn = chain_setup
-    vals = Vfn.chain_values
-    assert np.array_equal(Vfn.scaled(0.7).chain_values, 0.7 * vals)
-    assert np.array_equal(Vfn.shifted(0.3).chain_values, vals + 0.3)
+    states = np.arange(K.n)[:, None]
+    vals = V.V
+    assert np.array_equal(Vfn(states), vals)
+    assert np.array_equal(Vfn.scaled(0.7)(states), 0.7 * vals)
+    assert np.array_equal(Vfn.shifted(0.3)(states), vals + 0.3)
     both = Vfn.shifted(-0.2).scaled(1.5)
-    assert np.array_equal(both.chain_values, 1.5 * (vals - 0.2))
-    # the table agrees with the transformed function on the states
-    assert np.allclose(both(K.points), both.chain_values, rtol=0, atol=1e-15)
-    assert fk.PotentialFn.zero().scaled(2.0).chain_values is None
+    assert np.allclose(both(states), 1.5 * (vals - 0.2), rtol=0, atol=1e-15)
+    # rows in any order and with repeats read the same table
+    X = np.array([[3], [0], [3], [4]])
+    assert np.array_equal(both(X), both(states)[X[:, 0]])
+    assert np.array_equal(fk.PotentialFn.zero().scaled(2.0)(states), np.zeros(K.n))
+
+
+def test_from_chain_rejects_bad_tables(chain_setup, toy_model):
+    _, _, _, chain, _ = chain_setup
+    with pytest.raises(ValueError, match="needs a chain model, not RDSModel"):
+        fk.PotentialFn.from_chain(toy_model, np.zeros(6))
+    bad = np.zeros(chain.points.shape[0])
+    bad[2] = np.nan
+    for values in ([0.1], np.zeros((5, 1)), np.zeros(6), bad, np.where(bad == bad, 0.0, np.inf)):
+        with pytest.raises(ValueError, match="one finite value per state"):
+            fk.PotentialFn.from_chain(chain, values)
 
 
 def test_particle_fk_markov_case(chain_setup):
@@ -104,7 +121,7 @@ def test_particle_fk_markov_case(chain_setup):
     assert abs(res.lam - 1.0) <= max(3 * res.lam_stderr, 1e-12)
     # terminal cloud close to the stationary measure in dual-Lipschitz norm
     pi = kl.perron_triple(K.P, K.A).mu
-    d = dual_lipschitz(DiscreteMeasure.from_samples(res.mu_cloud), DiscreteMeasure(K.points, pi))
+    d = dual_lipschitz(DiscreteMeasure.from_samples(chain.coords(res.mu_cloud)), DiscreteMeasure(K.points, pi))
     assert d < 0.05
 
 
@@ -113,7 +130,7 @@ def test_particle_fk_reproduces_exact_triple(chain_setup):
     res = fk.particle_fk(chain, Vfn, K.points[1], k=60, n_particles=10_000, seed=5)
     assert abs(res.lam - triple.lam) <= 3 * res.lam_stderr
     d = dual_lipschitz(
-        DiscreteMeasure.from_samples(res.mu_cloud), DiscreteMeasure(K.points, triple.mu)
+        DiscreteMeasure.from_samples(chain.coords(res.mu_cloud)), DiscreteMeasure(K.points, triple.mu)
     )
     assert d < 0.05
     for i in (0, 2, 4):
@@ -236,7 +253,8 @@ def test_met_convergence_mc_chain():
     res = fk.particle_fk(chain, Vfn, K.points[1], k=120, n_particles=20_000, seed=13)
     starts = K.points[[0, 3]]
     h_at = [triple.h[0], triple.h[3]]
-    f_list = [lambda U: U[:, 0], lambda U: np.cos(2 * U[:, 0])]
+    # the observables read coordinates; the mu cloud and the ensembles hold index states
+    f_list = [lambda X: chain.coords(X)[:, 0], lambda X: np.cos(2 * chain.coords(X)[:, 0])]
     rep = fk.met_convergence_mc(
         chain, Vfn, triple.lam, h_at, res.mu_cloud, f_list, starts, k_max=20, n_traj=40_000, seed=14
     )
@@ -252,8 +270,8 @@ def test_met_convergence_eigenfunction_inconclusive(chain_setup):
     res = fk.particle_fk(chain, Vfn, K.points[1], k=60, n_particles=8000, seed=15)
     h_vec = triple.h
 
-    def f_eig(U):
-        return h_vec[chain.index_of(U)]
+    def f_eig(X):
+        return h_vec[X[:, 0]]
 
     h_at = [triple.h[0]]
     rep = fk.met_convergence_mc(

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import integrate, stats
 
+from fklab import cli
+from fklab import feynman_kac as fk
 from fklab import rds_core as rc
 from fklab.dynamics_maps import ToyDiagonalMap
 
@@ -359,7 +361,9 @@ def test_chain_model_roundtrip(rng):
     P = np.array([[0.2, 0.5, 0.3], [0.3, 0.4, 0.3], [0.5, 0.25, 0.25]])
     chain = rc.FiniteChainModel(points=pts, P=P)
     assert chain.index_of(np.array([[1.0], [2.5]])).tolist() == [1, 2]
-    states = [X[:, 0].copy() for k, X, _ in rc.propagate(chain, np.zeros((5000, 1)), rc.rng_stream(12, 0), 400)
+    X0 = rc.initial_ensemble(chain, [0.0], 5000)  # the point 0.0 is state 0
+    assert X0.dtype == np.intp and X0.shape == (5000, 1) and not X0.any()
+    states = [chain.coords(X)[:, 0] for k, X, _ in rc.propagate(chain, X0, rc.rng_stream(12, 0), 400)
               if k >= 200]
     # occupation matches the stationary distribution
     w, V = np.linalg.eig(P.T)
@@ -375,6 +379,9 @@ def test_attraction_needs_a_continuous_map():
         rc.attainability_cloud(chain, np.zeros((1, 1)), 2)
     with pytest.raises(ValueError, match="continuous map"):
         rc.attraction_counter(chain, np.array([[0.0], [1.0]]), 2.0, np.zeros((1, 1)), n_traj=4, horizon=3)
+    # hitting times read state norms, which index states do not have
+    with pytest.raises(ValueError, match="continuous map"):
+        rc.hitting_time_stats(chain, np.zeros((1, 1)), 0.5, n_traj=4, horizon=3)
 
 
 def test_chain_rejects_non_stochastic():
@@ -428,6 +435,58 @@ def test_index_of_is_the_kd_tree_nearest_point(data):
     rows = np.arange(U.shape[0])
     # equal, or an exact tie the tree breaks the other way
     assert np.all((ours == ref) | np.isclose(sq[rows, ours], sq[rows, ref], rtol=1e-12, atol=0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_chain_ensembles_step_index_states(data):
+    n, d = data.draw(st.integers(2, 8), label="states"), data.draw(st.integers(1, 3), label="dim")
+    grid = st.integers(-10_000, 10_000).map(lambda i: i / 1000)
+    pts = data.draw(arrays(float, (n, d), elements=grid, unique=True), label="points")
+    W = data.draw(arrays(float, (n, n), elements=st.sampled_from([0.0, 0.1, 0.5, 1.0]) | st.floats(0, 1)))
+    W[W.sum(axis=1) == 0] = 1.0  # zero entries stay: chains need not be irreducible
+    chain = rc.FiniteChainModel(points=pts, P=W / W.sum(axis=1, keepdims=True))
+    u0 = data.draw(arrays(float, d, elements=st.floats(-12, 12)), label="u0")
+    rows, steps = data.draw(st.integers(1, 40), label="rows"), data.draw(st.integers(1, 12), label="steps")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    i = data.draw(st.integers(0, d - 1), label="coordinate")
+    coord = {"kind": "coordinate", "index": i, "scale": data.draw(st.floats(-3, 3)),
+             "center": data.draw(st.floats(-3, 3)), "clip": data.draw(st.none() | st.floats(0.1, 5))}
+    V_coord = fk.PotentialFn.coordinate(i, scale=coord["scale"], center=coord["center"], clip=coord["clip"])
+    V = cli._build_potential({"potential": coord}, chain)  # tabulated on the points once
+
+    # the ensemble starts at the nearest point, as an index column
+    X = rc.initial_ensemble(chain, u0, rows)
+    idx = np.full(rows, chain.index_of(u0)[0])
+    assert X.dtype == np.intp and X.shape == (rows, 1) and np.array_equal(X[:, 0], idx)
+    # propagate on index states is step_indices by hand on the same stream
+    hand, logw_hand = rc.rng_stream(seed, 0), np.zeros(rows)
+    for _, X, logw in rc.propagate(chain, X, rc.rng_stream(seed, 0), steps, V=V):
+        idx = chain.step_indices(idx, hand)
+        assert np.array_equal(X[:, 0], idx)
+        # coords returns chain points, and the table is the coordinate potential on them
+        assert np.array_equal(chain.coords(X), pts[idx])
+        assert np.array_equal(V(X), V_coord(pts[idx]))
+        logw_hand += V_coord(pts[idx])
+        assert np.array_equal(logw, logw_hand)
+
+
+def test_initial_ensemble_enters_coordinates(toy_model):
+    chain = rc.FiniteChainModel(points=np.array([[0.0], [1.0], [2.5]]), P=np.full((3, 3), 1 / 3))
+    assert np.array_equal(rc.initial_ensemble(toy_model, np.full(6, 0.4), 3), np.full((3, 6), 0.4))
+    # a cloud is drawn from with the given stream, point by point as given
+    cloud = np.array([[2.4], [0.1], [1.0]])
+    X = rc.initial_ensemble(chain, cloud, 50, rc.rng_stream(1, 0))
+    assert np.array_equal(X[:, 0], np.array([2, 0, 1])[rc.rng_stream(1, 0).integers(0, 3, 50)])
+    # a point of the wrong width is rejected, not broadcast or snapped on a
+    # subset of its coordinates
+    for bad in ([np.nan], [[1.0], [np.inf]], [1.0, 2.0], np.zeros((2, 0))):
+        with pytest.raises(ValueError, match="start points must be finite, with 1 coordinates"):
+            rc.initial_ensemble(chain, bad, 4, rc.rng_stream(1, 0))
+    with pytest.raises(ValueError, match="with 6 coordinates"):
+        rc.initial_ensemble(toy_model, [0.5], 4)
+    with pytest.raises(ValueError, match="start points must be finite"):
+        rc.simulate(toy_model, np.full(6, np.nan), 3, seed=0)
 
 
 def test_rng_stream_independence():
