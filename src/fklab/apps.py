@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernel_lab as kl
+from . import fits, kernel_lab as kl
 from .measure_metrics import DiscreteMeasure
 from .rds_core import initial_ensemble, propagate, rng_stream
 
@@ -125,8 +125,7 @@ def ldp_level1(model, f, x_grid, k_set, n_traj, pressure_fn, alphas, u0, seed=0)
                 obs_ks.append(k)
                 obs_logp.append(np.log(p))
         if len(obs_ks) >= 3:
-            slope = np.polyfit(obs_ks, obs_logp, 1)[0]
-            slope_rates[float(x)] = -float(slope)
+            slope_rates[float(x)] = -fits.line(obs_ks, obs_logp)[0]
     mean_f = float(np.mean(samples[max(k_set)]))
     return LdpReport(
         x_grid=x_grid,
@@ -244,12 +243,12 @@ def slln_time(paths_f, mu_f, eps, C=1.0):
     exp_r2 = poly_r2 = np.nan
     slopes = []
     if ms_k.size >= 3 and tail_k.min() < tail_k.max():
-        exp_r2 = _r2(ms_k, np.log(tail_k))
-        poly_r2 = _r2(np.log(ms_k), np.log(tail_k))
+        exp_r2 = fits.line(ms_k, np.log(tail_k))[2]
+        poly_r2 = fits.line(np.log(ms_k), np.log(tail_k))[2]
         for frac in (1.0, 0.5, 0.25):
             sub = ms_k >= ms_k.max() * (1 - frac)
             if sub.sum() >= 3:
-                slopes.append(float(np.polyfit(ms_k[sub], np.log(tail_k[sub]), 1)[0]))
+                slopes.append(fits.line(ms_k[sub], np.log(tail_k[sub]))[0])
     if np.isnan(exp_r2):
         verdict = "insufficient-tail"
     elif poly_r2 > exp_r2 + 0.01:
@@ -269,10 +268,3 @@ def slln_time(paths_f, mu_f, eps, C=1.0):
         verdict=verdict,
     )
 
-
-def _r2(x, y):
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_res = float(((y - pred) ** 2).sum())
-    ss_tot = float(((y - y.mean()) ** 2).sum())
-    return 1.0 - ss_res / ss_tot

@@ -149,9 +149,11 @@ def _build_potential(cfg, model):
     if kind == "zero":
         V = fk.PotentialFn.zero()
     elif kind == "coordinate":
+        index = int(pc.get("index", 0))
+        if not 0 <= index < model.dim:
+            raise ConfigError(f"potential index = {index} must lie in 0..{model.dim - 1} (model dim)")
         V = fk.PotentialFn.coordinate(
-            int(pc.get("index", 0)), scale=pc.get("scale", 1.0),
-            center=pc.get("center", 0.0), clip=pc.get("clip"),
+            index, scale=pc.get("scale", 1.0), center=pc.get("center", 0.0), clip=pc.get("clip"),
         )
     else:
         raise ConfigError(f"unknown potential kind {kind!r}")

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import fits
 from .measure_metrics import distances, lipschitz_constant
 from .rds_core import FiniteChainModel, initial_ensemble, propagate, rng_stream
 
@@ -142,17 +143,11 @@ def _signed_mean(logw, fvals):
     return float(np.exp(shift) * mean), float(np.exp(shift) * stderr)
 
 
-def mc_semigroup(model, V, f, u0, k, n_traj, seed=0, stderr_cap=None):
+def mc_semigroup(model, V, f, u0, k, n_traj, seed=0):
     """Plain Monte Carlo estimate of the weighted average
-    E[f(u_k) exp(sum V(u_n))] from u0; returns (estimate, stderr).
-
-    A relative stderr above ``stderr_cap`` is flagged in the returned
-    tuple's third slot, never fatal.
-    """
+    E[f(u_k) exp(sum V(u_n))] from u0; returns (estimate, stderr)."""
     ests, errs = mc_semigroup_series(model, V, f, u0, k, n_traj, rng_stream(seed, 0))
-    est, err = float(ests[-1]), float(errs[-1])
-    flagged = bool(stderr_cap is not None and abs(est) > 0 and err / abs(est) > stderr_cap)
-    return est, err, flagged
+    return float(ests[-1]), float(errs[-1])
 
 
 def mc_semigroup_series(model, V, f, u0, k_max, n_traj, rng):
@@ -252,7 +247,7 @@ def particle_fk(model, V, init, k, n_particles=1000, ess_threshold=0.5, seed=0):
             resampled = True
         ens.history.append((step, ens.ess, resampled))
 
-    lam, lam_err = _slope_fit(series)
+    lam, lam_err = fits.drift(series)
     # terminal equal-weight cloud
     w = np.exp(ens.logweights - ens.logweights.max())
     w /= w.sum()
@@ -267,38 +262,10 @@ def particle_fk(model, V, init, k, n_particles=1000, ess_threshold=0.5, seed=0):
     )
 
 
-def _slope_fit(series, tail=0.5, n_blocks=8):
-    """Drift of a cumulative log-mass series over its tail.
-
-    The series behaves like a random walk with drift, so the efficient
-    estimator is the increment mean (endpoint difference over the window);
-    the stderr comes from batch means of the increments, which absorbs
-    their autocorrelation.
-    """
-    series = np.asarray(series, dtype=float)
-    k = len(series)
-    start = int(k * (1 - tail)) - 1
-    ys = series[max(start, 0) :]
-    if ys.size < 4:
-        raise ValueError("series too short for a slope fit")
-    inc = np.diff(ys)
-    slope = float(inc.mean())
-    b = min(n_blocks, inc.size // 2)
-    if b >= 2:
-        blocks = np.array_split(inc, b)
-        means = np.array([blk.mean() for blk in blocks])
-        stderr = float(means.std(ddof=1) / np.sqrt(b))
-    else:
-        stderr = float(inc.std(ddof=1) / np.sqrt(inc.size))
-    return slope, stderr
-
-
 def h_estimate(model, V, u0, k, lam, n_traj=2000, seed=0):
     """Eigenfunction value at u0: lam^-k times the Monte Carlo mass
     estimate, one dedicated ensemble per query point (no interpolation)."""
-    est, err, _ = mc_semigroup(
-        model, V, lambda U: np.ones(U.shape[0]), u0, k, n_traj, seed=seed
-    )
+    est, err = mc_semigroup(model, V, lambda U: np.ones(U.shape[0]), u0, k, n_traj, seed=seed)
     scale = float(lam) ** (-k)
     return scale * est, scale * err
 
@@ -310,59 +277,28 @@ class PressureFit:
     series: np.ndarray
     curvature: float
     accepted: bool
-    diagnostics: dict = field(default_factory=dict)
 
 
-def pressure_estimate(
-    model,
-    V,
-    u0,
-    k_max=60,
-    n_traj=4000,
-    seed=0,
-    curvature_tol=0.02,
-    comparability_points=None,
-):
+def pressure_estimate(model, V, u0, k_max=60, n_traj=4000, seed=0, curvature_tol=0.02):
     """Pressure (exponential growth rate of the total weighted mass) from
     the tail slope of the log-mass series started at u0.
 
     The fit is rejected (``accepted=False``) when the tail's quadratic
     curvature exceeds ``curvature_tol`` per step, signalling that the
-    asymptotic regime was not reached.  Optional ``comparability_points``
-    (a cloud of attainable states) adds the sup-ratio diagnostic comparing
-    mass norms over the start set and over the cloud.
+    asymptotic regime was not reached.
     """
     if k_max < 20:
         raise ValueError("k_max must be at least 20 for a tail fit")
-    res = particle_fk(model, V, u0, k_max, n_particles=max(100, n_traj), seed=seed)
-    series = res.log_mass_series
-    slope, err = _slope_fit(series)
+    series = particle_fk(model, V, u0, k_max, n_particles=max(100, n_traj), seed=seed).log_mass_series
+    slope, err = fits.drift(series)
     half = series[len(series) // 2 :]
-    xs = np.arange(half.size, dtype=float)
-    quad = np.polyfit(xs, half, 2)[0]
-    accepted = abs(quad) <= curvature_tol
-    diag = {}
-    if comparability_points is not None:
-        # mass-norm comparability over the attainable cloud, plus the spread
-        # of the growth rate across start points (it should not depend on u0)
-        pts = np.atleast_2d(np.asarray(comparability_points))
-        ks = max(20, k_max // 2)
-        sup_B = res.log_mass_series[min(ks, k_max) - 1]
-        sups, slopes = [], []
-        for i, p in enumerate(pts[:8]):
-            r = particle_fk(model, V, p, ks, n_particles=max(100, n_traj // 4), seed=seed + 101 + i)
-            sups.append(r.log_mass_series[-1])
-            slopes.append(_slope_fit(r.log_mass_series)[0])
-        diag["comparability_log_ratio"] = float(max(sups) - sup_B)
-        diag["Q_by_start"] = slopes
-        diag["Q_start_spread"] = float(max(slopes) - min(slopes)) if slopes else 0.0
+    quad = np.polyfit(np.arange(half.size, dtype=float), half, 2)[0]
     return PressureFit(
         Q=float(slope),
         stderr=float(err),
         series=series,
         curvature=float(quad),
-        accepted=bool(accepted),
-        diagnostics=diag,
+        accepted=bool(abs(quad) <= curvature_tol),
     )
 
 
@@ -489,7 +425,6 @@ def met_convergence_mc(model, V, lam, h_at, mu_cloud, f_list, u0s, k_max, n_traj
     ls = np.concatenate(logs_all)
     if np.unique(ks).size < 3:
         return MetConvergenceReport(residuals, stderrs, None, "inconclusive")
-    slope = np.polyfit(ks, ls, 1)[0]
-    gamma = -float(slope)
+    gamma = -fits.line(ks, ls)[0]
     verdict = "decaying" if gamma > 0 else "not-decaying"
     return MetConvergenceReport(residuals, stderrs, gamma, verdict)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import fits
 from .measure_metrics import DiscreteMeasure, _solve, _transport_block, distances, lipschitz_constant
 
 __all__ = [
@@ -30,7 +31,6 @@ __all__ = [
     "perron_triple",
     "cesaro_average",
     "met_residuals",
-    "fit_decay",
     "met_rate_estimate",
     "verify_theorem21",
     "normalized_semigroup_apply",
@@ -272,39 +272,23 @@ def met_residuals(kernel, potential, triple, f, k_max=200, floor=1e-13):
     for k in range(k_max):
         v = M @ v / triple.lam
         residuals[k] = np.abs(v - target).max()
-    C, gamma = fit_decay(residuals, floor=floor)
+    ks, tail = _late_half(residuals)
+    keep = (tail >= floor) & np.isfinite(tail)
+    if keep.sum() < 2:
+        return np.inf, np.inf, residuals
+    gamma = -fits.line(ks[keep], np.log(tail[keep]))[0]
+    # envelope constant: r_k <= C exp(-gamma k) holds on the whole window
+    C = float(np.exp(np.max(np.log(tail[keep]) + gamma * ks[keep])))
     return C, gamma, residuals
 
 
-def fit_decay(residuals, floor=1e-13):
-    """OLS fit of ``log r_k ~ log C - gamma k`` over the last half of the
-    window, skipping values under ``floor``.  Returns ``(C, gamma)``, with
-    an infinite gamma sentinel when the tail sits entirely below the floor.
-    """
-    residuals = np.asarray(residuals, dtype=float)
-    k_max = residuals.size
-    ks = np.arange(1, k_max + 1)
-    keep = (ks >= (k_max + 1) // 2) & (residuals >= floor) & np.isfinite(residuals)
-    if keep.sum() < 2:
-        return np.inf, np.inf
-    slope, _ = np.polyfit(ks[keep], np.log(residuals[keep]), 1)
-    gamma = -float(slope)
-    # envelope constant: r_k <= C exp(-gamma k) holds on the whole window
-    C = float(np.exp(np.max(np.log(residuals[keep]) + gamma * ks[keep])))
-    return C, gamma
-
-
-def _log_fit_tail(logr):
-    """Slope fit plus a slope-stability diagnostic on exact log residuals."""
-    k_max = len(logr)
-    ks = np.arange(1, k_max + 1)
-    keep = ks >= (k_max + 1) // 2
-    lr = np.asarray(logr, dtype=float)[keep]
-    kk = ks[keep].astype(float)
-    slope, _ = np.polyfit(kk, lr, 1)
-    local = np.diff(lr)
-    drift = float(np.std(local) / max(abs(slope), 1e-300))
-    return -float(slope), drift
+def _late_half(seq):
+    """The late half ``k >= (k_max + 1) // 2`` of a sequence indexed
+    ``k = 1..k_max``: the window every exact rate fit reads, as
+    ``(ks, values)``."""
+    ks = np.arange(1, len(seq) + 1)
+    keep = ks >= (len(seq) + 1) // 2
+    return ks[keep], np.asarray(seq, dtype=float)[keep]
 
 
 def _deflated_log_residuals(M, lam, h, mu, F, k_max):
@@ -350,15 +334,17 @@ def met_rate_estimate(kernel, potential, triple, n_f=8, seed=0, efolds=44.0, k_c
     finite = np.isfinite(pilot)
     if finite.sum() < 4:
         return np.inf, {"mode": "collapsed"}
-    g0, _ = _log_fit_tail(pilot[finite])
-    g0 = max(g0, 1e-3)
+    g0 = max(-fits.line(*_late_half(pilot[finite]))[0], 1e-3)
     k_max = int(np.clip(efolds / g0, 32, 2000))
     F = rng.uniform(-1, 1, (n, n_f))
     while True:
         logs = _deflated_log_residuals(M, lam, h, mu, F, k_max)
         if not np.all(np.isfinite(logs)):
             return np.inf, {"mode": "collapsed"}
-        gamma, drift = _log_fit_tail(logs)
+        ks, lr = _late_half(logs)
+        gamma = -fits.line(ks, lr)[0]
+        # the local slopes' spread, relative to the fitted one
+        drift = float(np.std(np.diff(lr)) / max(abs(gamma), 1e-300))
         if drift <= 0.02 or k_max >= k_cap:
             return gamma, {"mode": "longdouble", "k_max": k_max, "drift": drift}
         k_max = min(4 * k_max, k_cap)

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import fits
 from .measure_metrics import distances
 
 __all__ = [
@@ -184,7 +185,7 @@ class FiniteChainModel:
 
     points: np.ndarray
     P: np.ndarray
-    _cum: np.ndarray = field(repr=False, compare=False, default=None)
+    _cumT: np.ndarray = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -199,7 +200,8 @@ class FiniteChainModel:
             raise ValueError(f"chain points {i[0]} and {j[0]} coincide")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "P", P)
-        object.__setattr__(self, "_cum", np.cumsum(P, axis=1))
+        # row j of _cumT holds every state's cumulative row sum through j
+        object.__setattr__(self, "_cumT", np.ascontiguousarray(np.cumsum(P, axis=1).T))
 
     @classmethod
     def from_kernel(cls, kernel):
@@ -220,11 +222,14 @@ class FiniteChainModel:
         return idx
 
     def step_indices(self, idx, rng):
-        """Next state of each index in ``idx``, one uniform per row."""
+        """Next state of each index in ``idx``, one uniform per row: the count
+        of its cumulative row sums below the uniform, all but the last (so a
+        row summing to just under one never steps past the last state)."""
         u = rng.random(idx.shape[0])
-        cum = self._cum[idx]
-        nxt = (u[:, None] > cum).sum(axis=1)
-        return np.minimum(nxt, self.P.shape[0] - 1)
+        nxt = np.zeros(idx.shape[0], dtype=np.intp)
+        for row in self._cumT[:-1]:
+            nxt += u > row[idx]
+        return nxt
 
     def step_many(self, X, rng):
         return self.step_indices(X[:, 0], rng)[:, None]
@@ -479,8 +484,8 @@ def attraction_counter(
     tail = np.array([(counts >= m).mean() for m in ms])
     keep = tail > 0
     if keep.sum() >= 2:
-        slope, intercept = np.polyfit(ms[keep], np.log(tail[keep]), 1)
-        delta = -float(slope)
+        slope, intercept, _ = fits.line(ms[keep], np.log(tail[keep]))
+        delta = -slope
         Lambda = float(np.exp(intercept))
     else:
         # mass concentrated at N = 0: any positive rate certifies the tail

@@ -406,6 +406,25 @@ def test_pressure_on_chain_tabulates_any_potential(tmp_path):
     assert results["zero"]["Q"] == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "model, index",
+    [(TOY_MODEL, 6), (TOY_MODEL, -1), (CHAIN_MODEL, 1)],
+    ids=["toy-past-end", "toy-negative", "chain-past-end"],
+)
+def test_pressure_rejects_coordinate_index_out_of_range(tmp_path, capsys, model, index):
+    # the index must name a model coordinate; -1 does not wrap to the last one
+    dim = 6 if model is TOY_MODEL else 1
+    cfg = write_cfg(
+        tmp_path,
+        {"model": model, "potential": {"kind": "coordinate", "index": index, "clip": 2.0},
+         "u0": [0.0] * dim, "k_max": 20, "n_traj": 100, "seed": 1},
+    )
+    out = tmp_path / "out"
+    assert run_cli(["pressure", "--config", cfg, "--out", str(out)]) == 2
+    assert f"potential index = {index} must lie in 0..{dim - 1}" in capsys.readouterr().err
+    assert not (out / "results.json").exists()
+
+
 def test_simulate_on_chain_writes_points(tmp_path):
     from fklab import rds_core as rc
 

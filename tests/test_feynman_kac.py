@@ -46,18 +46,17 @@ def test_xi_weight_trivials(chain_setup):
 
 def test_mc_semigroup_markov_mass(chain_setup):
     _, _, _, chain, _ = chain_setup
-    est, err, flagged = fk.mc_semigroup(
+    est, err = fk.mc_semigroup(
         chain, fk.PotentialFn.zero(), lambda U: np.ones(U.shape[0]), chain.points[0], 7, 500, seed=2
     )
     assert est == 1.0
     assert err == 0.0
-    assert not flagged
 
 
 def test_mc_semigroup_constant_potential(chain_setup):
     _, _, _, chain, _ = chain_setup
     const = fk.PotentialFn(fn=lambda U: np.full(U.shape[0], 0.3), lip=0.0, osc=0.0)
-    est, err, _ = fk.mc_semigroup(chain, const, lambda U: np.ones(U.shape[0]), chain.points[1], 5, 200, seed=3)
+    est, err = fk.mc_semigroup(chain, const, lambda U: np.ones(U.shape[0]), chain.points[1], 5, 200, seed=3)
     assert est == pytest.approx(np.exp(1.5), rel=1e-12)
     assert err == pytest.approx(0.0, abs=1e-12)
 
@@ -68,7 +67,7 @@ def test_mc_semigroup_matches_matrix_power(chain_setup):
     f = K.points[:, 0]
     for k, u0_idx in ((1, 0), (4, 2), (8, 3)):
         f_chain = lambda X: chain.coords(X)[:, 0]  # f on the chain's index states
-        est, err, _ = fk.mc_semigroup(chain, Vfn, f_chain, K.points[u0_idx], k, 40_000, seed=10 + k)
+        est, err = fk.mc_semigroup(chain, Vfn, f_chain, K.points[u0_idx], k, 40_000, seed=10 + k)
         exact = (np.linalg.matrix_power(M, k) @ f)[u0_idx]
         assert abs(est - exact) <= 3 * err
 
@@ -81,7 +80,7 @@ def test_mc_semigroup_series_reads_every_horizon(chain_setup):
     est, err = fk.mc_semigroup_series(chain, Vfn, f, K.points[2], 6, 300, rc.rng_stream(9, 0))
     assert est.shape == err.shape == (7,)
     for k in range(7):
-        e, s, _ = fk.mc_semigroup(chain, Vfn, f, K.points[2], k, 300, seed=9)
+        e, s = fk.mc_semigroup(chain, Vfn, f, K.points[2], k, 300, seed=9)
         assert (est[k], err[k]) == (e, s)
     with pytest.raises(ValueError):
         fk.mc_semigroup_series(chain, Vfn, f, K.points[2], 3, 1, rc.rng_stream(9, 0))
@@ -160,7 +159,7 @@ def test_resampling_unbiasedness(toy_model):
     # with and without resampling the mass estimates agree within error
     V = fk.PotentialFn.coordinate(0, scale=0.8, clip=1.0)
     k = 8
-    est_mc, err_mc, _ = fk.mc_semigroup(
+    est_mc, err_mc = fk.mc_semigroup(
         toy_model, V, lambda U: np.ones(U.shape[0]), np.zeros(6), k, 40_000, seed=7
     )
     res = fk.particle_fk(toy_model, V, np.zeros(6), k=k, n_particles=40_000, ess_threshold=0.9, seed=8)

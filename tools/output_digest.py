@@ -78,7 +78,7 @@ def points(model, X):
 
 
 def fit_fields(fit):
-    return [fit.Q, fit.stderr, fit.series, fit.curvature, fit.accepted, fit.diagnostics]
+    return [fit.Q, fit.stderr, fit.series, fit.curvature, fit.accepted, getattr(fit, "diagnostics", {})]
 
 
 def fk_fields(model, res):
