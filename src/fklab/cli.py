@@ -3,10 +3,13 @@
 Every run loads a JSON config, executes one subcommand, and writes
 ``results.json`` plus a ``manifest.json`` (config, its hash, the effective
 seed, library versions) into the output directory.  Outputs are written
-atomically and contain nothing time- or thread-dependent, so rerunning a
-manifest reproduces every file byte for byte.
+atomically, only on success, and contain nothing time- or thread-dependent,
+so rerunning a manifest reproduces every file byte for byte.  A config key
+no subcommand reads, a wrong type or a value below its bound is rejected
+before any computation.
 
-Exit codes: 0 success, 2 precondition/config error, 3 numerical failure.
+Exit codes: 0 success, 2 bad config or input (ValueError, OSError),
+3 numerical failure (ArithmeticError, RuntimeError, LinAlgError).
 """
 
 from __future__ import annotations
@@ -14,10 +17,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import numbers
 import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 
@@ -25,21 +30,94 @@ from . import __version__
 from . import apps, coupling_lab, feynman_kac as fk, kernel_lab as kl, rds_core as rc
 from .dynamics_maps import BurgersMap, ToyDiagonalMap, l1_circle_metric
 
-SUBCOMMANDS = (
-    "simulate",
-    "eigen",
-    "pressure",
-    "met-check",
-    "coupling-check",
-    "conditions",
-    "ldp",
-    "attract",
-    "slln",
-)
+# every key some subcommand reads, per config section ("" is the top level)
+_KEYS = {
+    "": set(
+        "seed model potential kernel params plan u0 u0s K stream k_max n_traj alphas recenter recenter_k"
+        " N n_samples delta coordinate f x_grid k_set eps horizon cloud_k cloud_points hit_eps mu_f C".split()
+    ),
+    "model": set(
+        "kind factors dim base ratio q cutoff_radius nu modes dt contraction_factor points P"
+        " kick_dim kick_b0 kick_s rho".split()
+    ),
+    "potential": {"kind", "values", "index", "scale", "center", "clip"},
+    "kernel": {"points", "P", "A", "V"},
+    "params": {f.name for f in fields(kl.VerifyParams)},
+    "plan": {"radii", "r", "n_samples", "n_iter", "projection_dims", "n_pairs"},
+}
+_REQUIRED = object()
+_TYPES = {float: (numbers.Real, "a number"), int: (numbers.Integral, "an integer"), bool: (bool, "a boolean")}
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _check_keys(cfg):
+    """Reject a section that is not a JSON object, and any key no subcommand reads."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"the config must be a JSON object, not {type(cfg).__name__}")
+    for section, known in _KEYS.items():
+        sec = cfg.get(section, {}) if section else cfg
+        if not isinstance(sec, dict):
+            raise ConfigError(f"section {section!r} must be a JSON object, not {sec!r}")
+        for key in sec:
+            if key not in known:
+                import difflib  # only on this error path: import fklab.cli stays lean
+
+                lower = {k.lower(): k for k in known}
+                near = difflib.get_close_matches(key.lower(), lower, n=1)
+                home = [f"in {s!r}" if s else "at the top level" for s, keys in _KEYS.items() if key in keys]
+                hint = f"; did you mean {lower[near[0]]!r}?" if near else f"; it belongs {home[0]}" if home else ""
+                raise ConfigError(f"unknown key {key!r}{f' in {section!r}' if section else ''}{hint}")
+
+
+def _section(cfg, name):
+    if name not in cfg:
+        raise ConfigError(f"config requires a {name!r} section")
+    return cfg[name]
+
+
+def _num(sec, key, default=_REQUIRED, typ=float, lo=None):
+    """``sec[key]`` as a ``typ`` (float, int or bool) of at least ``lo``;
+    ``default`` when absent, and None for null when the default is None."""
+    v = sec.get(key, default)
+    if v is _REQUIRED:
+        raise ConfigError(f"missing key {key!r}")
+    if v is None and default is None:
+        return None
+    kind, name = _TYPES[typ]
+    if not isinstance(v, kind) or (isinstance(v, bool) and typ is not bool):
+        raise ConfigError(f"{key} must be {name}, not {v!r}")
+    if lo is not None and v < lo:
+        raise ConfigError(f"{key} = {v} must be at least {lo}")
+    return typ(v)
+
+
+def _arr(sec, key, default=_REQUIRED, dtype=float):
+    """``sec[key]`` as a rectangular array of numbers (of integers when
+    ``dtype`` is int; ``dtype=None`` keeps JSON's ints and floats);
+    ``default`` when absent, and None for null when the default is None."""
+    v = sec.get(key, default)
+    if v is _REQUIRED:
+        raise ConfigError(f"missing key {key!r}")
+    if v is None and default is None:
+        return None
+    try:
+        a = np.asarray(v)
+    except ValueError:  # ragged nesting
+        a = np.empty(())
+    if a.ndim == 0 or a.dtype.kind not in ("iu" if dtype is int else "iuf"):
+        raise ConfigError(f"{key} must be an array of {'integers' if dtype is int else 'numbers'}, not {v!r}")
+    return a if dtype is None else a.astype(dtype)
+
+
+def _env_threads():
+    text = os.environ.get("FK_LAB_THREADS", "1")
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"FK_LAB_THREADS = {text!r} must be an integer") from None
 
 
 def _fanout(fn, items, threads):
@@ -71,53 +149,41 @@ def _json_default(obj):
     raise TypeError(f"not serializable: {type(obj)}")
 
 
-_RUN_META = {"sha": "", "seed": 0}  # set once per CLI run; embedded in every file
+def _json_text(payload, sha, seed):
+    payload = {"config_sha256": sha, "seed": seed, **payload}
+    return json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
 
 
-def _write_json(path, payload):
-    payload = dict(payload)
-    payload.setdefault("config_sha256", _RUN_META["sha"])
-    payload.setdefault("seed", _RUN_META["seed"])
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n")
-
-
-def _write_csv(path, array, header):
+def _csv_text(header, array, sha, seed):
     array = np.atleast_2d(np.asarray(array, dtype=float))
-    lines = [f"# config_sha256={_RUN_META['sha']} seed={_RUN_META['seed']}", header]
-    for row in array:
-        lines.append(",".join(repr(float(x)) for x in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    lines = [f"# config_sha256={sha} seed={seed}", header] + [",".join(repr(float(x)) for x in row) for row in array]
+    return "\n".join(lines) + "\n"
 
 
 def _build_model(cfg):
-    kind = cfg.get("kind")
+    mc = _section(cfg, "model")
+    kind = mc.get("kind")
     if kind == "toy":
-        factors = cfg.get("factors")
+        factors, q = _arr(mc, "factors", None), _num(mc, "q", 0.0)
         if factors is None:
             m = ToyDiagonalMap.geometric(
-                int(cfg["dim"]), base=cfg.get("base", 0.7), ratio=cfg.get("ratio", 0.8),
-                q=cfg.get("q", 0.0), cutoff_radius=cfg.get("cutoff_radius", 1.0),
+                _num(mc, "dim", typ=int, lo=1), base=_num(mc, "base", 0.7), ratio=_num(mc, "ratio", 0.8),
+                q=q, cutoff_radius=_num(mc, "cutoff_radius", 1.0),
             )
         else:
-            m = ToyDiagonalMap(np.asarray(factors, dtype=float), q=cfg.get("q", 0.0))
+            m = ToyDiagonalMap(factors, q=q)
         contraction = float(m.factors[0]) if m.q == 0 and m.factors[0] < 1 else None
     elif kind == "burgers":
-        m = BurgersMap(nu=float(cfg["nu"]), modes=int(cfg.get("modes", 64)), dt=float(cfg.get("dt", 1e-3)))
-        contraction = cfg.get("contraction_factor")  # assumed, not measured
-        if contraction is not None:
-            if isinstance(contraction, bool) or not isinstance(contraction, (int, float)):
-                raise ConfigError(f"contraction_factor must be a number, not {contraction!r}")
-            contraction = float(contraction)
+        m = BurgersMap(nu=_num(mc, "nu"), modes=_num(mc, "modes", 64, int, 1), dt=_num(mc, "dt", 1e-3))
+        contraction = _num(mc, "contraction_factor", None)  # assumed, not measured
     elif kind == "chain":
-        return rc.FiniteChainModel(
-            points=np.asarray(cfg["points"], dtype=float), P=np.asarray(cfg["P"], dtype=float)
-        )
+        return rc.FiniteChainModel(points=_arr(mc, "points"), P=_arr(mc, "P"))
     else:
         raise ConfigError(f"unknown model kind {kind!r}")
     law = rc.KickLaw.from_decay(
-        int(cfg.get("kick_dim", min(8, m.dim))), b0=cfg.get("kick_b0", 0.3), s=cfg.get("kick_s", 1.0)
+        _num(mc, "kick_dim", min(8, m.dim), int, 1), b0=_num(mc, "kick_b0", 0.3), s=_num(mc, "kick_s", 1.0)
     )
-    return rc.RDSModel(map=m, kicks=law, rho=float(cfg.get("rho", 1.0)), contraction_factor=contraction)
+    return rc.RDSModel(map=m, kicks=law, rho=_num(mc, "rho", 1.0), contraction_factor=contraction)
 
 
 def _build_map_model(cfg, command):
@@ -128,32 +194,27 @@ def _build_map_model(cfg, command):
 
 
 def _load_kernel(cfg):
-    if "kernel" not in cfg:
-        raise ConfigError("config requires a 'kernel' section")
-    kc = cfg["kernel"]
-    kernel = kl.FiniteKernel(
-        points=np.asarray(kc["points"], dtype=float),
-        P=np.asarray(kc["P"], dtype=float),
-        A=np.asarray(kc.get("A", range(len(kc["P"]))), dtype=int),
-    )
-    V = kc.get("V", cfg.get("potential", {}).get("V") if isinstance(cfg.get("potential"), dict) else None)
-    potential = kl.PotentialVector.from_values(kernel, V if V is not None else np.zeros(kernel.n))
-    return kernel, potential
+    """The ``kernel`` section: ``points``, ``P``, ``A`` (default: every
+    state) and the potential ``V`` (default: zero)."""
+    kc = _section(cfg, "kernel")
+    P = _arr(kc, "P")
+    kernel = kl.FiniteKernel(points=_arr(kc, "points"), P=P, A=_arr(kc, "A", range(len(P)), int))
+    return kernel, kl.PotentialVector.from_values(kernel, _arr(kc, "V", np.zeros(kernel.n)))
 
 
 def _build_potential(cfg, model):
-    pc = cfg.get("potential", {"kind": "zero"})
+    pc = cfg.get("potential", {})
     kind = pc.get("kind", "zero")
     if kind == "chain_values":
-        return fk.PotentialFn.from_chain(model, pc["values"])
+        return fk.PotentialFn.from_chain(model, _arr(pc, "values"))
     if kind == "zero":
         V = fk.PotentialFn.zero()
     elif kind == "coordinate":
-        index = int(pc.get("index", 0))
+        index = _num(pc, "index", 0, int)
         if not 0 <= index < model.dim:
             raise ConfigError(f"potential index = {index} must lie in 0..{model.dim - 1} (model dim)")
         V = fk.PotentialFn.coordinate(
-            index, scale=pc.get("scale", 1.0), center=pc.get("center", 0.0), clip=pc.get("clip"),
+            index, scale=_num(pc, "scale", 1.0), center=_num(pc, "center", 0.0), clip=_num(pc, "clip", None),
         )
     else:
         raise ConfigError(f"unknown potential kind {kind!r}")
@@ -162,23 +223,24 @@ def _build_potential(cfg, model):
 
 
 # --- subcommand implementations -------------------------------------------
+# Each returns (results, files): files maps a file name to its text, or to a
+# (header, rows) pair that main writes as a stamped CSV.
 
 
-def _cmd_simulate(cfg, seed, out, threads):
-    model = _build_model(cfg["model"])
-    u0 = np.asarray(cfg.get("u0", np.zeros(model.dim)), dtype=float)
-    K = int(cfg.get("K", 100))
-    stream = int(cfg.get("stream", 0))
+def _cmd_simulate(cfg, seed, threads):
+    model = _build_model(cfg)
+    u0 = _arr(cfg, "u0", np.zeros(model.dim))
+    K, stream = _num(cfg, "K", 100, int, 0), _num(cfg, "stream", 0, int, 0)
     states = rc.simulate(model, u0, K, seed=seed, stream=stream).states
     if isinstance(model, rc.FiniteChainModel):
         states = model.coords(states)
     states[0] = u0  # as given, even off a chain's points
     header = "step," + ",".join(f"x{i}" for i in range(states.shape[1]))
-    _write_csv(os.path.join(out, "trajectory.csv"), np.column_stack([np.arange(K + 1), states]), header)
-    return {"K": K, "stream": stream, "final_norm": float(np.linalg.norm(states[-1]))}
+    result = {"K": K, "stream": stream, "final_norm": float(np.linalg.norm(states[-1]))}
+    return result, {"trajectory.csv": (header, np.column_stack([np.arange(K + 1), states]))}
 
 
-def _cmd_eigen(cfg, seed, out, threads):
+def _cmd_eigen(cfg, seed, threads):
     kernel, potential = _load_kernel(cfg)
     M = kl.build_tilted_matrix(kernel, potential)
     triple = kl.perron_triple(M, kernel.A)
@@ -188,25 +250,19 @@ def _cmd_eigen(cfg, seed, out, threads):
         "h": triple.h,
         "mu": triple.mu,
         "extension_ok": triple.extension_ok,
-    }
+    }, {}
 
 
-def _cmd_pressure(cfg, seed, out, threads):
-    model = _build_model(cfg["model"])
+def _cmd_pressure(cfg, seed, threads):
+    model = _build_model(cfg)
     V = _build_potential(cfg, model)
-    u0 = np.asarray(cfg.get("u0", np.zeros(model.dim)), dtype=float)
-    k_max = int(cfg.get("k_max", 60))
-    n_traj = int(cfg.get("n_traj", 4000))
-    alphas = cfg.get("alphas")
-    if alphas:
+    u0 = _arr(cfg, "u0", np.zeros(model.dim))
+    k_max, n_traj = _num(cfg, "k_max", 60, int), _num(cfg, "n_traj", 4000, int, 1)
+    alphas = _arr(cfg, "alphas", None)
+    recenter, recenter_k = _num(cfg, "recenter", True, bool), _num(cfg, "recenter_k", 10_000, int, 0)
+    if alphas is not None and alphas.size:
         curve = fk.pressure_curve(
-            model, V, alphas, u0, k_max=k_max, n_traj=n_traj, seed=seed,
-            recenter=cfg.get("recenter", True), recenter_k=int(cfg.get("recenter_k", 10_000)),
-        )
-        _write_csv(
-            os.path.join(out, "pressure_curve.csv"),
-            np.column_stack([curve.alphas, curve.Q, curve.stderr]),
-            "alpha,Q,stderr",
+            model, V, alphas, u0, k_max=k_max, n_traj=n_traj, seed=seed, recenter=recenter, recenter_k=recenter_k,
         )
         result = {
             "alphas": curve.alphas,
@@ -221,53 +277,43 @@ def _cmd_pressure(cfg, seed, out, threads):
         print(f"sigma_V = {curve.sigma_V:.6g}")
         if not curve.accepted.all():
             print(f"fit rejected at alpha = {curve.alphas[~curve.accepted].tolist()}", file=sys.stderr)
-        return result
+        rows = np.column_stack([curve.alphas, curve.Q, curve.stderr])
+        return result, {"pressure_curve.csv": ("alpha,Q,stderr", rows)}
     fit = fk.pressure_estimate(model, V, u0, k_max=k_max, n_traj=n_traj, seed=seed)
-    _write_csv(
-        os.path.join(out, "log_mass.csv"),
-        np.column_stack([np.arange(1, k_max + 1), fit.series]),
-        "k,log_mass",
-    )
     print(f"Q = {fit.Q:.6g} +- {fit.stderr:.2g}")
-    return {"Q": fit.Q, "stderr": fit.stderr, "curvature": fit.curvature, "accepted": fit.accepted}
+    result = {"Q": fit.Q, "stderr": fit.stderr, "curvature": fit.curvature, "accepted": fit.accepted}
+    return result, {"log_mass.csv": ("k,log_mass", np.column_stack([np.arange(1, k_max + 1), fit.series]))}
 
 
-def _cmd_met_check(cfg, seed, out, threads):
+def _cmd_met_check(cfg, seed, threads):
     kernel, potential = _load_kernel(cfg)
+    k_max = _num(cfg, "k_max", 80, int, 1)
     M = kl.build_tilted_matrix(kernel, potential)
     triple = kl.perron_triple(M, kernel.A)
-    k_max = int(cfg.get("k_max", 80))
     rng = np.random.default_rng(seed)
     f = rng.uniform(-1, 1, kernel.n)
     C, gamma, residuals = kl.met_residuals(kernel, potential, triple, f, k_max=k_max)
     rate, info = kl.met_rate_estimate(kernel, potential, triple, seed=seed)
-    _write_csv(
-        os.path.join(out, "residuals.csv"),
-        np.column_stack([np.arange(1, k_max + 1), residuals]),
-        "k,residual",
-    )
     return {
         "lambda": triple.lam,
         "C": C,
         "gamma_window_fit": gamma,
         "gamma_rate_estimate": rate,
         "rate_info": {k: v for k, v in info.items()},
-    }
+    }, {"residuals.csv": ("k,residual", np.column_stack([np.arange(1, k_max + 1), residuals]))}
 
 
-def _cmd_coupling_check(cfg, seed, out, threads):
-    model = _build_map_model(cfg["model"], "coupling-check")
+def _cmd_coupling_check(cfg, seed, threads):
+    model = _build_map_model(cfg, "coupling-check")
     kick_dim = model.kicks.dim
-    N = int(cfg.get("N", kick_dim // 2))
-    n_samples = int(cfg.get("n_samples", 100_000))
-    delta = float(cfg.get("delta", 0.1))
-    j = int(cfg.get("coordinate", 0))
+    N = _num(cfg, "N", kick_dim // 2, int)
+    n_samples = _num(cfg, "n_samples", 100_000, int, 1)
+    delta = _num(cfg, "delta", 0.1)
+    j = _num(cfg, "coordinate", 0, int)
     if not 0 <= N <= kick_dim:
         raise ConfigError(f"N = {N} must lie in 0..kick_dim = {kick_dim}")
     if not 0 <= j < kick_dim:
         raise ConfigError(f"coordinate {j} must lie in 0..{kick_dim - 1} (kick_dim = {kick_dim})")
-    if n_samples < 1:
-        raise ConfigError(f"n_samples = {n_samples} must be at least 1")
     b = float(model.kicks.b[j])
     rng = rc.rng_stream(seed, 0)
     x1, x2, coupled = coupling_lab._coupled_coordinates(
@@ -290,98 +336,77 @@ def _cmd_coupling_check(cfg, seed, out, threads):
         "z_score": (p_emp - p_oracle) / sigma if sigma > 0 else 0.0,
         "ks_pvalues": [float(ks1.pvalue), float(ks2.pvalue)],
         "decoupling_constant": coupling_lab.decoupling_constant(model.kicks, N),
-    }
+    }, {}
 
 
-def _cmd_conditions(cfg, seed, out, threads):
-    result = {}
+def _cmd_conditions(cfg, seed, threads):
+    if "kernel" not in cfg and "model" not in cfg:
+        raise ConfigError("conditions requires a 'kernel' or 'model' section")
+    result, files = {}, {}
     if "kernel" in cfg:
         kernel, potential = _load_kernel(cfg)
-        params = kl.VerifyParams(**cfg.get("params", {}))
-        rep = kl.verify_theorem21(kernel, potential, params)
-        _atomic_write(os.path.join(out, "condition_report.json"), rep.to_json() + "\n")
-        result["kernel_conditions"] = json.loads(rep.to_json())
+        pc = cfg.get("params", {})
+        params = kl.VerifyParams(**{
+            f.name: _num(pc, f.name, f.default, type(f.default), 1 if f.name == "k_max" else None)
+            for f in fields(kl.VerifyParams)
+        })
     if "model" in cfg:
-        model = _build_map_model(cfg["model"], "conditions")
-        plan_cfg = cfg.get("plan", {})
+        model = _build_map_model(cfg, "conditions")
+        pc = cfg.get("plan", {})
         plan = rc.SamplePlan(
-            radii=tuple(plan_cfg.get("radii", (model.rho, 2 * model.rho))),
-            r=plan_cfg.get("r", 0.5),
-            n_samples=int(plan_cfg.get("n_samples", 100)),
-            n_iter=int(plan_cfg.get("n_iter", 8)),
-            projection_dims=tuple(plan_cfg.get("projection_dims", (1, 2, 4))),
-            n_pairs=int(plan_cfg.get("n_pairs", 200)),
-            d_prime=l1_circle_metric(model.map) if cfg["model"].get("kind") == "burgers" else None,
+            radii=tuple(_arr(pc, "radii", (model.rho, 2 * model.rho), None).tolist()),
+            r=_num(pc, "r", 0.5),
+            n_samples=_num(pc, "n_samples", 100, int, 1),
+            n_iter=_num(pc, "n_iter", 8, int, 1),
+            projection_dims=tuple(_arr(pc, "projection_dims", (1, 2, 4), int).tolist()),
+            n_pairs=_num(pc, "n_pairs", 200, int, 1),
+            d_prime=l1_circle_metric(model.map) if isinstance(model.map, BurgersMap) else None,
             seed=seed,
         )
-        rep = rc.verify_map_conditions(model, plan)
-        result["map_conditions"] = rep
-    if not result:
-        raise ConfigError("conditions requires a 'kernel' or 'model' section")
-    return result
+    if "kernel" in cfg:
+        rep = kl.verify_theorem21(kernel, potential, params)
+        files["condition_report.json"] = rep.to_json() + "\n"
+        result["kernel_conditions"] = json.loads(rep.to_json())
+    if "model" in cfg:
+        result["map_conditions"] = rc.verify_map_conditions(model, plan)
+    return result, files
 
 
-def _cmd_ldp(cfg, seed, out, threads):
+def _cmd_ldp(cfg, seed, threads):
     kernel, _ = _load_kernel(cfg)
+    f_values, x_grid = _arr(cfg, "f"), _arr(cfg, "x_grid")
+    k_set = _arr(cfg, "k_set", [50, 100, 200], int).tolist()
+    n_traj = _num(cfg, "n_traj", 100_000, int, 1)
+    alphas = _arr(cfg, "alphas", np.linspace(-4, 4, 33))
+    u0 = _arr(cfg, "u0", kernel.points[0])
     chain = rc.FiniteChainModel.from_kernel(kernel)
-    f_values = np.asarray(cfg["f"], dtype=float)
     f = fk.PotentialFn.from_chain(chain, f_values)
-    alphas = cfg.get("alphas", list(np.linspace(-4, 4, 33)))
 
     def pressure(alpha):
         """Exact Perron pressure Q(alpha f), at any alpha on or off the grid."""
         V = kl.PotentialVector.from_values(kernel, alpha * f_values)
         return float(np.log(kl.perron_triple(kl.build_tilted_matrix(kernel, V), kernel.A).lam))
 
-    rep = apps.ldp_level1(
-        chain,
-        f,
-        cfg["x_grid"],
-        cfg.get("k_set", [50, 100, 200]),
-        int(cfg.get("n_traj", 100_000)),
-        pressure,
-        alphas,
-        u0=np.asarray(cfg.get("u0", kernel.points[0]), dtype=float),
-        seed=seed,
-    )
-    cells = {
-        f"x={x:.6g},k={k}": v for (x, k), v in rep.cells.items()
-    }
+    rep = apps.ldp_level1(chain, f, x_grid, k_set, n_traj, pressure, alphas, u0=u0, seed=seed)
     return {
         "x_grid": rep.x_grid,
         "legendre": rep.legendre,
-        "cells": cells,
+        "cells": {f"x={x:.6g},k={k}": v for (x, k), v in rep.cells.items()},
         "slope_rates": {f"{x:.6g}": r for x, r in rep.slope_rates.items()},
         "mean_f": rep.mean_f,
-    }
+    }, {}
 
 
-def _cmd_attract(cfg, seed, out, threads):
-    model = _build_map_model(cfg["model"], "attract")
-    eps = float(cfg.get("eps", 0.1))
-    n_traj = int(cfg.get("n_traj", 2000))
-    horizon = int(cfg.get("horizon", 400))
-    cloud = rc.attainability_cloud(
-        model,
-        np.zeros((1, model.dim)),
-        int(cfg.get("cloud_k", 40)),
-        seed=seed,
-        max_points=int(cfg.get("cloud_points", 4000)),
-    )
-    _write_csv(
-        os.path.join(out, "attractor_cloud.csv"),
-        cloud,
-        ",".join(f"x{i}" for i in range(model.dim)),
-    )
-    u0s = np.asarray(cfg.get("u0s", [list(np.full(model.dim, model.rho))]), dtype=float)
+def _cmd_attract(cfg, seed, threads):
+    model = _build_map_model(cfg, "attract")
+    eps, hit_eps = _num(cfg, "eps", 0.1), _num(cfg, "hit_eps", model.rho / 2)
+    n_traj, horizon = _num(cfg, "n_traj", 2000, int, 1), _num(cfg, "horizon", 400, int, 1)
+    cloud_k, cloud_points = _num(cfg, "cloud_k", 40, int, 0), _num(cfg, "cloud_points", 4000, int, 1)
+    u0s = _arr(cfg, "u0s", [list(np.full(model.dim, model.rho))])
+    cloud = rc.attainability_cloud(model, np.zeros((1, model.dim)), cloud_k, seed=seed, max_points=cloud_points)
     jobs = [
-        lambda: rc.attraction_counter(
-            model, cloud, eps, u0s, n_traj=n_traj, horizon=horizon, seed=seed
-        ),
-        lambda: rc.hitting_time_stats(
-            model, u0s, float(cfg.get("hit_eps", model.rho / 2)), n_traj=n_traj,
-            horizon=horizon, seed=seed + 1,
-        ),
+        lambda: rc.attraction_counter(model, cloud, eps, u0s, n_traj=n_traj, horizon=horizon, seed=seed),
+        lambda: rc.hitting_time_stats(model, u0s, hit_eps, n_traj=n_traj, horizon=horizon, seed=seed + 1),
     ]
     att, hit = _fanout(lambda f: f(), jobs, threads)
     return {
@@ -400,20 +425,22 @@ def _cmd_attract(cfg, seed, out, threads):
             "censored_fraction": hit.censored_fraction,
             "max_tau": int(max(t.max() for t in hit.taus.values())),
         },
-    }
+    }, {"attractor_cloud.csv": (",".join(f"x{i}" for i in range(model.dim)), cloud)}
 
 
-def _cmd_slln(cfg, seed, out, threads):
-    model = _build_model(cfg["model"])
+def _cmd_slln(cfg, seed, threads):
+    model = _build_model(cfg)
     V = _build_potential(cfg, model)
-    n_traj = int(cfg.get("n_traj", 2000))
-    K = int(cfg.get("K", 1000))
-    U = rc.initial_ensemble(model, cfg.get("u0", np.zeros(model.dim)), n_traj)
+    u0 = _arr(cfg, "u0", np.zeros(model.dim))
+    n_traj, K = _num(cfg, "n_traj", 2000, int, 1), _num(cfg, "K", 1000, int, 1)
+    mu_f, eps, C = _num(cfg, "mu_f", None), _num(cfg, "eps", 0.1), _num(cfg, "C", 1.0)
+    U = rc.initial_ensemble(model, u0, n_traj)
     vals = np.empty((n_traj, K))
     for k, U, _ in rc.propagate(model, U, rc.rng_stream(seed, 0), K):
         vals[:, k - 1] = V(U)
-    mu_f = float(cfg.get("mu_f", vals[:, K // 2 :].mean()))
-    rep = apps.slln_time(vals, mu_f, eps=float(cfg.get("eps", 0.1)), C=float(cfg.get("C", 1.0)))
+    if mu_f is None:
+        mu_f = float(vals[:, K // 2 :].mean())
+    rep = apps.slln_time(vals, mu_f, eps=eps, C=C)
     return {
         "censored_fraction": rep.censored_fraction,
         "exp_r2": rep.exp_r2,
@@ -422,7 +449,7 @@ def _cmd_slln(cfg, seed, out, threads):
         "verdict": rep.verdict,
         "T_mean": float(rep.T.mean()),
         "T_max": int(rep.T.max()),
-    }
+    }, {}
 
 
 _HANDLERS = {
@@ -440,50 +467,47 @@ _HANDLERS = {
 
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="fklab", description=__doc__)
-    parser.add_argument("command", choices=SUBCOMMANDS)
+    parser.add_argument("command", choices=_HANDLERS)
     parser.add_argument("--config", required=True, help="path to the run config JSON")
     parser.add_argument("--seed", type=int, default=None, help="overrides the config seed")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument(
         "--threads",
         type=int,
-        default=int(os.environ.get("FK_LAB_THREADS", "1")),
-        help="independent-job parallelism (results are thread-count invariant)",
+        default=None,
+        help="independent-job parallelism (results are thread-count invariant); default FK_LAB_THREADS, else 1",
     )
     args = parser.parse_args(argv)
 
     try:
+        threads = args.threads if args.threads is not None else _env_threads()
         with open(args.config) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot load config: {exc}", file=sys.stderr)
-        return 2
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    os.makedirs(args.out, exist_ok=True)
-    canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    _RUN_META["sha"] = hashlib.sha256(canonical.encode()).hexdigest()
-    _RUN_META["seed"] = seed
-
-    try:
-        result = _HANDLERS[args.command](cfg, seed, args.out, max(args.threads, 1))
-    except (ConfigError, KeyError, ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc!r}", file=sys.stderr)
-        return 2
-    except (kl.PowerIterationError, fk.EnsembleCollapse, FloatingPointError, RuntimeError) as exc:
+        _check_keys(cfg)
+        seed = args.seed if args.seed is not None else _num(cfg, "seed", 0, int)
+        sha = hashlib.sha256(json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+        os.makedirs(args.out, exist_ok=True)
+        result, files = _HANDLERS[args.command](cfg, seed, max(threads, 1))
+        for name, body in files.items():
+            text = body if isinstance(body, str) else _csv_text(*body, sha, seed)
+            _atomic_write(os.path.join(args.out, name), text)
+        manifest = {
+            "command": args.command,
+            "config": cfg,
+            "versions": {
+                "fklab": __version__,
+                "numpy": np.__version__,
+                "python": ".".join(map(str, sys.version_info[:3])),
+            },
+        }
+        _atomic_write(os.path.join(args.out, "results.json"), _json_text(result, sha, seed))
+        _atomic_write(os.path.join(args.out, "manifest.json"), _json_text(manifest, sha, seed))
+    except (np.linalg.LinAlgError, ArithmeticError, RuntimeError) as exc:
         print(f"numerical failure: {exc!r}", file=sys.stderr)
         return 3
-
-    manifest = {
-        "command": args.command,
-        "config": cfg,
-        "versions": {
-            "fklab": __version__,
-            "numpy": np.__version__,
-            "python": ".".join(map(str, sys.version_info[:3])),
-        },
-    }
-    _write_json(os.path.join(args.out, "results.json"), result)
-    _write_json(os.path.join(args.out, "manifest.json"), manifest)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc!r}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -174,8 +174,8 @@ class ToyDiagonalMap:
     def __post_init__(self):
         g = np.asarray(self.factors, dtype=float)
         object.__setattr__(self, "factors", g)
-        if np.any(g <= 0):
-            raise ValueError("factors must be positive")
+        if g.ndim != 1 or g.size == 0 or np.any(g <= 0):
+            raise ValueError("factors must be a nonempty vector of positive numbers")
         if np.any(np.diff(g) > 1e-12):
             raise ValueError("factors must be nonincreasing")
 

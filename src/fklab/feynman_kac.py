@@ -57,7 +57,7 @@ class PotentialFn:
     def __call__(self, U):
         out = np.asarray(self.fn(np.atleast_2d(U)), dtype=float)
         if np.any(np.isnan(out)):
-            raise ValueError("potential produced NaN")
+            raise FloatingPointError("potential produced NaN")
         return out
 
     def shifted(self, c):
@@ -106,19 +106,6 @@ class PotentialFn:
 
         osc = 2 * clip * abs(scale) if clip is not None else np.inf
         return cls(fn=fn, lip=abs(scale), osc=osc, tag=f"coord{i}")
-
-    @classmethod
-    def wall(cls, cloud, delta, eps):
-        """Vanishes on the attractor cloud, equals delta outside its
-        eps-neighborhood: V(u) = delta min(1, dist(u, cloud)/eps)."""
-        from scipy.spatial import cKDTree
-
-        tree = cKDTree(np.atleast_2d(np.asarray(cloud, dtype=float)))
-
-        def fn(U):
-            return delta * np.minimum(1.0, tree.query(U)[0] / eps)
-
-        return cls(fn=fn, lip=delta / eps, osc=delta, tag="vanishes-on-attractor")
 
 
 def xi_weight(trajectory, V, k, f):
@@ -225,6 +212,8 @@ def particle_fk(model, V, init, k, n_particles=1000, ess_threshold=0.5, seed=0):
     series = np.empty(k)
     collapses = 0
     for step, X, logw in propagate(model, X, rng, k, V):
+        if not np.isfinite(logw.max()):  # the weights would be NaN in _ess and rng.choice
+            raise FloatingPointError(f"non-finite log-weights at step {step}")
         ens.logweights = logw
         ens.k = step
         ens.ess = _ess(logw)
@@ -413,12 +402,11 @@ def met_convergence_mc(model, V, lam, h_at, mu_cloud, f_list, u0s, k_max, n_traj
     # early steps mix transient modes and would bias the rate)
     ks_all, logs_all = [], []
     for key, res_k in residuals.items():
-        kk = np.arange(1, k_max + 1)
-        resolvable = (res_k > 3 * stderrs[key]) & (kk > k_max // 2)
-        ks = kk[resolvable]
-        if ks.size >= 3:
-            ks_all.append(ks)
-            logs_all.append(np.log(res_k[resolvable]))
+        kk, late = fits.late_half(res_k)
+        resolvable = late > 3 * fits.late_half(stderrs[key])[1]
+        if resolvable.sum() >= 3:
+            ks_all.append(kk[resolvable])
+            logs_all.append(np.log(late[resolvable]))
     if not ks_all:
         return MetConvergenceReport(residuals, stderrs, None, "inconclusive")
     ks = np.concatenate(ks_all)

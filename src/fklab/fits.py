@@ -2,14 +2,15 @@
 
 ``drift`` reads the growth rate of a random-walk-like cumulative series (a
 log-mass); ``line`` is the least-squares line through a log-tail or a log
-residual sequence.  Callers choose the window and the x values.
+residual sequence; ``late_half`` is the window every residual rate fit
+reads.  Callers choose the x values.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["drift", "line"]
+__all__ = ["drift", "late_half", "line"]
 
 
 def drift(series, tail=0.5, n_blocks=8):
@@ -35,6 +36,15 @@ def drift(series, tail=0.5, n_blocks=8):
     else:
         stderr = float(inc.std(ddof=1) / np.sqrt(inc.size))
     return slope, stderr
+
+
+def late_half(seq):
+    """The late half ``k >= (k_max + 1) // 2`` of a sequence indexed
+    ``k = 1..k_max``: the window every residual rate fit reads, as
+    ``(ks, values)``."""
+    ks = np.arange(1, len(seq) + 1)
+    keep = ks >= (len(seq) + 1) // 2
+    return ks[keep], np.asarray(seq, dtype=float)[keep]
 
 
 def line(x, y):

@@ -36,8 +36,6 @@ __all__ = [
     "normalized_semigroup_apply",
     "kantorovich_contraction_factor",
     "contraction_search",
-    "kernel_to_json",
-    "kernel_from_json",
 ]
 
 
@@ -272,7 +270,7 @@ def met_residuals(kernel, potential, triple, f, k_max=200, floor=1e-13):
     for k in range(k_max):
         v = M @ v / triple.lam
         residuals[k] = np.abs(v - target).max()
-    ks, tail = _late_half(residuals)
+    ks, tail = fits.late_half(residuals)
     keep = (tail >= floor) & np.isfinite(tail)
     if keep.sum() < 2:
         return np.inf, np.inf, residuals
@@ -280,15 +278,6 @@ def met_residuals(kernel, potential, triple, f, k_max=200, floor=1e-13):
     # envelope constant: r_k <= C exp(-gamma k) holds on the whole window
     C = float(np.exp(np.max(np.log(tail[keep]) + gamma * ks[keep])))
     return C, gamma, residuals
-
-
-def _late_half(seq):
-    """The late half ``k >= (k_max + 1) // 2`` of a sequence indexed
-    ``k = 1..k_max``: the window every exact rate fit reads, as
-    ``(ks, values)``."""
-    ks = np.arange(1, len(seq) + 1)
-    keep = ks >= (len(seq) + 1) // 2
-    return ks[keep], np.asarray(seq, dtype=float)[keep]
 
 
 def _deflated_log_residuals(M, lam, h, mu, F, k_max):
@@ -334,14 +323,14 @@ def met_rate_estimate(kernel, potential, triple, n_f=8, seed=0, efolds=44.0, k_c
     finite = np.isfinite(pilot)
     if finite.sum() < 4:
         return np.inf, {"mode": "collapsed"}
-    g0 = max(-fits.line(*_late_half(pilot[finite]))[0], 1e-3)
+    g0 = max(-fits.line(*fits.late_half(pilot[finite]))[0], 1e-3)
     k_max = int(np.clip(efolds / g0, 32, 2000))
     F = rng.uniform(-1, 1, (n, n_f))
     while True:
         logs = _deflated_log_residuals(M, lam, h, mu, F, k_max)
         if not np.all(np.isfinite(logs)):
             return np.inf, {"mode": "collapsed"}
-        ks, lr = _late_half(logs)
+        ks, lr = fits.late_half(logs)
         gamma = -fits.line(ks, lr)[0]
         # the local slopes' spread, relative to the fitted one
         drift = float(np.std(np.diff(lr)) / max(abs(gamma), 1e-300))
@@ -614,29 +603,3 @@ def contraction_search(M, triple, points, feller_C=None, m_max=64):
                 return theta, m, factor
         m *= 2
     raise RuntimeError(f"no contraction found with m <= {m_max}")
-
-
-def kernel_to_json(kernel, potential=None):
-    """Serialize kernel (and optional potential) to the interchange schema."""
-    payload = {
-        "points": kernel.points.tolist(),
-        "P": kernel.P.tolist(),
-        "A": kernel.A.tolist(),
-    }
-    if potential is not None:
-        payload["V"] = potential.V.tolist()
-    return json.dumps(payload, sort_keys=True)
-
-
-def kernel_from_json(text):
-    """Inverse of :func:`kernel_to_json`; returns (kernel, potential|None)."""
-    payload = json.loads(text)
-    kernel = FiniteKernel(
-        points=np.asarray(payload["points"], dtype=float),
-        P=np.asarray(payload["P"], dtype=float),
-        A=np.asarray(payload["A"], dtype=int),
-    )
-    potential = None
-    if payload.get("V") is not None:
-        potential = PotentialVector.from_values(kernel, payload["V"])
-    return kernel, potential

@@ -1,11 +1,16 @@
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fklab.cli import main
 
@@ -483,3 +488,142 @@ def test_conditions_on_chain_model_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"model": CHAIN_MODEL, "seed": 1})
     assert run_cli(["conditions", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "conditions needs a continuous map" in capsys.readouterr().err
+
+
+def test_kernel_json_roundtrip(rng):
+    # P, A (default: every state) and V survive the one kernel parser
+    from conftest import random_kernel_potential
+
+    from fklab.cli import _load_kernel
+
+    K, V = random_kernel_potential(rng, 6, strict_subset=True)
+    section = {"points": K.points.tolist(), "P": K.P.tolist(), "A": K.A.tolist(), "V": V.V.tolist()}
+    K2, V2 = _load_kernel(json.loads(json.dumps({"kernel": section})))
+    assert np.array_equal(K2.points, K.points) and np.array_equal(K2.P, K.P)
+    assert np.array_equal(K2.A, K.A)
+    assert np.array_equal(V2.V, V.V)
+    assert V2.osc == pytest.approx(V.osc)
+    K3, V3 = _load_kernel({"kernel": {k: section[k] for k in ("points", "P")}})
+    assert np.array_equal(K3.A, np.arange(6))
+    assert np.array_equal(V3.V, np.zeros(6))
+
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+DROP = object()
+
+
+def shipped(name, **changes):
+    """A shipped config with ``changes`` applied: ``"model.kick_b": 0.3``
+    style paths (dots written as ``__``), ``DROP`` deletes a key."""
+    cfg = json.loads((CONFIGS / name).read_text())
+    for path, value in changes.items():
+        *head, key = path.split("__")
+        sec = cfg
+        for part in head:
+            sec = sec.setdefault(part, {})
+        if value is DROP:
+            del sec[key]
+        else:
+            sec[key] = value
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "command, cfg, code, message",
+    [
+        ("simulate", shipped("simulate_toy.json", KK=5), 2, "unknown key 'KK'; did you mean 'K'?"),
+        ("simulate", shipped("simulate_toy.json", model__kick_b=0.3), 2,
+         "unknown key 'kick_b' in 'model'; did you mean 'kick_b0'?"),
+        ("eigen", shipped("eigen_2state.json", kernel__V=DROP, kernel__v=[0.0, 0.7]), 2,
+         "unknown key 'v' in 'kernel'; did you mean 'V'?"),
+        ("eigen", shipped("eigen_2state.json", kernel__V=DROP, potential__V=[0.0, 0.7]), 2,
+         "unknown key 'V' in 'potential'; it belongs in 'kernel'"),
+        ("simulate", shipped("simulate_toy.json", K=[1]), 2, "K must be an integer, not [1]"),
+        ("simulate", shipped("simulate_toy.json", model=5), 2, "section 'model' must be a JSON object"),
+        ("eigen", shipped("eigen_2state.json", kernel=[1, 2]), 2, "section 'kernel' must be a JSON object"),
+        ("conditions", shipped("eigen_2state.json", params__kmax=10), 2,
+         "unknown key 'kmax' in 'params'; did you mean 'k_max'?"),
+        ("conditions", {"model": TOY_MODEL, "plan": {"radii": 5}}, 2, "radii must be an array of numbers"),
+        ("simulate", shipped("simulate_toy.json", K=-3), 2, "K = -3 must be at least 0"),
+        ("simulate", shipped("simulate_toy.json", model__factors=[], u0=[]), 2,
+         "factors must be a nonempty vector"),
+        ("pressure", shipped("pressure_curve_toy.json", potential__scale=1e308, potential__clip=DROP), 3,
+         "potential produced NaN"),
+    ],
+    ids=["misspelt-K", "misspelt-kick_b0", "lowercase-V", "V-under-potential", "K-list", "model-number",
+         "kernel-list", "params-kmax", "radii-number", "K-negative", "no-factors", "scale-1e308"],
+)
+def test_bad_config_exits_by_cause_and_names_the_key(tmp_path, capsys, command, cfg, code, message):
+    out = tmp_path / "out"
+    with np.errstate(over="ignore"):
+        assert run_cli([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())  # no file from a failed run
+
+
+def test_non_integer_thread_variable_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("FK_LAB_THREADS", "abc")
+    cfg = write_cfg(tmp_path, shipped("eigen_2state.json"))
+    assert run_cli(["eigen", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "FK_LAB_THREADS = 'abc' must be an integer" in capsys.readouterr().err
+    monkeypatch.setenv("FK_LAB_THREADS", "2")
+    assert run_cli(["eigen", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+SHIPPED_RUNS = [
+    ("eigen", "eigen_2state.json"),
+    ("pressure", "pressure_curve_toy.json"),
+    ("pressure", "pressure_toy_v0.json"),
+    ("simulate", "simulate_toy.json"),
+]
+
+
+@st.composite
+def mutated_runs(draw):
+    """A shipped run with one key dropped, renamed, re-typed or set below
+    any bound it has; the key is at the top level or one section down."""
+    command, name = draw(st.sampled_from(SHIPPED_RUNS))
+    cfg = shipped(name)
+    paths = [(k,) for k in cfg] + [(k, sub) for k, v in cfg.items() if isinstance(v, dict) for sub in v]
+    *head, key = draw(st.sampled_from(paths))
+    sec = cfg[head[0]] if head else cfg
+    how = draw(st.sampled_from(["drop", "rename", "retype", "below"]))
+    if how == "drop":
+        del sec[key]
+    elif how == "rename":
+        sec[draw(st.sampled_from([key + "x", key.swapcase(), key[:-1]]))] = sec.pop(key)
+    elif how == "retype":
+        sec[key] = draw(st.sampled_from(["x", None, True, 7, 2.5, [1.5], [[1, 2], [3]], {"a": 1}]))
+    else:
+        sec[key] = draw(st.sampled_from([0, -1, -3.5, -10**9]))
+    return command, cfg
+
+
+@settings(max_examples=40, deadline=None)
+@given(run=mutated_runs())
+def test_mutated_shipped_configs_exit_0_2_or_3(run):
+    # a bad config is a 2, a numerical failure a 3; never a traceback (1)
+    command, cfg = run
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        with np.errstate(all="ignore"):
+            assert run_cli([command, "--config", path, "--out", os.path.join(tmp, "out")]) in (0, 2, 3)
+
+
+def test_readme_config_sketch_keys_are_known():
+    # every key the README shows is one the config reader accepts
+    import re
+
+    from fklab.cli import _KEYS
+
+    readme = (CONFIGS.parent / "README.md").read_text()
+    sketch = re.search(r"### Config sketch\n\n```jsonc\n(.*?)```", readme, re.S).group(1)
+    cfg = json.loads(re.sub(r"//[^\n]*", "", sketch))
+    for key, value in cfg.items():
+        assert key in _KEYS[""]
+        if isinstance(value, dict):
+            assert set(value) <= _KEYS[key]
+    kernel = re.search(r"`kernel` section\n`(\{.*?\})`", readme, re.S).group(1)
+    assert set(re.findall(r'"(\w+)":', kernel)) == _KEYS["kernel"]

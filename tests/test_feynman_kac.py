@@ -278,3 +278,34 @@ def test_met_convergence_eigenfunction_inconclusive(chain_setup):
     )
     # residuals for the exact eigenfunction sit at the noise floor
     assert rep.verdict == "inconclusive" or rep.residuals[(0, 0)].max() < 0.02
+
+
+def test_met_convergence_mc_fits_the_late_half(monkeypatch):
+    # the Monte Carlo rate reads the window k >= (k_max + 1) // 2 of fits.late_half,
+    # the one the exact MET fits read; at k_max = 12 that window starts at k = 6
+    from fklab import fits
+
+    rng = np.random.default_rng(5)
+    K, V = slow_mixing_chain(rng)
+    triple = kl.perron_triple(kl.build_tilted_matrix(K, V), K.A)
+    chain = rc.FiniteChainModel.from_kernel(K)
+    Vfn = fk.PotentialFn.from_chain(chain, V.V)
+    res = fk.particle_fk(chain, Vfn, K.points[1], k=60, n_particles=5000, seed=13)
+    line, seen = fits.line, []
+    monkeypatch.setattr(fits, "line", lambda x, y: seen.append(np.asarray(x)) or line(x, y))
+    fk.met_convergence_mc(
+        chain, Vfn, triple.lam, [triple.h[0]], res.mu_cloud, [lambda X: chain.coords(X)[:, 0]], K.points[[0]],
+        k_max=12, n_traj=20_000, seed=14,
+    )
+    (ks,) = seen
+    assert ks.min() == 6 and ks.max() == 12
+
+
+def test_non_finite_potential_values_are_numerical_failures(toy_model):
+    nan = fk.PotentialFn(fn=lambda U: np.full(U.shape[0], np.nan), lip=0.0, osc=0.0)
+    with pytest.raises(FloatingPointError, match="potential produced NaN"):
+        nan(np.zeros((3, 6)))
+    # 1e308 per step overflows the log-weights at step 2, before any resampling draw
+    huge = fk.PotentialFn(fn=lambda U: np.full(U.shape[0], 1e308), lip=0.0, osc=0.0)
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="non-finite log-weights at step 2"):
+        fk.particle_fk(toy_model, huge, np.zeros(6), k=10, n_particles=100, seed=1)

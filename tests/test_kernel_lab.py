@@ -396,13 +396,3 @@ def test_contraction_theta_threshold(rng):
     t = kl.perron_triple(M, K.A)
     with pytest.raises(ValueError):
         kl.kantorovich_contraction_factor(M, t, K.points, 0.5 / K.diam, 1)
-
-
-def test_kernel_json_roundtrip(rng):
-    K, V = random_kernel_potential(rng, 6, strict_subset=True)
-    text = kl.kernel_to_json(K, V)
-    K2, V2 = kl.kernel_from_json(text)
-    assert np.array_equal(K2.P, K.P)
-    assert np.array_equal(K2.A, K.A)
-    assert np.allclose(V2.V, V.V)
-    assert V2.osc == pytest.approx(V.osc)
