@@ -26,7 +26,6 @@ __all__ = [
     "EigenTriple",
     "ConditionReport",
     "VerifyParams",
-    "PowerIterationError",
     "build_tilted_matrix",
     "perron_triple",
     "cesaro_average",
@@ -37,14 +36,6 @@ __all__ = [
     "kantorovich_contraction_factor",
     "contraction_search",
 ]
-
-
-class PowerIterationError(RuntimeError):
-    """Power iteration failed to converge; carries the last residual."""
-
-    def __init__(self, message, residual):
-        super().__init__(message)
-        self.residual = residual
 
 
 @dataclass(frozen=True)
@@ -98,11 +89,9 @@ class FiniteKernel:
 
 @dataclass(frozen=True)
 class PotentialVector:
-    """Potential values on the states with recorded Lipschitz/oscillation."""
+    """Potential values on the states."""
 
     V: np.ndarray
-    lip: float
-    osc: float
 
     @classmethod
     def from_values(cls, kernel: FiniteKernel, values) -> "PotentialVector":
@@ -111,7 +100,7 @@ class PotentialVector:
             raise ValueError(f"potential must have length {kernel.n}")
         if not np.all(np.isfinite(V)):
             raise ValueError("potential must be finite")
-        return cls(V=V, lip=lipschitz_constant(V, kernel.dists), osc=float(V.max() - V.min()))
+        return cls(V=V)
 
 
 @dataclass(frozen=True)
@@ -138,60 +127,31 @@ def build_tilted_matrix(kernel: FiniteKernel, potential: PotentialVector) -> np.
     return kernel.P * np.exp(V)[None, :]
 
 
-def _power_pair(M, tol, max_iters):
-    """Dominant (lam, right, left) of a nonnegative matrix by power iteration.
+def _perron_pair(MA):
+    """Perron (lam, right, left) of an irreducible nonnegative block.
 
-    A diagonal shift keeps the iteration convergent for irreducible but
-    periodic matrices (the shift leaves the eigenvectors untouched).
+    The block must be irreducible (every state reaches every other through
+    positive entries); then its spectral radius is a simple eigenvalue, the
+    one with the largest real part, with positive vectors.  A reducible block
+    has no unique triple and is rejected as a failed precondition.
     """
-    n = M.shape[0]
-    if not np.any(M > 0):
-        raise ValueError("zero matrix has no Perron triple")
-    shift = 0.1 * float(np.abs(M).sum(axis=1).max())
-    Ms = M + shift * np.eye(n)
-    x = np.full(n, 1.0 / np.sqrt(n))
-    y = np.full(n, 1.0 / np.sqrt(n))
-    lam = 0.0
-    hit_tol = False
-    best = np.inf
-    stale = 0
-    for _ in range(max_iters):
-        x_new = Ms @ x
-        y_new = Ms.T @ y
-        nx = np.linalg.norm(x_new)
-        ny = np.linalg.norm(y_new)
-        if nx == 0 or ny == 0:
-            raise PowerIterationError("iterate collapsed to zero", np.inf)
-        x_new /= nx
-        y_new /= ny
-        lam = float(x_new @ (Ms @ x_new))
-        res = max(
-            np.linalg.norm(Ms @ x_new - lam * x_new),
-            np.linalg.norm(Ms.T @ y_new - lam * y_new),
-        )
-        x, y = x_new, y_new
-        if res <= tol * max(lam, 1e-300):
-            # keep polishing until the residual plateaus at the floating
-            # point floor; downstream residual fits depend on it
-            hit_tol = True
-            if res < 0.9 * best:
-                best, stale = res, 0
-            else:
-                stale += 1
-                if stale >= 4:
-                    return lam - shift, np.abs(x), np.abs(y)
-    if hit_tol:
-        return lam - shift, np.abs(x), np.abs(y)
-    raise PowerIterationError(
-        f"power iteration did not reach tol={tol} in {max_iters} iterations",
-        res,
-    )
+    reach = MA > 0
+    for _ in range(MA.shape[0].bit_length()):  # paths of length 1 .. 2^k
+        reach = reach | (reach @ reach)
+    if not reach.all():
+        i, j = np.argwhere(~reach)[0]
+        raise ValueError(f"reducible A-block: A[{i}] does not reach A[{j}] through positive entries of M_A")
+    w, R = np.linalg.eig(MA)
+    wl, L = np.linalg.eig(MA.T)
+    right, left = np.argmax(w.real), np.argmax(wl.real)
+    return float(w[right].real), np.abs(R[:, right].real), np.abs(L[:, left].real)
 
 
-def perron_triple(M, A, tol=1e-12, max_iters=100_000) -> EigenTriple:
+def perron_triple(M, A) -> EigenTriple:
     """Eigen-triple of the tilted matrix with invariant subset ``A``.
 
-    The Perron problem is solved on the A-block by power iteration; ``mu``
+    The Perron problem is solved on the A-block, which must be irreducible
+    (a reducible one raises ``ValueError``), by a dense eigensolver; ``mu``
     puts no mass outside ``A`` (the A-rows carry no outgoing mass, so the
     zero-padded left vector is exact).  The right vector extends to the
     complement through the resolvent solve
@@ -203,7 +163,7 @@ def perron_triple(M, A, tol=1e-12, max_iters=100_000) -> EigenTriple:
     A = np.unique(np.asarray(A, dtype=int))
     comp = np.setdiff1d(np.arange(n), A)
     MA = M[np.ix_(A, A)]
-    lam, hA, muA = _power_pair(MA, tol, max_iters)
+    lam, hA, muA = _perron_pair(MA)
 
     h = np.zeros(n)
     h[A] = hA
@@ -234,9 +194,9 @@ def perron_triple(M, A, tol=1e-12, max_iters=100_000) -> EigenTriple:
 
 def cesaro_average(M, k):
     """Cesaro mean (1/k) sum_{n=1..k} M^n 1 (callers pass M already divided
-    by its Perron value).  The sum stops at the first iterate that
-    overflows, so a matrix whose spectral radius exceeds one still gives a
-    finite (truncated) average."""
+    by its Perron value).  The sum stops before the first iterate that
+    would overflow it, so a matrix whose spectral radius exceeds one still
+    gives a finite (truncated) average."""
     if k < 1:
         raise ValueError("k must be >= 1")
     M = np.asarray(M, dtype=float)
@@ -244,7 +204,7 @@ def cesaro_average(M, k):
     acc = np.zeros_like(v)
     for _ in range(k):
         v = M @ v
-        if not np.all(np.isfinite(v)):
+        if not np.all(np.isfinite(acc + v)):
             break
         acc += v
     return acc / k
@@ -471,16 +431,18 @@ def verify_theorem21(kernel, potential, params: VerifyParams | None = None):
     best_C = 0.0
     witness = None
     Pkf = {name: f.copy() for name, f in family}
+    # the sup and Lipschitz parts of each f's norm, fixed over k
+    sups = {name: float(np.abs(f).max()) for name, f in family}
+    lips = {name: _lip_norm(f, d) - sups[name] for name, f in family}
     ones = np.ones(n)
     Pk1 = ones.copy()
     for k in range(1, params.k_max + 1):
         Pk1 = M @ Pk1
         sup_Pk1 = float(np.abs(Pk1).max())
-        for name, f in family:
+        for name, _ in family:
             Pkf[name] = M @ Pkf[name]
             g = Pkf[name]
-            sup_f = float(np.abs(f).max())
-            lip_f = _lip_norm(f, d) - sup_f
+            sup_f, lip_f = sups[name], lips[name]
             diff = np.abs(g[:, None] - g[None, :])
             with np.errstate(divide="ignore", invalid="ignore"):
                 lhs = np.where(d > 0, diff / (sup_Pk1 * d), 0.0)

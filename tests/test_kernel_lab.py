@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fklab import kernel_lab as kl
 from fklab import measure_metrics
@@ -113,7 +116,7 @@ def test_perron_matches_dense_oracle(rng):
 
 
 def test_perron_periodic_irreducible_block():
-    # 2-cycle: irreducible but not aperiodic; the diagonal shift handles it
+    # 2-cycle: irreducible but not aperiodic; the Perron root is +1, not -1
     P = np.array([[0.0, 1.0], [1.0, 0.0]])
     K = kl.FiniteKernel(points=np.array([[0.0], [1.0]]), P=P, A=[0, 1])
     t = kl.perron_triple(P, K.A)
@@ -124,6 +127,80 @@ def test_perron_periodic_irreducible_block():
 def test_perron_zero_matrix_rejected():
     with pytest.raises(ValueError):
         kl.perron_triple(np.zeros((2, 2)), [0, 1])
+
+
+@st.composite
+def generated_kernels(draw, reducible=False):
+    """A kernel on 2-8 states with a random invariant set ``A`` and a
+    potential.  A's states lie on a random cycle; other entries of the
+    A-block are sparse and go only from one of d cyclic classes to the
+    next, so the block is irreducible with period d (d > 1 is a cyclic
+    block).  With ``reducible``, A splits into two classes instead, and
+    the second never reaches the first.  Sparse rows off A leak anywhere,
+    into A included."""
+    n = draw(st.integers(2, 8))
+    n_A = draw(st.integers(2 if reducible else 1, n))
+    order = np.array(draw(st.permutations(range(n))))
+    A, comp = order[:n_A], order[n_A:]  # A's states in cycle order
+    W = draw(arrays(float, (n, n), elements=st.floats(0.05, 1.0)))
+    keep = draw(arrays(bool, (n, n)))
+    pos = np.zeros(n, dtype=int)
+    pos[A] = np.arange(n_A)
+    if reducible:
+        split = draw(st.integers(1, n_A - 1))  # A[split:] never reaches A[:split]
+        allowed = (pos[:, None] < split) | (pos[None, :] >= split)
+        keep[A, A] = True  # a self-loop keeps every row's mass positive
+    else:
+        d = draw(st.sampled_from([d for d in range(1, n_A + 1) if n_A % d == 0]))
+        allowed = (pos[None, :] - pos[:, None] - 1) % d == 0
+        keep[A, np.roll(A, -1)] = True  # the cycle
+    on_A = np.zeros((n, n), dtype=bool)
+    on_A[np.ix_(A, A)] = True
+    P = np.where(keep & allowed & on_A, W, 0.0)
+    P[comp] = np.where(keep[comp], W[comp], 0.0)
+    P[comp, A[0]] = W[comp, A[0]]  # every transient state leaks into A
+    K = kl.FiniteKernel(points=np.arange(n, dtype=float)[:, None], P=P, A=A)
+    return K, kl.PotentialVector.from_values(K, draw(arrays(float, n, elements=st.floats(-1.0, 1.0))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(generated_kernels(), st.floats(-2.0, 2.0))
+def test_perron_identities_on_generated_kernels(kernel, c):
+    K, V = kernel
+    M = kl.build_tilted_matrix(K, V)
+    t = kl.perron_triple(M, K.A)
+    outside = np.setdiff1d(np.arange(K.n), K.A)
+    # the spectral radius, by a different reading of the spectrum than the argmax of the real part
+    assert t.lam == pytest.approx(np.abs(np.linalg.eigvals(M[np.ix_(K.A, K.A)])).max(), rel=1e-10)
+    assert np.abs(t.mu @ M - t.lam * t.mu).sum() <= 1e-10 * t.lam
+    assert np.all(t.mu[K.A] > 0) and np.all(t.mu[outside] == 0)
+    assert t.mu.sum() == pytest.approx(1.0, abs=1e-12)
+    assert t.h @ t.mu == pytest.approx(1.0, abs=1e-12)
+    tc = kl.perron_triple(kl.build_tilted_matrix(K, kl.PotentialVector.from_values(K, V.V + c)), K.A)
+    assert tc.lam == pytest.approx(np.exp(c) * t.lam, rel=1e-10)
+    if t.extension_ok:  # h is an eigenvector, so the normalized semigroup is Markov
+        assert np.abs(M @ t.h - t.lam * t.h).max() <= 1e-10 * t.lam * np.abs(t.h).max()
+        for k in (1, 7):
+            assert np.abs(kl.normalized_semigroup_apply(M, t, np.ones(K.n), k) - 1).max() <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(generated_kernels(reducible=True))
+def test_reducible_A_block_rejected(kernel):
+    K, V = kernel
+    with pytest.raises(ValueError, match="reducible A-block"):
+        kl.perron_triple(kl.build_tilted_matrix(K, V), K.A)
+
+
+def test_undominated_complement_falls_back_to_finite_cesaro_surrogate():
+    # states 0 and 2 off A = {1} grow faster than its Perron value 0.25: no resolvent
+    # extension, and the Cesaro sum of (M / 0.25)^k 1 overflows before its 512 terms
+    M = np.array([[1.0, 0.25, 0.25], [0.0, 0.25, 0.0], [0.25, 0.25, 0.25]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = kl.perron_triple(M, [1])
+    assert not t.extension_ok
+    assert np.all(np.isfinite(t.h)) and np.all(t.h > 0)
+    assert t.h @ t.mu == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mu_fixed_point_and_support(rng):
