@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fklab import apps
 from fklab import feynman_kac as fk
@@ -96,6 +99,28 @@ def test_rate_function_zero_at_stationary(chain_setup):
     fam = apps.default_v_family(K)
     val = apps.rate_function_eval(K, mu, fam)
     assert 0.0 <= val < 1e-8
+
+
+@st.composite
+def irreducible_chains(draw):
+    """A row-stochastic kernel on 2-8 points in the plane: sparse rows, kept
+    irreducible by a random cycle through every state."""
+    n = draw(st.integers(2, 8))
+    W = draw(arrays(float, (n, n), elements=st.floats(0.05, 1.0)))
+    keep = draw(arrays(bool, (n, n)))
+    cycle = np.array(draw(st.permutations(range(n))))
+    keep[cycle, np.roll(cycle, -1)] = True
+    P = np.where(keep, W, 0.0)
+    points = draw(arrays(float, (n, 2), elements=st.floats(-1.0, 1.0)))
+    return kl.FiniteKernel(points=points, P=P / P.sum(axis=1, keepdims=True), A=np.arange(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(irreducible_chains())
+def test_rate_function_vanishes_at_stationary_on_generated_chains(K):
+    # <V, mu> <= log lam_V at the stationary mu, for every V of the family
+    mu = kl.perron_triple(K.P, K.A).mu
+    assert apps.rate_function_eval(K, mu, apps.default_v_family(K)) <= 1e-12
 
 
 def test_rate_function_positive_at_dirac_and_monotone(chain_setup):

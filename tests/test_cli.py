@@ -561,6 +561,7 @@ def shipped(name, **changes):
         ("eigen", shipped("eigen_2state.json", kernel=[1, 2]), 2, "section 'kernel' must be a JSON object"),
         ("conditions", shipped("eigen_2state.json", params__kmax=10), 2,
          "unknown key 'kmax' in 'params'; did you mean 'k_max'?"),
+        ("conditions", shipped("eigen_2state.json", params__p_floor=1e-9), 2, "unknown key 'p_floor' in 'params'"),
         ("conditions", {"model": TOY_MODEL, "plan": {"radii": 5}}, 2, "radii must be an array of numbers"),
         ("simulate", shipped("simulate_toy.json", K=-3), 2, "K = -3 must be at least 0"),
         ("simulate", shipped("simulate_toy.json", model__factors=[], u0=[]), 2,
@@ -569,7 +570,7 @@ def shipped(name, **changes):
          "potential produced NaN"),
     ],
     ids=["misspelt-K", "misspelt-kick_b0", "lowercase-V", "V-under-potential", "K-list", "model-number",
-         "kernel-list", "params-kmax", "radii-number", "K-negative", "no-factors", "scale-1e308"],
+         "kernel-list", "params-kmax", "params-p_floor", "radii-number", "K-negative", "no-factors", "scale-1e308"],
 )
 def test_bad_config_exits_by_cause_and_names_the_key(tmp_path, capsys, command, cfg, code, message):
     out = tmp_path / "out"

@@ -182,6 +182,11 @@ def test_perron_identities_on_generated_kernels(kernel, c):
         assert np.abs(M @ t.h - t.lam * t.h).max() <= 1e-10 * t.lam * np.abs(t.h).max()
         for k in (1, 7):
             assert np.abs(kl.normalized_semigroup_apply(M, t, np.ones(K.n), k) - 1).max() <= 1e-9
+    else:  # h off A is a Cesaro surrogate, which its consumers refuse
+        with pytest.raises(ValueError, match="extension_ok"):
+            kl.normalized_semigroup_apply(M, t, np.ones(K.n), 7)
+        with pytest.raises(ValueError, match="extension_ok"):
+            kl.kantorovich_contraction_factor(M, t, K.points, 1.0, 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -344,9 +349,10 @@ def test_verify_theorem21_positive_kernel(rng):
     rep = kl.verify_theorem21(K, V, kl.VerifyParams(r=small_r, c=0.5, k_max=50))
     assert rep.irreducibility["verdict"] == "pass"
     assert rep.irreducibility["m"] == 1
-    # with r below the point separation, the ball is the point itself
+    # with r below the point separation, the ball is the point itself; the
+    # mass is read on M / lam, so a shift of V cannot move it
     M = kl.build_tilted_matrix(K, V)
-    assert rep.irreducibility["p"] == pytest.approx(M.min(), rel=1e-12)
+    assert rep.irreducibility["p"] == pytest.approx(M.min() / kl.perron_triple(M, K.A).lam, rel=1e-12)
     assert rep.all_pass
 
 
@@ -383,6 +389,32 @@ def test_verify_theorem21_flags_exponential_bound_violator():
     V0 = kl.PotentialVector.from_values(K, np.zeros(3))
     rep = kl.verify_theorem21(K, V0, kl.VerifyParams(r=0.5, c=0.5, k_max=50))
     assert rep.expbound["verdict"] == "fail"
+
+
+@pytest.mark.parametrize("k_max", [30, 50, 80])
+def test_verify_theorem21_flags_fourfold_growth_at_every_horizon(k_max):
+    # off A = {1}, (M / lam)^k 1 grows 4x a step: each step adds three times
+    # the running value, however small against the last one
+    K = kl.FiniteKernel(points=[[0.0], [1.0]], P=[[1.0, 0.25], [0.0, 0.25]], A=[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = kl.verify_theorem21(K, kl.PotentialVector.from_values(K, [0.0, 0.0]), kl.VerifyParams(k_max=k_max))
+    assert rep.expbound["verdict"] == "fail"
+
+
+@settings(max_examples=40, deadline=None)
+@given(generated_kernels(), st.floats(-30.0, 9.0), st.sampled_from([0.5, 1.5]))
+def test_verify_theorem21_invariant_under_potential_shift(kernel, c, r):
+    # lam(V + c) = e^c lam(V) leaves M / lam, and so every reading, unchanged
+    K, V = kernel
+    params = kl.VerifyParams(r=r, c=0.5, k_max=40)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = kl.verify_theorem21(K, V, params)
+        shifted = kl.verify_theorem21(K, kl.PotentialVector.from_values(K, V.V + c), params)
+    for part in ("feller", "irreducibility", "concentration", "expbound"):
+        assert getattr(shifted, part)["verdict"] == getattr(rep, part)["verdict"]
+    assert shifted.irreducibility["m"] == rep.irreducibility["m"]
+    assert shifted.feller["C"] == pytest.approx(rep.feller["C"], rel=1e-9, abs=1e-12)
+    assert np.isfinite(shifted.feller["C"])  # even where h off A is a huge Cesaro surrogate
 
 
 def test_condition_report_json_roundtrips():

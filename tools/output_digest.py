@@ -234,6 +234,32 @@ def exact_contraction():
     return out
 
 
+def exact_conditions():
+    """The four-condition check on strict-subset kernels (dominated or not)
+    and on a three-state chain that reaches every ball in two steps, each
+    with V, V - 20 and V + 9, and on a complement that grows 4x a step past
+    the Perron value."""
+    rng = np.random.default_rng(408)
+    chain = kl.FiniteKernel(points=[[0.0], [1.0], [2.0]], P=[[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]], A=[0, 1, 2])
+    kernels = [(chain, kl.PotentialVector.from_values(chain, np.zeros(3)))]
+    for i in range(6):
+        K, V = random_kernel(rng, 3 + i)
+        A = np.arange(int(rng.integers(1, K.n)))
+        P = K.P.copy()
+        P[np.ix_(A, np.arange(A.size, K.n))] = 0.0
+        kernels.append((kl.FiniteKernel(points=K.points, P=P, A=A), V))
+    out = []
+    with np.errstate(over="ignore", invalid="ignore"):  # the Cesaro surrogate's overflow
+        for K, V in kernels:
+            for c in (0.0, -20.0, 9.0):
+                V_c = kl.PotentialVector.from_values(K, V.V + c)
+                out.append(kl.verify_theorem21(K, V_c, kl.VerifyParams(r=0.3, c=0.5, k_max=40)).to_json())
+        K = kl.FiniteKernel(points=[[0.0], [1.0]], P=[[1.0, 0.25], [0.0, 0.25]], A=[1])
+        for k_max in (30, 50, 80):
+            out.append(kl.verify_theorem21(K, kl.PotentialVector.from_values(K, [0.0, 0.0]), kl.VerifyParams(k_max=k_max)).to_json())
+    return out
+
+
 def exact_sandwich():
     rng = np.random.default_rng(405)
     out = []
@@ -390,6 +416,7 @@ CASES = {
     "chain_10": chain_10,
     "chain_estimators": chain_estimators,
     "exact_contraction": exact_contraction,
+    "exact_conditions": exact_conditions,
     "exact_sandwich": exact_sandwich,
     "exact_perron": exact_perron,
     "exact_chain_bridge": exact_chain_bridge,
