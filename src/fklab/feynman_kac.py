@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fits
-from .measure_metrics import distances, lipschitz_constant
 from .rds_core import FiniteChainModel, initial_ensemble, propagate, rng_stream
 
 __all__ = [
@@ -41,18 +40,14 @@ class EnsembleCollapse(RuntimeError):
 
 @dataclass(frozen=True)
 class PotentialFn:
-    """Potential V with recorded Lipschitz/oscillation bounds.
+    """Potential V on ensemble states.
 
     ``fn`` maps a batch of ensemble states to (n,) values: (n, dim)
     coordinates for a map model, the (n, 1) index column for a chain (whose
-    potentials are value tables, see ``from_chain``).  The bounds are
-    contracts used by diagnostics, not enforced pointwise.
+    potentials are value tables, see ``from_chain``).
     """
 
     fn: object
-    lip: float
-    osc: float
-    tag: str = ""
 
     def __call__(self, U):
         out = np.asarray(self.fn(np.atleast_2d(U)), dtype=float)
@@ -61,24 +56,14 @@ class PotentialFn:
         return out
 
     def shifted(self, c):
-        return PotentialFn(
-            fn=lambda U: self.fn(U) + c,
-            lip=self.lip,
-            osc=self.osc,
-            tag=f"{self.tag}+{c:g}",
-        )
+        return PotentialFn(fn=lambda U: self.fn(U) + c)
 
     def scaled(self, a):
-        return PotentialFn(
-            fn=lambda U: a * self.fn(U),
-            lip=abs(a) * self.lip,
-            osc=abs(a) * self.osc,
-            tag=f"{a:g}*{self.tag}",
-        )
+        return PotentialFn(fn=lambda U: a * self.fn(U))
 
     @classmethod
     def zero(cls):
-        return cls(fn=lambda U: np.zeros(U.shape[0]), lip=0.0, osc=0.0, tag="zero")
+        return cls(fn=lambda U: np.zeros(U.shape[0]))
 
     @classmethod
     def from_chain(cls, chain, values):
@@ -89,12 +74,7 @@ class PotentialFn:
         values = np.array(values, dtype=float)
         if values.shape != chain.points.shape[:1] or not np.isfinite(values).all():
             raise ValueError(f"a chain potential needs one finite value per state ({len(chain.points)})")
-        return cls(
-            fn=lambda X: values[X[:, 0]],
-            lip=lipschitz_constant(values, distances(chain.points, chain.points)),
-            osc=float(values.max() - values.min()),
-            tag="chain",
-        )
+        return cls(fn=lambda X: values[X[:, 0]])
 
     @classmethod
     def coordinate(cls, i, scale=1.0, center=0.0, clip=None):
@@ -104,8 +84,7 @@ class PotentialFn:
             x = scale * (U[:, i] - center)
             return np.clip(x, -clip, clip) if clip is not None else x
 
-        osc = 2 * clip * abs(scale) if clip is not None else np.inf
-        return cls(fn=fn, lip=abs(scale), osc=osc, tag=f"coord{i}")
+        return cls(fn=fn)
 
 
 def xi_weight(trajectory, V, k, f):

@@ -2,13 +2,14 @@
 
 Two metrics are computed: the dual-Lipschitz norm (supremum of the integral
 difference over functions with sup-norm plus Lipschitz constant at most one)
-and the Kantorovich distance for the truncated cost ``1 ^ (theta d)``.  The
-first is solved in the dual variables (function values), the second as a
-primal transport plan; each is the smaller LP in its case.  Independent LPs
-share no variable or constraint, so a batch of them (the two metrics of one
-sandwich check, every state pair of one contraction factor) is stacked
-block-diagonally and solved in one HiGHS call; an optimum of the stack is
-optimal in each block.
+and the Kantorovich distance for the truncated cost ``1 ^ (theta d)``.  Both
+read the measures only through the signed weights c of mu1 - mu2 on their
+union support: the first is an LP in the function values, the second a plan
+moving c+ onto c-, which needs equal masses (the truncated cost is a metric,
+so shared mass stays put at no cost).  Independent LPs share no variable or
+constraint, so a batch of them (the two metrics of one sandwich check, every
+state pair of one contraction factor) is stacked block-diagonally and solved
+in one HiGHS call; an optimum of the stack is optimal in each block.
 """
 
 from __future__ import annotations
@@ -57,10 +58,6 @@ class DiscreteMeasure:
     @property
     def total(self):
         return float(self.weights.sum())
-
-    @property
-    def is_probability(self):
-        return abs(self.total - 1.0) <= 1e-12
 
     @classmethod
     def dirac(cls, point):
@@ -130,8 +127,9 @@ def _solve(items, kind):
     an LP block ``(c, A_ub, b_ub, A_eq, b_eq, bounds)`` whose value is
     ``c @ x`` at an optimum.  The blocks are stacked block-diagonally and
     solved in one HiGHS call; a stack whose dense constraint matrix would
-    exceed ``_STACK_ENTRIES`` entries (a contraction factor on more than 8
-    states) is halved first."""
+    exceed ``_STACK_ENTRIES`` entries (a contraction factor on more than 11
+    states, each pair's block having at most n^2/4 variables and n - 1
+    rows) is halved first."""
     from scipy.linalg import block_diag
 
     blocks = [b for b in items if not isinstance(b, float)]
@@ -151,11 +149,11 @@ def _solve(items, kind):
     return [b if isinstance(b, float) else next(values) for b in items]
 
 
-def _dual_lipschitz_block(mu1, mu2):
-    """LP in the variables (f_1..f_m, s, t) minimising -<f, mu1 - mu2> under
-    +-f_i - s <= 0, +-(f_i - f_j) - t d_ij <= 0 (i < j) and s + t <= 1; 0.0
-    when the measures agree."""
-    pts, c = _union_support(mu1, mu2)
+def _dual_lipschitz_block(pts, c):
+    """LP in the variables (f_1..f_m, s, t) minimising -<f, c> for the signed
+    weights ``c`` of mu1 - mu2 on the points ``pts``, under +-f_i - s <= 0,
+    +-(f_i - f_j) - t d_ij <= 0 (i < j) and s + t <= 1; 0.0 when the
+    measures agree."""
     m = pts.shape[0]
     if m == 1 or np.abs(c).max() == 0:
         return 0.0
@@ -171,23 +169,27 @@ def _dual_lipschitz_block(mu1, mu2):
     return np.concatenate([-c, [0.0, 0.0]]), A_ub, b_ub, np.zeros((0, m + 2)), np.zeros(0), bounds
 
 
-def _transport_block(mu1, mu2, theta):
-    """Primal plan LP of ``kantorovich_theta`` (row sums mu1, column sums
-    mu2, the redundant last equality dropped), or its value when either
-    measure is a single atom."""
+def _transport_block(pts, c, theta):
+    """Plan LP of ``kantorovich_theta`` for the signed weights ``c`` of
+    mu1 - mu2 on the points ``pts``: it moves c+ onto c- (row sums c+,
+    column sums c-, the redundant last equality dropped).  Its value when
+    either part is a single atom, 0.0 when a part is empty."""
     if not 0 < theta < np.inf:
         raise ValueError("theta must be positive and finite")
-    if not (mu1.is_probability and mu2.is_probability):
-        raise ValueError("kantorovich_theta expects probability measures")
-    x, y = mu1.support, mu2.support
-    m, n = x.shape[0], y.shape[0]
-    cost = np.minimum(1.0, theta * distances(x, y))
+    if not abs(c.sum()) <= 1e-12:  # NaN weights fail too
+        raise ValueError("kantorovich_theta expects measures of equal mass")
+    pos, neg = c > 0, c < 0
+    src, dst = c[pos], -c[neg]
+    m, n = src.size, dst.size
+    if m == 0 or n == 0:
+        return 0.0
+    cost = np.minimum(1.0, theta * distances(pts[pos], pts[neg]))
     if m == 1:
-        return float(cost[0] @ mu2.weights)
+        return float(cost[0] @ dst)
     if n == 1:
-        return float(cost[:, 0] @ mu1.weights)
+        return float(cost[:, 0] @ src)
     A_eq = np.vstack([np.kron(np.eye(m), np.ones(n)), np.kron(np.ones(m), np.eye(n))])
-    b_eq = np.concatenate([mu1.weights, mu2.weights])
+    b_eq = np.concatenate([src, dst])
     bounds = np.tile([0.0, np.inf], (m * n, 1))
     return cost.ravel(), np.zeros((0, m * n)), np.zeros(0), A_eq[:-1], b_eq[:-1], bounds
 
@@ -198,17 +200,17 @@ def dual_lipschitz(mu1: DiscreteMeasure, mu2: DiscreteMeasure) -> float:
     Solved exactly as an LP in the variables (f_1..f_m, s, t) with
     |f_i| <= s, |f_i - f_j| <= t d_ij and s + t <= 1.
     """
-    return max(0.0, -_solve([_dual_lipschitz_block(mu1, mu2)], "dual-Lipschitz")[0])
+    return max(0.0, -_solve([_dual_lipschitz_block(*_union_support(mu1, mu2))], "dual-Lipschitz")[0])
 
 
 def kantorovich_theta(mu1: DiscreteMeasure, mu2: DiscreteMeasure, theta: float) -> float:
     """Kantorovich transport distance for the truncated metric 1 ^ (theta d).
 
-    Requires probability inputs; the truncated cost is itself a metric, so
-    the optimal plan value coincides with the Lipschitz dual and lies in
-    [0, 1].
+    Requires equal masses; the truncated cost is itself a metric, so the
+    optimal plan value depends on mu1 - mu2 only, coincides with the
+    Lipschitz dual and, for probability inputs, lies in [0, 1].
     """
-    return _solve([_transport_block(mu1, mu2, theta)], "transport")[0]
+    return _solve([_transport_block(*_union_support(mu1, mu2), theta)], "transport")[0]
 
 
 @dataclass(frozen=True)
@@ -226,7 +228,8 @@ def verify_metric_sandwich(mu1, mu2, theta, diam, tol=1e-9) -> SandwichReport:
         raise ValueError("diam must be positive and finite")
     if theta < 1.0 / diam:
         raise ValueError("theta below the 1/diam threshold")
-    K, v = _solve([_transport_block(mu1, mu2, theta), _dual_lipschitz_block(mu1, mu2)], "metric sandwich")
+    pts, c = _union_support(mu1, mu2)
+    K, v = _solve([_transport_block(pts, c, theta), _dual_lipschitz_block(pts, c)], "metric sandwich")
     L = max(0.0, -v)
     lower = K / (1.0 + theta)
     upper = diam * K

@@ -88,7 +88,7 @@ def test_ldp_finite_state_matches_legendre(chain_setup):
 
 def test_ldp_rejects_constant_f(chain_setup):
     _, chain = chain_setup
-    f = fk.PotentialFn(fn=lambda U: np.ones(U.shape[0]), lip=0.0, osc=0.0)
+    f = fk.PotentialFn(fn=lambda U: np.ones(U.shape[0]))
     with pytest.raises(ValueError):
         apps.ldp_level1(chain, f, [0.5], [10], 100, lambda a: 0.0, [0.0, 1.0], chain.points[0])
 

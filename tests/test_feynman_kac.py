@@ -36,7 +36,7 @@ def test_xi_weight_trivials(chain_setup):
     traj = rc.simulate(chain, chain.points[0], 10, seed=1)
     f0 = lambda U: U[:, 0]
     assert fk.xi_weight(traj, fk.PotentialFn.zero(), 5, f0) == traj.states[5, 0]
-    const = fk.PotentialFn(fn=lambda U: np.full(U.shape[0], 0.2), lip=0.0, osc=0.0)
+    const = fk.PotentialFn(fn=lambda U: np.full(U.shape[0], 0.2))
     ones = lambda U: np.ones(U.shape[0])
     assert fk.xi_weight(traj, const, 6, ones) == pytest.approx(np.exp(1.2), rel=1e-12)
     assert fk.xi_weight(traj, const, 0, f0) == traj.states[0, 0]
@@ -55,7 +55,7 @@ def test_mc_semigroup_markov_mass(chain_setup):
 
 def test_mc_semigroup_constant_potential(chain_setup):
     _, _, _, chain, _ = chain_setup
-    const = fk.PotentialFn(fn=lambda U: np.full(U.shape[0], 0.3), lip=0.0, osc=0.0)
+    const = fk.PotentialFn(fn=lambda U: np.full(U.shape[0], 0.3))
     est, err = fk.mc_semigroup(chain, const, lambda U: np.ones(U.shape[0]), chain.points[1], 5, 200, seed=3)
     assert est == pytest.approx(np.exp(1.5), rel=1e-12)
     assert err == pytest.approx(0.0, abs=1e-12)
@@ -302,10 +302,10 @@ def test_met_convergence_mc_fits_the_late_half(monkeypatch):
 
 
 def test_non_finite_potential_values_are_numerical_failures(toy_model):
-    nan = fk.PotentialFn(fn=lambda U: np.full(U.shape[0], np.nan), lip=0.0, osc=0.0)
+    nan = fk.PotentialFn(fn=lambda U: np.full(U.shape[0], np.nan))
     with pytest.raises(FloatingPointError, match="potential produced NaN"):
         nan(np.zeros((3, 6)))
     # 1e308 per step overflows the log-weights at step 2, before any resampling draw
-    huge = fk.PotentialFn(fn=lambda U: np.full(U.shape[0], 1e308), lip=0.0, osc=0.0)
+    huge = fk.PotentialFn(fn=lambda U: np.full(U.shape[0], 1e308))
     with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="non-finite log-weights at step 2"):
         fk.particle_fk(toy_model, huge, np.zeros(6), k=10, n_particles=100, seed=1)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fklab import kernel_lab as kl
 from fklab import measure_metrics
 from fklab.measure_metrics import (
     DiscreteMeasure,
@@ -186,10 +187,11 @@ def _measure(data, d):
 def _plan_lp(mu1, mu2, theta):
     # the transport plan LP with every row and column constraint, no shortcut
     from scipy.optimize import linprog
+    from scipy.spatial.distance import cdist
 
     m, n = len(mu1.weights), len(mu2.weights)
     A_eq = np.vstack([np.kron(np.eye(m), np.ones(n)), np.kron(np.ones(m), np.eye(n))])
-    cost = np.minimum(1.0, theta * distances(mu1.support, mu2.support)).ravel()
+    cost = np.minimum(1.0, theta * cdist(mu1.support, mu2.support)).ravel()
     return linprog(cost, A_eq=A_eq, b_eq=np.concatenate([mu1.weights, mu2.weights]), method="highs").fun
 
 
@@ -200,14 +202,15 @@ def test_stacked_values_equal_one_solve_per_problem(data):
     items, alone = [], []
     for _ in range(data.draw(st.integers(1, 5))):
         mu1, mu2 = _measure(data, d), _measure(data, d)
+        pts, c = _union_support(mu1, mu2)
         if data.draw(st.booleans()):
             theta = data.draw(st.floats(0.25, 8.0))
-            items.append(_transport_block(mu1, mu2, theta))
+            items.append(_transport_block(pts, c, theta))
             alone.append(kantorovich_theta(mu1, mu2, theta))
-            if min(len(mu1.weights), len(mu2.weights)) == 1:  # a closed-form shortcut
+            if isinstance(items[-1], float):  # a closed-form shortcut
                 assert alone[-1] == pytest.approx(_plan_lp(mu1, mu2, theta), abs=1e-12)
         else:
-            items.append(_dual_lipschitz_block(mu1, mu2))
+            items.append(_dual_lipschitz_block(pts, c))
             alone.append(-dual_lipschitz(mu1, mu2))
     stacked = _solve(items, "mixed")
     assert np.allclose(stacked, alone, rtol=0, atol=1e-12)
@@ -224,6 +227,74 @@ def test_sandwich_equals_separate_metrics(data):
     assert rep.dual_lip == pytest.approx(dual_lipschitz(mu1, mu2), abs=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_kantorovich_sees_only_the_difference(data):
+    # K_theta(mu1 + nu, mu2 + nu) = K_theta(mu1, mu2): mass the two share stays put
+    d = data.draw(st.integers(1, 3))
+    mu1, mu2, nu = (_measure(data, d) for _ in range(3))
+    nu_mass = data.draw(st.floats(0.1, 2.0))
+    theta = data.draw(st.floats(0.25, 8.0))
+
+    def plus_nu(mu):
+        return DiscreteMeasure(np.vstack([mu.support, nu.support]), np.r_[mu.weights, nu_mass * nu.weights])
+
+    K = kantorovich_theta(mu1, mu2, theta)
+    assert kantorovich_theta(plus_nu(mu1), plus_nu(mu2), theta) == pytest.approx(K, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_kantorovich_is_homogeneous(data):
+    # K_theta(a mu1, a mu2) = a K_theta(mu1, mu2) for equal sub-probability masses a
+    d = data.draw(st.integers(1, 3))
+    mu1, mu2 = _measure(data, d), _measure(data, d)
+    a = data.draw(st.floats(0.01, 1.0))
+    theta = data.draw(st.floats(0.25, 8.0))
+    scaled = [DiscreteMeasure(mu.support, a * mu.weights) for mu in (mu1, mu2)]
+    assert kantorovich_theta(*scaled, theta) == pytest.approx(a * kantorovich_theta(mu1, mu2, theta), abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sandwich_holds_on_generated_measures(data):
+    # the diameter of the pair's own union support, the tightest the check allows
+    d = data.draw(st.integers(1, 3))
+    mu1, mu2 = _measure(data, d), _measure(data, d)
+    pts = np.vstack([mu1.support, mu2.support])
+    diam = float(distances(pts, pts).max()) or 1.0
+    theta = data.draw(st.floats(1.0, 16.0)) / diam
+    assert verify_metric_sandwich(mu1, mu2, theta=theta, diam=diam).ok
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_contraction_factor_equals_pairwise_plan_lps(data):
+    # the worst ratio K_theta(delta_u P^m, delta_v P^m) / (1 ^ theta d_uv) of
+    # the normalized dual semigroup, one full plan LP per pair of distinct points
+    n = data.draw(st.integers(2, 6))
+    d = data.draw(st.integers(1, 2))
+    points = data.draw(arrays(float, (n, d), elements=st.integers(-4, 4).map(lambda k: k / 4)))
+    P = data.draw(arrays(float, (n, n), elements=st.floats(0.0, 1.0)))
+    P[np.arange(n), np.roll(np.arange(n), 1)] += 0.1  # a cycle keeps every state reaching every other
+    K = kl.FiniteKernel(points=points, P=P, A=np.arange(n))
+    M = kl.build_tilted_matrix(K, kl.PotentialVector.from_values(K, data.draw(arrays(float, n, elements=st.floats(-1, 1)))))
+    t = kl.perron_triple(M, K.A)
+    m = data.draw(st.integers(1, 3))
+    dist = K.dists
+    theta = data.draw(st.floats(1.0, 16.0)) / (dist.max() or 1.0)
+    rows = np.linalg.matrix_power(M / t.lam, m) * t.h[None, :] / t.h[:, None]
+    mus = [DiscreteMeasure(points, row) for row in rows]
+    pairwise = [
+        _plan_lp(mus[u], mus[v], theta) / min(1.0, theta * dist[u, v])
+        for u in range(n)
+        for v in range(u + 1, n)
+        if dist[u, v] > 0
+    ]
+    factor = kl.kantorovich_contraction_factor(M, t, points, theta, m)
+    assert factor == pytest.approx(max([0.0] + pairwise), rel=1e-9, abs=1e-12)
+
+
 def test_sandwich_is_one_solve(rng, lp_calls):
     for k in range(1, 6):
         a, b = random_measure(rng, m=5), random_measure(rng, m=5)
@@ -234,7 +305,7 @@ def test_sandwich_is_one_solve(rng, lp_calls):
 
 def test_oversized_stack_is_halved(rng, lp_calls, monkeypatch):
     pairs = [(random_measure(rng, m=4), random_measure(rng, m=4)) for _ in range(6)]
-    items = [_transport_block(a, b, 2.0) for a, b in pairs]
+    items = [_transport_block(*_union_support(a, b), 2.0) for a, b in pairs]
     whole = _solve(items, "transport")
     monkeypatch.setattr(measure_metrics, "_STACK_ENTRIES", 2 * 7 * 2 * 16)  # two blocks per stack
     assert _solve(items, "transport") == pytest.approx(whole, abs=1e-12)

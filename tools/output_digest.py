@@ -249,14 +249,13 @@ def exact_conditions():
         P[np.ix_(A, np.arange(A.size, K.n))] = 0.0
         kernels.append((kl.FiniteKernel(points=K.points, P=P, A=A), V))
     out = []
-    with np.errstate(over="ignore", invalid="ignore"):  # the Cesaro surrogate's overflow
-        for K, V in kernels:
-            for c in (0.0, -20.0, 9.0):
-                V_c = kl.PotentialVector.from_values(K, V.V + c)
-                out.append(kl.verify_theorem21(K, V_c, kl.VerifyParams(r=0.3, c=0.5, k_max=40)).to_json())
-        K = kl.FiniteKernel(points=[[0.0], [1.0]], P=[[1.0, 0.25], [0.0, 0.25]], A=[1])
-        for k_max in (30, 50, 80):
-            out.append(kl.verify_theorem21(K, kl.PotentialVector.from_values(K, [0.0, 0.0]), kl.VerifyParams(k_max=k_max)).to_json())
+    for K, V in kernels:
+        for c in (0.0, -20.0, 9.0):
+            V_c = kl.PotentialVector.from_values(K, V.V + c)
+            out.append(kl.verify_theorem21(K, V_c, kl.VerifyParams(r=0.3, c=0.5, k_max=40)).to_json())
+    K = kl.FiniteKernel(points=[[0.0], [1.0]], P=[[1.0, 0.25], [0.0, 0.25]], A=[1])
+    for k_max in (30, 50, 80):
+        out.append(kl.verify_theorem21(K, kl.PotentialVector.from_values(K, [0.0, 0.0]), kl.VerifyParams(k_max=k_max)).to_json())
     return out
 
 
