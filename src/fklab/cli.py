@@ -346,10 +346,8 @@ def _cmd_conditions(cfg, seed, threads):
     if "kernel" in cfg:
         kernel, potential = _load_kernel(cfg)
         pc = cfg.get("params", {})
-        params = kl.VerifyParams(**{
-            f.name: _num(pc, f.name, f.default, type(f.default), 1 if f.name == "k_max" else None)
-            for f in fields(kl.VerifyParams)
-        })
+        params = kl.VerifyParams(**{f.name: _num(pc, f.name, f.default, type(f.default))
+                                    for f in fields(kl.VerifyParams)})
     if "model" in cfg:
         model = _build_map_model(cfg, "conditions")
         pc = cfg.get("plan", {})

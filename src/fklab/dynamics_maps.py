@@ -7,16 +7,17 @@ vector interleaves cosine/sine coefficients in the orthonormal basis
 vector equals the L2 norm of the field; kicks from :mod:`fklab.rds_core`
 act directly on these coordinates.
 
-Diffusion is integrated exactly through the ETDRK2 exponential factors; the
-quadratic term is evaluated pseudo-spectrally on the smallest 2*3*5-smooth
-FFT size G >= 3M+1 (200 points at M=64, 50 at M=16).  Zero padding to G > 3M
-keeps every product mode 1..M free of aliases (the 3/2-rule for quadratic
-nonlinearities).  ``physical()`` and the L1 norm use the 4M grid instead,
-because the trapezoid rule for |u| is not exact and its grid is part of the
-metric.  ``apply_batch`` integrates the rows in chunks whose working set
-(``48M + 32(G/2+1) + 16G`` bytes per row) stays near 1 MiB, so the FFT
-buffers of a chunk stay in the L2 cache; rows never interact, so every row
-of a batch equals the one-row result bitwise.
+``apply_batch`` integrates the blocks ``[alpha | beta]`` of cosine and sine
+coefficients in real arithmetic, with no FFT: diffusion exactly through the
+ETDRK2 factors, the quadratic term on the odd grid G = 3M+1 (3M+2 for odd
+M), alias-free since G > 3M.  With c = alpha @ C and s = beta @ S, u is
+c_g + s_g at x_g and c_g - s_g at x_{G-g}, so N = [(c s) @ Da | (c^2 + s^2)
+@ Db] over the half grid g = 0..(G-1)/2.  ``physical()`` and the L1 norm
+use the 4M grid, part of the metric, as one synthesis product.  Chunks of
+``8 * max(1, 2**17 // (64M + 24H))`` rows (H = (G+1)/2; four arrays of 2M
+and three of H doubles a row, ~1 MiB a chunk) and zero padding of every
+batch to a multiple of 8 rows let BLAS see only multiples of 8 rows, so
+every row of a batch equals the one-row result bitwise.
 """
 
 from __future__ import annotations
@@ -24,15 +25,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy import fft as sfft
 
 __all__ = ["BurgersMap", "ToyDiagonalMap", "l1_circle_metric"]
 
+ROOT_PI = np.sqrt(np.pi)
+BLOWUP_SQ = (2.0 * ROOT_PI * 1e6) ** 2  # alpha^2 + beta^2 bound: |zeta_j| <= 1e6
 
-def _fast_len(n):
-    """Smallest 2*3*5-smooth integer >= n (scipy's ``next_fast_len(n, real=True)``)."""
-    e = range(n.bit_length() + 1)  # 2 ** e[-1] >= n bounds every exponent
-    return min(m for m in (2**a * 3**b * 5**c for a in e for b in e for c in e) if m >= n)
+
+def _trig(j, g, n):
+    """cos and sin of 2 pi j g / n over the outer grid of ``j`` and ``g``,
+    with j g reduced mod n first."""
+    x = (2.0 * np.pi / n) * (np.outer(j, g) % n)
+    return np.cos(x), np.sin(x)
 
 
 @dataclass(frozen=True)
@@ -47,23 +51,25 @@ class BurgersMap:
     def __post_init__(self):
         if self.nu <= 0 or self.modes < 1 or self.dt <= 0:
             raise ValueError("need nu > 0, modes >= 1, dt > 0")
-        j = np.arange(1, self.modes + 1, dtype=float)
-        z = -self.nu * j**2 * self.dt
-        E = np.exp(z)
-        phi1 = np.expm1(z) / z
-        phi2 = (np.expm1(z) - z) / z**2
         M = self.modes
-        G = _fast_len(3 * M + 1)
-        row_bytes = 48 * M + 32 * (G // 2 + 1) + 16 * G
+        j = np.arange(1, M + 1)
+        z = -self.nu * j**2.0 * self.dt
+        G = 3 * M + 1 + M % 2
+        H = (G + 1) // 2
+        cos, sin = _trig(j, np.arange(H), G)
+        w = np.r_[1.0, np.full(H - 1, 2.0)]
+        jG = j * ROOT_PI / G
         tables = {
-            "j": j,
-            "E": E,
-            "phi1dt": self.dt * phi1,
-            "phi2dt": self.dt * phi2,
+            "E": np.tile(np.exp(z), 2),
+            "phi1dt": np.tile(self.dt * np.expm1(z) / z, 2),
+            "phi2dt": np.tile(self.dt * (np.expm1(z) - z) / z**2, 2),
+            "C": cos / ROOT_PI,
+            "S": sin / ROOT_PI,
+            "Da": (-4.0 * jG[:, None] * sin).T.copy(),
+            "Db": (jG[:, None] * w * cos).T.copy(),
             "G": G,
-            "G_phys": 4 * M,
-            "chunk": max(1, 2**20 // row_bytes),
-            "deriv": -0.5j * j,
+            "chunk": 8 * max(1, 2**17 // (64 * M + 24 * H)),
+            "synth": np.stack(_trig(j, np.arange(4 * M), 4 * M), axis=1).reshape(2 * M, 4 * M) / ROOT_PI,
         }
         object.__setattr__(self, "_tables", tables)
 
@@ -75,54 +81,36 @@ class BurgersMap:
     def steps_per_unit(self):
         return int(round(1.0 / self.dt))
 
-    # -- representation helpers -------------------------------------------
-
-    def _to_spectral(self, U):
-        """Interleaved (.., 2M) real coefficients -> (.., M) complex modes
-        zeta_j = (alpha_j - i beta_j) / (2 sqrt(pi))."""
-        alpha = U[..., 0::2]
-        beta = U[..., 1::2]
-        return (alpha - 1j * beta) / (2.0 * np.sqrt(np.pi))
-
-    def _from_spectral(self, Z):
-        out = np.empty(Z.shape[:-1] + (2 * self.modes,))
-        out[..., 0::2] = 2.0 * np.sqrt(np.pi) * Z.real
-        out[..., 1::2] = -2.0 * np.sqrt(np.pi) * Z.imag
-        return out
-
-    def _grid_values(self, Z):
-        """Field values of modes ``Z`` on the 4M grid."""
-        G = self._tables["G_phys"]
-        spec = np.zeros(Z.shape[:-1] + (G // 2 + 1,), dtype=complex)
-        spec[..., 1 : self.modes + 1] = Z
-        return sfft.irfft(spec, n=G, axis=-1, norm="forward")
-
-    def _etdrk2(self, Z, first_row):
-        """ETDRK2 over one time unit for the rows of one chunk.
-
-        The padded spectrum is allocated once; each nonlinear evaluation
-        N(zeta)_j = -(i j / 2) (u^2)_j writes only modes 1..M into it.
-        """
+    def _etdrk2(self, X, first_row):
+        """ETDRK2 over one time unit, in place, for the ``[alpha | beta]``
+        rows of one chunk; N(X) = [(c s) @ Da | (c^2 + s^2) @ Db].  The
+        buffers are allocated once per chunk."""
         t = self._tables
-        M, G = self.modes, t["G"]
-        E, p1, p2, deriv = t["E"], t["phi1dt"], t["phi2dt"], t["deriv"]
-        spec = np.zeros((Z.shape[0], G // 2 + 1), dtype=complex)
+        M = self.modes
+        E, p1, p2, C, S, Da, Db = (t[k] for k in ("E", "phi1dt", "phi2dt", "C", "S", "Da", "Db"))
+        c, s, cs = np.empty((3, X.shape[0], C.shape[1]))
+        N0, N1, Xa = np.empty((3,) + X.shape)
 
-        def nonlinear(Z):
-            spec[:, 1 : M + 1] = Z
-            u = sfft.irfft(spec, n=G, axis=-1, norm="forward")
-            return deriv * sfft.rfft(u * u, axis=-1, norm="forward")[:, 1 : M + 1]
+        def nonlinear(X, N):
+            np.matmul(X[:, :M], C, out=c)
+            np.matmul(X[:, M:], S, out=s)
+            np.matmul(np.multiply(c, s, out=cs), Da, out=N[:, :M])
+            np.add(np.square(s, out=s), np.square(c, out=c), out=s)
+            np.matmul(s, Db, out=N[:, M:])
 
         for step in range(self.steps_per_unit):
-            N0 = nonlinear(Z)
-            Za = E * Z + p1 * N0
-            Z = Za + p2 * (nonlinear(Za) - N0)
+            nonlinear(X, N0)
+            np.multiply(E, X, out=Xa)
+            Xa += np.multiply(p1, N0, out=N1)
+            nonlinear(Xa, N1)
+            N1 -= N0
+            N1 *= p2
+            np.add(Xa, N1, out=X)
             if step % 100 == 0:
-                ok = np.abs(Z).max(axis=1) <= 1e6
+                ok = (X[:, :M] ** 2 + X[:, M:] ** 2).max(axis=1) <= BLOWUP_SQ  # NaN fails
                 if not ok.all():
                     row = first_row + int(np.argmin(ok))
                     raise FloatingPointError(f"Burgers blow-up at inner step {step} in row {row}")
-        return Z
 
     # -- public surface -----------------------------------------------------
 
@@ -133,21 +121,23 @@ class BurgersMap:
         U = np.asarray(U, dtype=float)
         if U.shape[-1] != self.dim:
             raise ValueError(f"state must have dimension {self.dim}")
-        Z = self._to_spectral(U.reshape(-1, self.dim))
-        chunk = self._tables["chunk"]
-        for lo in range(0, Z.shape[0], chunk):
-            Z[lo : lo + chunk] = self._etdrk2(Z[lo : lo + chunk], lo)
-        return self._from_spectral(Z).reshape(U.shape)
+        rows = U.reshape(-1, self.dim)
+        n, M, chunk = rows.shape[0], self.modes, self._tables["chunk"]
+        X = np.zeros((-(-n // 8) * 8, 2 * M))
+        X[:n, :M], X[:n, M:] = rows[:, 0::2], rows[:, 1::2]
+        for lo in range(0, n, chunk):
+            self._etdrk2(X[lo : lo + chunk], lo)
+        out = np.empty_like(rows)
+        out[:, 0::2], out[:, 1::2] = X[:n, :M], X[:n, M:]
+        return out.reshape(U.shape)
 
     def physical(self, u):
         """Field values on the 4M grid (x_g = 2 pi g / (4M))."""
-        return self._grid_values(self._to_spectral(np.asarray(u, dtype=float)))
+        return np.asarray(u, dtype=float) @ self._tables["synth"]
 
     def l1_norm(self, U):
         """L1(circle) norm by the periodic trapezoid rule on the 4M grid."""
-        vals = self._grid_values(self._to_spectral(np.asarray(U, dtype=float)))
-        G = self._tables["G_phys"]
-        return (2.0 * np.pi / G) * np.abs(vals).sum(axis=-1)
+        return (np.pi / (2 * self.modes)) * np.abs(self.physical(U)).sum(axis=-1)
 
 
 def l1_circle_metric(map_):

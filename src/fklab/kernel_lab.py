@@ -350,6 +350,10 @@ class VerifyParams:
     c: float = 0.5
     k_max: int = 80
 
+    def __post_init__(self):
+        if self.k_max < 5:
+            raise ValueError("k_max must be at least 5: the late window needs two readings")
+
 
 @dataclass
 class ConditionReport:

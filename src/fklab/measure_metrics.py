@@ -155,7 +155,7 @@ def _dual_lipschitz_block(pts, c):
     +-(f_i - f_j) - t d_ij <= 0 (i < j) and s + t <= 1; 0.0 when the
     measures agree."""
     m = pts.shape[0]
-    if m == 1 or np.abs(c).max() == 0:
+    if np.abs(c).max() == 0:
         return 0.0
     iu, ju = np.triu_indices(m, k=1)
     D = np.eye(m)[iu] - np.eye(m)[ju]

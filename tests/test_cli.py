@@ -562,6 +562,7 @@ def shipped(name, **changes):
         ("conditions", shipped("eigen_2state.json", params__kmax=10), 2,
          "unknown key 'kmax' in 'params'; did you mean 'k_max'?"),
         ("conditions", shipped("eigen_2state.json", params__p_floor=1e-9), 2, "unknown key 'p_floor' in 'params'"),
+        ("conditions", shipped("eigen_2state.json", params__k_max=4), 2, "k_max must be at least 5"),
         ("conditions", {"model": TOY_MODEL, "plan": {"radii": 5}}, 2, "radii must be an array of numbers"),
         ("simulate", shipped("simulate_toy.json", K=-3), 2, "K = -3 must be at least 0"),
         ("simulate", shipped("simulate_toy.json", model__factors=[], u0=[]), 2,
@@ -570,7 +571,8 @@ def shipped(name, **changes):
          "potential produced NaN"),
     ],
     ids=["misspelt-K", "misspelt-kick_b0", "lowercase-V", "V-under-potential", "K-list", "model-number",
-         "kernel-list", "params-kmax", "params-p_floor", "radii-number", "K-negative", "no-factors", "scale-1e308"],
+         "kernel-list", "params-kmax", "params-p_floor", "k_max-4", "radii-number", "K-negative", "no-factors",
+         "scale-1e308"],
 )
 def test_bad_config_exits_by_cause_and_names_the_key(tmp_path, capsys, command, cfg, code, message):
     out = tmp_path / "out"

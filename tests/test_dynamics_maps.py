@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from fklab.dynamics_maps import BurgersMap, ToyDiagonalMap, _fast_len, l1_circle_metric
+from fklab.dynamics_maps import BurgersMap, ToyDiagonalMap, l1_circle_metric
 
 
 @pytest.fixture(scope="module")
@@ -132,16 +135,37 @@ def reference_etdrk2(bm, U):
     return out
 
 
-def test_fast_len_matches_scipy():
-    from scipy.fft import next_fast_len
+def fft_grid_values(bm, U):
+    """Field values on the 4M grid by an inverse FFT of the modes."""
+    M = bm.modes
+    spec = np.zeros(U.shape[:-1] + (2 * M + 1,), dtype=complex)
+    spec[..., 1 : M + 1] = (U[..., 0::2] - 1j * U[..., 1::2]) / (2 * np.sqrt(np.pi))
+    return np.fft.irfft(spec, n=4 * M, axis=-1, norm="forward")
 
-    Ms = range(1, 257)
-    assert [_fast_len(3 * M + 1) for M in Ms] == [next_fast_len(3 * M + 1, real=True) for M in Ms]
+
+@st.composite
+def burgers_batches(draw):
+    modes = draw(st.integers(1, 40))
+    bm = BurgersMap(nu=draw(st.floats(0.3, 1.0)), modes=modes, dt=0.05)
+    rows = draw(st.integers(1, 12))
+    coef = draw(arrays(np.float64, (rows, bm.dim), elements=st.floats(-1.0, 1.0)))
+    return bm, coef * np.exp(-0.2 * np.arange(bm.dim))
 
 
-@pytest.mark.parametrize("modes, G, chunk", [(16, 50, 436), (64, 200, 110)])
+@settings(max_examples=40, deadline=None)
+@given(case=burgers_batches())
+def test_half_grid_products_match_4m_fft_reference(case):
+    bm, U = case
+    out = bm.apply_batch(U)
+    assert np.abs(out - reference_etdrk2(bm, U)).max() < 1e-12
+    assert np.array_equal(bm.apply(U[-1]), out[-1])
+    l1 = (2 * np.pi / (4 * bm.modes)) * np.abs(fft_grid_values(bm, U)).sum(axis=-1)
+    assert np.abs(bm.l1_norm(U) - l1).max() < 1e-12 * max(1.0, l1.max())
+
+
+@pytest.mark.parametrize("modes, G, chunk", [(16, 49, 640), (64, 193, 160)])
 def test_burgers_chunks_and_grid_match_4m_reference(rng, modes, G, chunk):
-    # the 3M+1 grid is alias-free like 4M, so only roundoff separates them;
+    # the odd 3M+1 (3M+2) grid is alias-free like 4M, so only roundoff separates them;
     # a coarse dt keeps the reference loop cheap without changing that
     bm = BurgersMap(nu=0.5, modes=modes, dt=5e-3)
     assert (bm._tables["G"], bm._tables["chunk"]) == (G, chunk)

@@ -403,6 +403,19 @@ def test_verify_theorem21_flags_fourfold_growth_at_every_horizon(k_max):
     assert rep.expbound["verdict"] == "fail"
 
 
+def test_verify_theorem21_shortest_horizon_passes_a_markov_kernel():
+    # below k_max 5 the late window holds one reading and no step, which
+    # read as growth on every kernel; k_max 5 is the shortest horizon kept
+    K = kl.FiniteKernel(points=[[0.0], [1.0]], P=[[0.5, 0.5], [0.5, 0.5]], A=[0, 1])
+    V0 = kl.PotentialVector.from_values(K, [0.0, 0.0])
+    for k_max in range(1, 5):
+        with pytest.raises(ValueError, match="k_max must be at least 5"):
+            kl.VerifyParams(k_max=k_max)
+    rep = kl.verify_theorem21(K, V0, kl.VerifyParams(k_max=5))
+    assert rep.expbound["Lambda"] == pytest.approx(1.0, abs=1e-12)
+    assert rep.expbound["verdict"] == "pass"
+
+
 def test_verify_theorem21_bound_approached_from_below_passes():
     # sup (M / lam)^k 1 rises to its limit at every step, but its late steps
     # shrink about 6% a step: a bounded sequence, not a growing one

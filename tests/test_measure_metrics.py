@@ -46,6 +46,15 @@ def test_dual_lipschitz_saturates_at_two():
     assert dual_lipschitz(dirac(0.0), dirac(1e9)) == pytest.approx(2.0, abs=1e-6)
 
 
+def test_dual_lipschitz_one_point_with_unequal_masses():
+    # the LP value with a zero-weight second point: only the mass gap counts
+    one = dual_lipschitz(DiscreteMeasure([[0.0]], [1.0]), DiscreteMeasure([[0.0]], [0.6]))
+    two = dual_lipschitz(DiscreteMeasure([[0.0], [5.0]], [1.0, 0.0]), DiscreteMeasure([[0.0]], [0.6]))
+    assert one == pytest.approx(0.4, abs=1e-12)
+    assert one == pytest.approx(two, abs=1e-12)
+    assert dual_lipschitz(dirac(0.0), dirac(0.0)) == 0.0
+
+
 def test_dual_lipschitz_symmetry(rng):
     a, b = random_measure(rng), random_measure(rng)
     assert dual_lipschitz(a, b) == pytest.approx(dual_lipschitz(b, a), abs=1e-10)

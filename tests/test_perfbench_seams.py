@@ -5,7 +5,6 @@ traced benchmark run."""
 import importlib.util
 import inspect
 import pathlib
-import types
 
 import numpy as np
 
@@ -33,31 +32,19 @@ def test_trace_seams_install_and_uninstall():
     assert (rds_core.RDSModel.__dict__["step_many"], feynman_kac.particle_fk) == before
 
 
-def test_burgers_fft_counters_follow_the_kernel(monkeypatch):
-    # the benchmark derives fft_count and fft_bytes_computed from
-    # _tables["G"]; it must be the length apply_batch transforms at
-    from fklab import dynamics_maps
+def test_burgers_span_sizes_read_the_map():
+    # the benchmark sizes each Burgers span from _tables["G"] and
+    # steps_per_unit; a traced run must find them on the map, and G is the
+    # length of the grid the quadratic term is evaluated on
+    from fklab.dynamics_maps import BurgersMap
 
     spans = load_spans()
     assert '_tables["G"]' in inspect.getsource(spans._burgers_sizes)
-    sfft = dynamics_maps.sfft
-    lengths, transforms = [], [0]
-
-    def irfft(x, n, **kw):
-        lengths.append(n)
-        transforms[0] += x.shape[0]
-        return sfft.irfft(x, n, **kw)
-
-    def rfft(x, **kw):
-        lengths.append(x.shape[-1])
-        transforms[0] += x.shape[0]
-        return sfft.rfft(x, **kw)
-
-    bm = dynamics_maps.BurgersMap(nu=1.0, modes=64, dt=0.25)
-    monkeypatch.setattr(dynamics_maps, "sfft", types.SimpleNamespace(irfft=irfft, rfft=rfft))
+    bm = BurgersMap(nu=1.0, modes=64, dt=0.25)
     U = np.zeros((bm._tables["chunk"] + 3, bm.dim))
     bm.apply_batch(U)
     sizes = spans._burgers_sizes(bm, U)
-    assert bm._tables["G"] == 200
-    assert set(lengths) == {200}
-    assert transforms[0] == sizes["ffts"]
+    assert sizes["rows"] == U.shape[0]
+    assert bm._tables["G"] == 3 * 64 + 1
+    assert bm._tables["C"].shape == (64, (bm._tables["G"] + 1) // 2)
+    assert bm._tables["chunk"] % 8 == 0
