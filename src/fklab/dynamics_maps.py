@@ -14,10 +14,13 @@ M), alias-free since G > 3M.  With c = alpha @ C and s = beta @ S, u is
 c_g + s_g at x_g and c_g - s_g at x_{G-g}, so N = [(c s) @ Da | (c^2 + s^2)
 @ Db] over the half grid g = 0..(G-1)/2.  ``physical()`` and the L1 norm
 use the 4M grid, part of the metric, as one synthesis product.  Chunks of
-``8 * max(1, 2**17 // (64M + 24H))`` rows (H = (G+1)/2; four arrays of 2M
-and three of H doubles a row, ~1 MiB a chunk) and zero padding of every
-batch to a multiple of 8 rows let BLAS see only multiples of 8 rows, so
-every row of a batch equals the one-row result bitwise.
+``8 * max(1, min(2**17 // (64M + 24H), 10**6 // (8MH)))`` rows (H = (G+1)/2;
+four arrays of 2M and three of H doubles a row, ~1 MiB a chunk) and zero
+padding of every batch to a multiple of 8 rows let BLAS see only multiples
+of 8 rows, and no product passes 10^6 multiply-adds, above which OpenBLAS
+on AVX-512 rounded a full chunk unlike an 8-row call (most likely the size
+limit of its small-matrix kernel).  So every row of a batch equals the
+one-row result bitwise (tested across a chunk boundary for M = 16 to 128).
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ class BurgersMap:
             "Da": (-4.0 * jG[:, None] * sin).T.copy(),
             "Db": (jG[:, None] * w * cos).T.copy(),
             "G": G,
-            "chunk": 8 * max(1, 2**17 // (64 * M + 24 * H)),
+            "chunk": 8 * max(1, min(2**17 // (64 * M + 24 * H), 10**6 // (8 * M * H))),
             "synth": np.stack(_trig(j, np.arange(4 * M), 4 * M), axis=1).reshape(2 * M, 4 * M) / ROOT_PI,
         }
         object.__setattr__(self, "_tables", tables)

@@ -241,23 +241,18 @@ def met_residuals(kernel, potential, triple, f, k_max=200, floor=1e-13):
     return C, gamma, residuals
 
 
-def _deflated_log_residuals(M, lam, h, mu, F, k_max):
-    """log of max-aggregated residual norms of the deflated iteration, in
-    extended precision.  Renormalizing each step keeps the sequence exact in
-    log space far below the float64 range."""
-    Ml = M.astype(np.longdouble)
-    hl = h.astype(np.longdouble)
-    ml = mu.astype(np.longdouble)
-    F = np.asarray(F, dtype=np.longdouble)
-    F = F / np.abs(F).max(axis=0, keepdims=True)
-    W = F - np.outer(hl, ml @ F)
+def _deflated_log_residuals(D, F, k_max):
+    """log of max-aggregated residual norms of W <- D W from the columns of
+    ``F``.  Renormalizing each step keeps the sequence exact in log space
+    far below the float64 range; a step that shrinks W below 1e-13 has hit
+    the rounding bed of D (a rank-deficient tilt), and ends it as -inf."""
+    W = F / np.abs(F).max(axis=0, keepdims=True)
     logs = np.empty(k_max)
     shift = 0.0
     for k in range(k_max):
-        W = Ml @ W / lam
-        W = W - np.outer(hl, ml @ W)
+        W = D @ W
         scale = float(np.abs(W).max())
-        if scale == 0 or not np.isfinite(scale):
+        if not 1e-13 < scale < np.inf:
             logs[k:] = -np.inf
             break
         W = W / scale
@@ -274,13 +269,14 @@ def met_rate_estimate(kernel, potential, triple, n_f=8, seed=0, efolds=44.0, k_c
     and fits the tail slope.  When the local slopes drift -- slowly beating
     complex subdominant pairs -- the window is extended until the fit
     averages over whole beats.  Returns ``(gamma, info)``; infinite gamma
-    signals residuals that collapse to exact zero (rank-deficient tilt).
+    signals residuals that collapse to the rounding bed (rank-deficient tilt).
     """
-    M = build_tilted_matrix(kernel, potential)
-    lam, h, mu = _refine_triple_longdouble(M, triple)
+    # D h = 0 and mu D = 0 up to rounding: the Perron component that
+    # rounding brings back is killed again at the next step
+    D = build_tilted_matrix(kernel, potential) / triple.lam - np.outer(triple.h, triple.mu)
     rng = np.random.default_rng(seed)
     n = kernel.n
-    pilot = _deflated_log_residuals(M, lam, h, mu, rng.uniform(-1, 1, (n, n_f)), 60)
+    pilot = _deflated_log_residuals(D, rng.uniform(-1, 1, (n, n_f)), 60)
     finite = np.isfinite(pilot)
     if finite.sum() < 4:
         return np.inf, {"mode": "collapsed"}
@@ -288,7 +284,7 @@ def met_rate_estimate(kernel, potential, triple, n_f=8, seed=0, efolds=44.0, k_c
     k_max = int(np.clip(efolds / g0, 32, 2000))
     F = rng.uniform(-1, 1, (n, n_f))
     while True:
-        logs = _deflated_log_residuals(M, lam, h, mu, F, k_max)
+        logs = _deflated_log_residuals(D, F, k_max)
         if not np.all(np.isfinite(logs)):
             return np.inf, {"mode": "collapsed"}
         ks, lr = fits.late_half(logs)
@@ -296,22 +292,8 @@ def met_rate_estimate(kernel, potential, triple, n_f=8, seed=0, efolds=44.0, k_c
         # the local slopes' spread, relative to the fitted one
         drift = float(np.std(np.diff(lr)) / max(abs(gamma), 1e-300))
         if drift <= 0.02 or k_max >= k_cap:
-            return gamma, {"mode": "longdouble", "k_max": k_max, "drift": drift}
+            return gamma, {"mode": "deflated", "k_max": k_max, "drift": drift}
         k_max = min(4 * k_max, k_cap)
-
-
-def _refine_triple_longdouble(M, triple, iters=300):
-    Ml = M.astype(np.longdouble)
-    h = triple.h.astype(np.longdouble)
-    mu = triple.mu.astype(np.longdouble)
-    lam = np.longdouble(triple.lam)
-    for _ in range(iters):
-        h2 = Ml @ h
-        mu2 = Ml.T @ mu
-        lam = (h2 @ mu) / (h @ mu)
-        h = h2 / np.abs(h2).max()
-        mu = mu2 / mu2.sum()
-    return lam, h / (h @ mu), mu
 
 
 def _lip_norm(f, dists):

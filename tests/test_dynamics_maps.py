@@ -179,6 +179,16 @@ def test_burgers_chunks_and_grid_match_4m_reference(rng, modes, G, chunk):
     assert bm.physical(U[0]).shape[-1] == 4 * modes
 
 
+@pytest.mark.parametrize("modes", [16, 48, 60, 64, 66, 72, 80, 96, 128])
+def test_burgers_rows_equal_one_row_calls_across_a_chunk_boundary(rng, modes):
+    # one full chunk and an 8-row tail; a coarse dt keeps chunk + 8 one-row calls cheap
+    bm = BurgersMap(nu=0.5, modes=modes, dt=0.05)
+    chunk = bm._tables["chunk"]
+    U = 0.8 * rng.normal(size=(chunk + 8, bm.dim)) * np.exp(-0.2 * np.arange(bm.dim))
+    out = bm.apply_batch(U)
+    assert [i for i in range(chunk + 8) if not np.array_equal(bm.apply(U[i]), out[i])] == []
+
+
 def test_toy_map_zero_and_linearity(rng):
     toy = ToyDiagonalMap.geometric(5, base=0.7, ratio=0.8)
     assert np.all(toy.apply(np.zeros(5)) == 0)

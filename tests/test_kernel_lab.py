@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -302,6 +302,47 @@ def test_met_residuals_rate_matches_eigengap(rng):
         assert abs(gamma - gamma_true) / gamma_true < 0.05
         hits += 1
     assert hits == 8
+
+
+@st.composite
+def gapped_kernels(draw):
+    """A kernel on 2-9 states whose A = {0..n_A-1} block is positive, plus a
+    weighted cycle through A that often makes the subdominant pair complex.
+    With a strict A, the complement's rows are scaled down until their
+    tilted sums stay below half the A-block's Perron value."""
+    n = draw(st.integers(2, 9))
+    n_A = draw(st.integers(1, n))
+    P = draw(arrays(float, (n, n), elements=st.floats(0.05, 1.0)))
+    P[:n_A, :n_A] += draw(st.floats(0.0, 3.0)) * np.roll(np.eye(n_A), 1, axis=1)
+    P[:n_A, n_A:] = 0.0
+    values = draw(arrays(float, n, elements=st.floats(-1.0, 1.0)))
+    M = P * np.exp(values)
+    lamA = np.abs(np.linalg.eigvals(M[:n_A, :n_A])).max()
+    rowsum = M[n_A:, n_A:].sum(axis=1).max(initial=0.0)
+    if rowsum > 0.5 * lamA:
+        P[n_A:] *= 0.5 * lamA / rowsum
+    K = kl.FiniteKernel(points=np.arange(n, dtype=float)[:, None], P=P, A=np.arange(n_A))
+    return K, kl.PotentialVector.from_values(K, values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gapped_kernels())
+def test_met_rate_matches_eigenvalue_ratio_on_generated_kernels(kernel):
+    K, V = kernel
+    M = kl.build_tilted_matrix(K, V)
+    mods = np.sort(np.abs(np.linalg.eigvals(M)))[::-1]
+    # a numerically rank-one tilt reaches the rounding bed in one step: no rate to measure
+    assume(mods[1] > 1e-8 * mods[0])
+    gamma, info = kl.met_rate_estimate(K, V, kl.perron_triple(M, K.A), seed=0)
+    assert info["mode"] == "deflated"
+    assert abs(gamma - np.log(mods[0] / mods[1])) <= 0.05 * np.log(mods[0] / mods[1])
+
+
+def test_met_rate_of_a_rank_one_tilt_is_infinite():
+    # M / lam - h mu^T is zero up to rounding here, so W <- D W sits on the rounding bed
+    K, V = two_state()
+    gamma, info = kl.met_rate_estimate(K, V, kl.perron_triple(kl.build_tilted_matrix(K, V), K.A))
+    assert gamma == np.inf and info == {"mode": "collapsed"}
 
 
 def test_met_exponential_envelope(rng):

@@ -495,3 +495,25 @@ def test_rng_stream_independence():
     c = rc.rng_stream(5, 0).random(8)
     assert np.array_equal(a, c)
     assert not np.array_equal(a, b)
+
+
+def test_rng_stream_keys_do_not_collide():
+    # the list form SeedSequence([seed, stream]) gives these two keys one stream
+    a = rc.rng_stream(2**32 + 5, 7).random(4)
+    b = rc.rng_stream(5, 1 + 7 * 2**32).random(4)
+    assert not np.array_equal(a, b)
+
+
+def test_rng_stream_masks_seed_and_stream_to_64_bits():
+    assert np.array_equal(rc.rng_stream(-1, 3).random(4), rc.rng_stream(2**64 - 1, 3).random(4))
+    assert np.array_equal(rc.rng_stream(9, -2).random(4), rc.rng_stream(9, 2**64 - 2).random(4))
+    assert not np.array_equal(rc.rng_stream(-1, 3).random(4), rc.rng_stream(1, 3).random(4))
+
+
+def test_rng_stream_bits_are_pinned():
+    # every seeded Monte Carlo output moves if these do
+    assert [x.hex() for x in rc.rng_stream(101, 0).random(3)] == [
+        "0x1.0de4d72b9161fp-1",
+        "0x1.96d51fd110320p-1",
+        "0x1.7c77029000846p-1",
+    ]
