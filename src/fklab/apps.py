@@ -154,27 +154,28 @@ def _tilt_parameter(pressure_fn, x, a_hi, h=1e-4):
         return None
 
 
-def default_v_family(kernel, bump_scale=1.0, poly_scale=0.5):
+POLY_SCALE = 0.5  # height of the coordinate polynomials in default_v_family
+V_SCALES = (0.5, 1.0, 2.0, 4.0)  # the positive rescalings rate_function_eval tries
+
+
+def default_v_family(kernel):
     """Finite potential family for the rate-function evaluation: smoothed
-    bumps at every invariant-set state plus low-order coordinate
-    polynomials."""
-    d = kernel.dists
-    positive = d[d > 0]
-    width = float(positive.min()) if positive.size else 1.0
+    bumps (both signs) at every invariant-set state plus low-order
+    coordinate polynomials."""
+    bumps = kl._bumps(kernel)
     fam = [np.zeros(kernel.n)]
     for a in kernel.A:
-        fam.append(bump_scale * np.maximum(0.0, 1.0 - d[a] / width))
-        fam.append(-bump_scale * np.maximum(0.0, 1.0 - d[a] / width))
+        fam += [bumps[a], -bumps[a]]
     pts = kernel.points
     for j in range(pts.shape[1]):
         x = pts[:, j]
         span = np.ptp(x) or 1.0
-        fam.append(poly_scale * (x - x.mean()) / span)
-        fam.append(poly_scale * ((x - x.mean()) / span) ** 2)
+        fam.append(POLY_SCALE * (x - x.mean()) / span)
+        fam.append(POLY_SCALE * ((x - x.mean()) / span) ** 2)
     return fam
 
 
-def rate_function_eval(kernel, sigma, v_family, scales=(0.5, 1.0, 2.0, 4.0)):
+def rate_function_eval(kernel, sigma, v_family):
     """Lower bound for the level-2 rate function at the probability vector
     sigma: sup over the family (and positive rescalings) of
     <V, sigma> - log lambda_V, exact through tilted-eigenvalue solves.
@@ -191,7 +192,7 @@ def rate_function_eval(kernel, sigma, v_family, scales=(0.5, 1.0, 2.0, 4.0)):
         return np.inf
     best = 0.0
     for base in v_family:
-        for s in scales:
+        for s in V_SCALES:
             values = s * np.asarray(base, dtype=float)
             V = kl.PotentialVector.from_values(kernel, values)
             lam = kl.perron_triple(kl.build_tilted_matrix(kernel, V), kernel.A).lam

@@ -293,13 +293,13 @@ def _cmd_met_check(cfg, seed, threads):
     rng = np.random.default_rng(seed)
     f = rng.uniform(-1, 1, kernel.n)
     C, gamma, residuals = kl.met_residuals(kernel, potential, triple, f, k_max=k_max)
-    rate, info = kl.met_rate_estimate(kernel, potential, triple, seed=seed)
+    rate, info = kl.met_rate_estimate(kernel, potential, triple)
     return {
         "lambda": triple.lam,
         "C": C,
         "gamma_window_fit": gamma,
         "gamma_rate_estimate": rate,
-        "rate_info": {k: v for k, v in info.items()},
+        "rate_info": info,
     }, {"residuals.csv": ("k,residual", np.column_stack([np.arange(1, k_max + 1), residuals]))}
 
 

@@ -247,12 +247,16 @@ class PressureFit:
     accepted: bool
 
 
-def pressure_estimate(model, V, u0, k_max=60, n_traj=4000, seed=0, curvature_tol=0.02):
+CURVATURE_TOL = 0.02  # largest |quadratic coefficient| per step of an accepted pressure tail
+RECENTER_TRAJ = 64  # ensemble size of pressure_curve's recentring run
+
+
+def pressure_estimate(model, V, u0, k_max=60, n_traj=4000, seed=0):
     """Pressure (exponential growth rate of the total weighted mass) from
     the tail slope of the log-mass series started at u0.
 
     The fit is rejected (``accepted=False``) when the tail's quadratic
-    curvature exceeds ``curvature_tol`` per step, signalling that the
+    curvature exceeds ``CURVATURE_TOL`` per step, signalling that the
     asymptotic regime was not reached.
     """
     if k_max < 20:
@@ -266,7 +270,7 @@ def pressure_estimate(model, V, u0, k_max=60, n_traj=4000, seed=0, curvature_tol
         stderr=float(err),
         series=series,
         curvature=float(quad),
-        accepted=bool(abs(quad) <= curvature_tol),
+        accepted=bool(abs(quad) <= CURVATURE_TOL),
     )
 
 
@@ -282,18 +286,7 @@ class PressureCurve:
     accepted: np.ndarray  # each alpha's fit verdict (True at alpha = 0)
 
 
-def pressure_curve(
-    model,
-    V,
-    alphas,
-    u0,
-    k_max=60,
-    n_traj=4000,
-    seed=0,
-    recenter=True,
-    recenter_k=10_000,
-    recenter_traj=64,
-):
+def pressure_curve(model, V, alphas, u0, k_max=60, n_traj=4000, seed=0, recenter=True, recenter_k=10_000):
     """Pressure along alpha -> Q(alpha V) with the CLT variance read off the
     second difference at the origin.
 
@@ -304,11 +297,11 @@ def pressure_curve(
     alphas = np.asarray(sorted(set(float(a) for a in alphas) | {0.0}))
     shift = 0.0
     if recenter:
-        U = initial_ensemble(model, u0, recenter_traj)
+        U = initial_ensemble(model, u0, RECENTER_TRAJ)
         acc, cnt = 0.0, 0
         burn = min(200, recenter_k // 10)
-        for k, U, _ in propagate(model, U, rng_stream(seed, 1), recenter_k // recenter_traj):
-            if k > burn // recenter_traj:
+        for k, U, _ in propagate(model, U, rng_stream(seed, 1), recenter_k // RECENTER_TRAJ):
+            if k > burn // RECENTER_TRAJ:
                 acc += float(V(U).sum())
                 cnt += U.shape[0]
         shift = acc / max(cnt, 1)

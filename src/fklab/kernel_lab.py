@@ -7,7 +7,8 @@ carry no mass outside ``A``.  Tilting by a potential ``V`` multiplies column
 ``j`` by ``exp(V[j])``; the resulting matrix ``M`` plays the role of the
 weighted transfer operator, and everything downstream (eigen-triples,
 normalized semigroups, contraction factors, condition checks) is computed
-from dense powers of ``M``.
+from dense powers of ``M``.  The rate of the multiplicative ergodic theorem
+is read off one eigenvalue solve: ``-log rho(M / lam - h mu^T)``.
 """
 
 from __future__ import annotations
@@ -211,14 +212,17 @@ def cesaro_average(M, k):
     return acc / k
 
 
-def met_residuals(kernel, potential, triple, f, k_max=200, floor=1e-13):
+ROUNDING_BED = 1e-13  # residuals and rho(D) at or below this are float64 rounding, not decay
+
+
+def met_residuals(kernel, potential, triple, f, k_max=200):
     """Decay of sup_u |lam^-k (M^k f)(u) - <f, mu> h(u)| and its fitted rate.
 
     ``f`` is normalized to unit Lipschitz-plus-sup norm first.  The rate is
     an ordinary least squares fit of log residual over the last half of the
-    window, discarding values below ``floor`` to avoid the floating point
-    bed.  Returns ``(C, gamma, residuals)``; ``gamma = inf`` when every
-    residual in the fit window sits below the floor.
+    window, discarding values below ``ROUNDING_BED``.  Returns
+    ``(C, gamma, residuals)``; ``gamma = inf`` when every residual in the
+    fit window sits below it.
     """
     M = build_tilted_matrix(kernel, potential)
     f = np.asarray(f, dtype=float)
@@ -232,7 +236,7 @@ def met_residuals(kernel, potential, triple, f, k_max=200, floor=1e-13):
         v = M @ v / triple.lam
         residuals[k] = np.abs(v - target).max()
     ks, tail = fits.late_half(residuals)
-    keep = (tail >= floor) & np.isfinite(tail)
+    keep = (tail >= ROUNDING_BED) & np.isfinite(tail)
     if keep.sum() < 2:
         return np.inf, np.inf, residuals
     gamma = -fits.line(ks[keep], np.log(tail[keep]))[0]
@@ -241,59 +245,20 @@ def met_residuals(kernel, potential, triple, f, k_max=200, floor=1e-13):
     return C, gamma, residuals
 
 
-def _deflated_log_residuals(D, F, k_max):
-    """log of max-aggregated residual norms of W <- D W from the columns of
-    ``F``.  Renormalizing each step keeps the sequence exact in log space
-    far below the float64 range; a step that shrinks W below 1e-13 has hit
-    the rounding bed of D (a rank-deficient tilt), and ends it as -inf."""
-    W = F / np.abs(F).max(axis=0, keepdims=True)
-    logs = np.empty(k_max)
-    shift = 0.0
-    for k in range(k_max):
-        W = D @ W
-        scale = float(np.abs(W).max())
-        if not 1e-13 < scale < np.inf:
-            logs[k:] = -np.inf
-            break
-        W = W / scale
-        shift += np.log(scale)
-        logs[k] = shift
-    return logs
+def met_rate_estimate(kernel, potential, triple):
+    """Exponential rate of lam^-k M^k f -> <f, mu> h, from one eigenvalue solve.
 
-
-def met_rate_estimate(kernel, potential, triple, n_f=8, seed=0, efolds=44.0, k_cap=6000):
-    """Oscillation-robust estimate of the exponential convergence rate.
-
-    Aggregates deflated, renormalized residual iterations over ``n_f``
-    random test functions (log-space tracking has no floating point floor)
-    and fits the tail slope.  When the local slopes drift -- slowly beating
-    complex subdominant pairs -- the window is extended until the fit
-    averages over whole beats.  Returns ``(gamma, info)``; infinite gamma
-    signals residuals that collapse to the rounding bed (rank-deficient tilt).
+    The residual is exactly D^k f with D = M / lam - h mu^T, since
+    D^k = (M / lam)^k - h mu^T for k >= 1, so the rate is -log rho(D).
+    Returns ``(gamma, {"mode": "spectral", "radius": rho})``, or
+    ``(inf, {"mode": "collapsed"})`` when rho is at the rounding bed of D (a
+    rank-one tilt).  gamma <= 0 when the complement of A is not dominated.
     """
-    # D h = 0 and mu D = 0 up to rounding: the Perron component that
-    # rounding brings back is killed again at the next step
     D = build_tilted_matrix(kernel, potential) / triple.lam - np.outer(triple.h, triple.mu)
-    rng = np.random.default_rng(seed)
-    n = kernel.n
-    pilot = _deflated_log_residuals(D, rng.uniform(-1, 1, (n, n_f)), 60)
-    finite = np.isfinite(pilot)
-    if finite.sum() < 4:
+    rho = float(np.abs(np.linalg.eigvals(D)).max())
+    if rho <= ROUNDING_BED:
         return np.inf, {"mode": "collapsed"}
-    g0 = max(-fits.line(*fits.late_half(pilot[finite]))[0], 1e-3)
-    k_max = int(np.clip(efolds / g0, 32, 2000))
-    F = rng.uniform(-1, 1, (n, n_f))
-    while True:
-        logs = _deflated_log_residuals(D, F, k_max)
-        if not np.all(np.isfinite(logs)):
-            return np.inf, {"mode": "collapsed"}
-        ks, lr = fits.late_half(logs)
-        gamma = -fits.line(ks, lr)[0]
-        # the local slopes' spread, relative to the fitted one
-        drift = float(np.std(np.diff(lr)) / max(abs(gamma), 1e-300))
-        if drift <= 0.02 or k_max >= k_cap:
-            return gamma, {"mode": "deflated", "k_max": k_max, "drift": drift}
-        k_max = min(4 * k_max, k_cap)
+    return 0.0 - float(np.log(rho)), {"mode": "spectral", "radius": rho}  # rho = 1 reads +0.0, not -0.0
 
 
 def _lip_norm(f, dists):
@@ -372,16 +337,20 @@ class ConditionReport:
         )
 
 
+def _bumps(kernel):
+    """Smoothed bumps max(0, 1 - d(i, .) / width), row i centred at state i;
+    the width is the least positive state distance (1.0 if there is none)."""
+    d = kernel.dists
+    positive = d[d > 0]
+    width = float(positive.min()) if positive.size else 1.0
+    return np.maximum(0.0, 1.0 - d / width)
+
+
 def _test_function_family(kernel, triple):
     """Finite family standing in for the sup over unit-Lipschitz functions:
     a smoothed bump at every state, the coordinate functions, and the
     eigenfunction itself.  Recorded in the report for reproducibility."""
-    d = kernel.dists
-    positive = d[d > 0]
-    width = float(positive.min()) if positive.size else 1.0
-    fams = []
-    for i in range(kernel.n):
-        fams.append((f"bump@{i}", np.maximum(0.0, 1.0 - d[i] / width)))
+    fams = [(f"bump@{i}", bump) for i, bump in enumerate(_bumps(kernel))]
     for j in range(kernel.points.shape[1]):
         fams.append((f"coord{j}", kernel.points[:, j].astype(float)))
     fams.append(("eigenfunction", triple.h.copy()))
@@ -483,12 +452,15 @@ def kantorovich_contraction_factor(M, triple, points, theta, m):
     return max([0.0] + [num / min(1.0, theta * d[u, v]) for num, (u, v) in zip(nums, pairs)])
 
 
-def contraction_search(M, triple, points, feller_C=None, m_max=64):
+CONTRACTION_M_MAX = 64  # the longest horizon contraction_search tries
+
+
+def contraction_search(M, triple, points, feller_C=None):
     """Search a (theta, m) pair at which the dual semigroup halves
     Kantorovich distances, mirroring the proof's choice theta >= 4C.
 
     Returns ``(theta, m, factor)`` or raises if no pair is found up to
-    ``m_max`` on the theta grid.
+    ``CONTRACTION_M_MAX`` on the theta grid.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     diam = float(distances(points, points).max())
@@ -496,10 +468,10 @@ def contraction_search(M, triple, points, feller_C=None, m_max=64):
     thetas = [max(base, 4.0 * feller_C)] if feller_C else []
     thetas += [base, 4 * base, 16 * base, 64 * base]
     m = 1
-    while m <= m_max:
+    while m <= CONTRACTION_M_MAX:
         for theta in thetas:
             factor = kantorovich_contraction_factor(M, triple, points, theta, m)
             if factor <= 0.5:
                 return theta, m, factor
         m *= 2
-    raise RuntimeError(f"no contraction found with m <= {m_max}")
+    raise RuntimeError(f"no contraction found with m <= {CONTRACTION_M_MAX}")

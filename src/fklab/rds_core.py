@@ -369,9 +369,12 @@ class HittingReport:
     horizon: int
 
 
-def hitting_time_stats(model, u0s, eps, n_traj=1000, horizon=1000, seed=0, target=2.0):
+EXP_MOMENT_TARGET = 2.0  # hitting_time_stats' delta keeps E exp(delta tau) at or below this
+
+
+def hitting_time_stats(model, u0s, eps, n_traj=1000, horizon=1000, seed=0):
     """First hitting times of the ball B_eps around the origin and the
-    largest exponent with empirical exp-moment below ``target``.
+    largest exponent with empirical exp-moment below ``EXP_MOMENT_TARGET``.
 
     Censored trajectories (no hit within the horizon) are excluded from the
     moment and reported as a fraction; the returned delta is then a bound
@@ -408,17 +411,21 @@ def hitting_time_stats(model, u0s, eps, n_traj=1000, horizon=1000, seed=0, targe
         return worst
 
     lo, hi = 0.0, 1.0
-    while exp_moment(hi) <= target and hi < 50:
+    while exp_moment(hi) <= EXP_MOMENT_TARGET and hi < 50:
         hi *= 2
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if exp_moment(mid) <= target:
+        if exp_moment(mid) <= EXP_MOMENT_TARGET:
             lo = mid
         else:
             hi = mid
     return HittingReport(
         taus=taus, delta=lo, censored_fraction=censored / total, horizon=horizon
     )
+
+
+SETTLE_STEPS = 25  # consecutive steps within SETTLE_FRAC * eps that settle a trajectory
+SETTLE_FRAC = 0.75  # the settling radius, as a share of eps
 
 
 @dataclass
@@ -432,26 +439,16 @@ class AttractionReport:
     settling_shortcut: bool  # whether the map's contraction factor let trajectories settle
 
 
-def attraction_counter(
-    model,
-    cloud,
-    eps,
-    u0s,
-    n_traj=1000,
-    horizon=400,
-    seed=0,
-    settle_steps=25,
-    settle_frac=0.75,
-):
+def attraction_counter(model, cloud, eps, u0s, n_traj=1000, horizon=400, seed=0):
     """Counts N = #{m >= 1 : u_m farther than eps from the attractor cloud}
     per trajectory, with a log-tail fit P(N >= m) <= Lambda exp(-delta m).
 
     ``eps`` must exceed the cloud resolution (max nearest-neighbor spacing).
     A trajectory stops consuming steps once it has stayed within
-    ``settle_frac * eps`` of the cloud for ``settle_steps`` consecutive
+    ``SETTLE_FRAC * eps`` of the cloud for ``SETTLE_STEPS`` consecutive
     steps, but only when that is provably final: the map must record a
     contraction factor ``cf < 1`` and the settled distance must satisfy
-    settle_frac * cf + resolution / eps <= 0.95, so the next cloud distance
+    SETTLE_FRAC * cf + resolution / eps <= 0.95, so the next cloud distance
     stays below eps forever (cloud points are attainable, hence the true
     attractor distance is at most the cloud distance).  The report records
     whether this shortcut was on (``settling_shortcut``); a contraction
@@ -473,15 +470,15 @@ def attraction_counter(
     settled = np.zeros(n, dtype=int)
     active = np.ones(n, dtype=bool)
     cf = model.contraction_factor
-    can_settle = cf is not None and cf < 1 and settle_frac * cf + spacing / eps <= 0.95
+    can_settle = cf is not None and cf < 1 and SETTLE_FRAC * cf + spacing / eps <= 0.95
     for _, U, _ in propagate(model, U, rng_stream(seed, 0), horizon, active=active):
         idx = np.flatnonzero(active)
         dist = tree.query(U[idx])[0]
         counts[idx] += dist > eps
         if can_settle:
-            inside = dist <= settle_frac * eps
+            inside = dist <= SETTLE_FRAC * eps
             settled[idx] = np.where(inside, settled[idx] + 1, 0)
-            active[idx[settled[idx] >= settle_steps]] = False
+            active[idx[settled[idx] >= SETTLE_STEPS]] = False
     censored = float(active.sum()) / n
 
     ms = np.arange(1, counts.max() + 1) if counts.max() > 0 else np.array([1])

@@ -87,7 +87,7 @@ def test_criterion_02_met_exponential_rate():
         if mods[1] <= 0:
             continue
         gamma_true = -np.log(mods[1] / mods[0])
-        gamma, _info = kl.met_rate_estimate(K, V, triple, seed=1000 + i)
+        gamma, _info = kl.met_rate_estimate(K, V, triple)
         if not np.isfinite(gamma):
             continue
         worst_rate = max(worst_rate, abs(gamma - gamma_true) / gamma_true)
@@ -106,7 +106,7 @@ def test_criterion_02_met_exponential_rate():
         2,
         "met-exponential-rate",
         ok,
-        f"worst gamma error {worst_rate:.2%} (tolerance 5%), envelope holds: {envelope_ok}",
+        f"worst gamma error {worst_rate:.1e} (tolerance 5%), envelope holds: {envelope_ok}",
     )
 
 

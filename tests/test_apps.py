@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -46,22 +46,6 @@ def test_occupation_converges_to_stationary(chain_setup):
         dists.append(dual_lipschitz(apps.occupation_measure(chain.coords(traj.states), k), target))
     assert dists[-1] < 0.08
     assert dists[-1] <= dists[0] + 0.02
-
-
-def test_ldp_legendre_zero_at_mean(chain_setup):
-    K, chain = chain_setup
-    rng = np.random.default_rng(5)
-    f_values = rng.uniform(0, 1, K.n)
-    mu = kl.perron_triple(K.P, K.A).mu
-    mean = f_values @ mu
-
-    def pressure(alpha):
-        V = kl.PotentialVector.from_values(K, alpha * f_values)
-        return float(np.log(kl.perron_triple(kl.build_tilted_matrix(K, V), K.A).lam))
-
-    alphas = np.linspace(-6, 6, 121)
-    legendre = max(a * mean - pressure(a) for a in alphas)
-    assert abs(legendre) < 1e-6
 
 
 def test_ldp_finite_state_matches_legendre(chain_setup):
@@ -121,6 +105,31 @@ def test_rate_function_vanishes_at_stationary_on_generated_chains(K):
     # <V, mu> <= log lam_V at the stationary mu, for every V of the family
     mu = kl.perron_triple(K.P, K.A).mu
     assert apps.rate_function_eval(K, mu, apps.default_v_family(K)) <= 1e-12
+
+
+@st.composite
+def chains_and_functions(draw):
+    K = draw(irreducible_chains())
+    return K, draw(arrays(float, K.n, elements=st.floats(-1.0, 1.0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(chains_and_functions())
+@example((random_stochastic_chain(np.random.default_rng(23), 4), np.random.default_rng(5).uniform(0, 1, 4)))
+def test_ldp_legendre_zero_at_mean(chain_and_f):
+    # the exact pressure alpha -> log lam(alpha f) has slope <f, mu> at 0, so
+    # its Legendre transform vanishes at the mean
+    K, f_values = chain_and_f
+    mu = kl.perron_triple(K.P, K.A).mu
+    mean = f_values @ mu
+
+    def pressure(alpha):
+        V = kl.PotentialVector.from_values(K, alpha * f_values)
+        return float(np.log(kl.perron_triple(kl.build_tilted_matrix(K, V), K.A).lam))
+
+    alphas = np.linspace(-6, 6, 121)
+    legendre = max(a * mean - pressure(a) for a in alphas)
+    assert abs(legendre) < 1e-6
 
 
 def test_rate_function_positive_at_dirac_and_monotone(chain_setup):

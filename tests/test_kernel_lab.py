@@ -298,7 +298,7 @@ def test_met_residuals_rate_matches_eigengap(rng):
         t = kl.perron_triple(M, K.A)
         mods = np.sort(np.abs(np.linalg.eigvals(M)))[::-1]
         gamma_true = -np.log(mods[1] / mods[0])
-        gamma, info = kl.met_rate_estimate(K, V, t, seed=trial)
+        gamma, info = kl.met_rate_estimate(K, V, t)
         assert abs(gamma - gamma_true) / gamma_true < 0.05
         hits += 1
     assert hits == 8
@@ -331,25 +331,43 @@ def test_met_rate_matches_eigenvalue_ratio_on_generated_kernels(kernel):
     K, V = kernel
     M = kl.build_tilted_matrix(K, V)
     mods = np.sort(np.abs(np.linalg.eigvals(M)))[::-1]
-    # a numerically rank-one tilt reaches the rounding bed in one step: no rate to measure
+    # a numerically rank-one tilt has rho(D) on the rounding bed: no rate to measure
     assume(mods[1] > 1e-8 * mods[0])
-    gamma, info = kl.met_rate_estimate(K, V, kl.perron_triple(M, K.A), seed=0)
-    assert info["mode"] == "deflated"
-    assert abs(gamma - np.log(mods[0] / mods[1])) <= 0.05 * np.log(mods[0] / mods[1])
+    gamma, info = kl.met_rate_estimate(K, V, kl.perron_triple(M, K.A))
+    assert info["mode"] == "spectral"
+    assert abs(gamma - np.log(mods[0] / mods[1])) <= 1e-9 * np.log(mods[0] / mods[1])
 
 
 def test_met_rate_of_a_rank_one_tilt_is_infinite():
-    # M / lam - h mu^T is zero up to rounding here, so W <- D W sits on the rounding bed
+    # M / lam - h mu^T is zero up to rounding here, so rho(D) sits on the rounding bed
     K, V = two_state()
     gamma, info = kl.met_rate_estimate(K, V, kl.perron_triple(kl.build_tilted_matrix(K, V), K.A))
     assert gamma == np.inf and info == {"mode": "collapsed"}
+
+
+def test_met_rate_is_not_positive_when_the_complement_is_not_dominated():
+    # criterion 03's kernels: the complement state is absorbing (K3) or
+    # grows by 1.6 a step (K4), against lam = 1 on A = {0, 1}
+    pts = np.array([[0.0], [1.0], [3.0]])
+    gammas = []
+    for last_row in ([0.0, 0.0, 1.0], [0.1, 0.0, 1.6]):
+        K = kl.FiniteKernel(points=pts, P=np.array([[0.6, 0.4, 0.0], [0.5, 0.5, 0.0], last_row]), A=[0, 1])
+        V = kl.PotentialVector.from_values(K, np.zeros(3))
+        t = kl.perron_triple(kl.build_tilted_matrix(K, V), K.A)
+        assert not t.extension_ok
+        gamma, info = kl.met_rate_estimate(K, V, t)
+        assert info["mode"] == "spectral" and type(gamma) is float
+        gammas.append(gamma)
+    k3, k4 = gammas
+    assert k3 == 0.0 and np.copysign(1.0, k3) == 1.0  # rho = 1 reads +0.0, not -0.0
+    assert k4 == pytest.approx(-np.log(1.6), rel=1e-12)
 
 
 def test_met_exponential_envelope(rng):
     K, V = random_kernel_potential(rng, 9)
     M = kl.build_tilted_matrix(K, V)
     t = kl.perron_triple(M, K.A)
-    rate, _ = kl.met_rate_estimate(K, V, t, seed=5)
+    rate, _ = kl.met_rate_estimate(K, V, t)
     k_max = int(np.clip(25 / rate, 12, 400))
     f = rng.uniform(-1, 1, 9)
     C, gamma, res = kl.met_residuals(K, V, t, f, k_max=k_max)

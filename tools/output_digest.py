@@ -280,6 +280,44 @@ def exact_perron():
     return out
 
 
+def battery_kernel(rng, n, strict_subset):
+    """The acceptance battery's kernels (``random_kernel_potential`` in
+    ``tests/conftest.py``): with ``strict_subset``, a proper A whose
+    complement rows are scaled below half the A-block's Perron value."""
+    d = int(rng.integers(1, 4))
+    pts = rng.uniform(-1, 1, size=(n, d))
+    A = np.arange(n)
+    if strict_subset and n >= 3:
+        A = np.sort(rng.choice(n, size=int(rng.integers(2, n)), replace=False))
+    P = rng.uniform(0.05, 1.0, size=(n, n)) * rng.uniform(0.5, 1.5, size=(n, 1))
+    outside = np.setdiff1d(np.arange(n), A)
+    values = rng.uniform(-1, 1, size=n)
+    if outside.size:
+        P[np.ix_(A, outside)] = 0.0
+        M = P * np.exp(values)[None, :]
+        lamA = np.abs(np.linalg.eigvals(M[np.ix_(A, A)])).max()
+        rowsum = M[np.ix_(outside, outside)].sum(axis=1).max()
+        if rowsum > 0.5 * lamA:
+            P[outside, :] *= 0.5 * lamA / rowsum
+    K = kl.FiniteKernel(points=pts, P=P, A=A)
+    return K, kl.PotentialVector.from_values(K, values)
+
+
+def exact_met_rate():
+    """The MET rate on criterion 02's first 20 kernels and on three kernels
+    whose complement is not dominated (criterion 03's two and a 2-state
+    one whose surrogate h reaches 1.6e305)."""
+    rng = np.random.default_rng(915)
+    kernels = [battery_kernel(rng, int(rng.integers(2, 21)), trial % 2 == 1) for trial in range(20)]
+    line = [[0.0], [1.0], [3.0]]
+    for pts, P, A in ((line, [[0.6, 0.4, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]], [0, 1]),
+                      (line, [[0.6, 0.4, 0.0], [0.5, 0.5, 0.0], [0.1, 0.0, 1.6]], [0, 1]),
+                      ([[0.0], [1.0]], [[1.0, 0.25], [0.0, 0.25]], [1])):
+        K = kl.FiniteKernel(points=pts, P=P, A=A)
+        kernels.append((K, kl.PotentialVector.from_values(K, np.zeros(K.n))))
+    return [kl.met_rate_estimate(K, V, kl.perron_triple(kl.build_tilted_matrix(K, V), K.A)) for K, V in kernels]
+
+
 def exact_chain_bridge():
     rng = np.random.default_rng(407)
     K = reversible_chain(rng, 5)
@@ -418,6 +456,7 @@ CASES = {
     "exact_conditions": exact_conditions,
     "exact_sandwich": exact_sandwich,
     "exact_perron": exact_perron,
+    "exact_met_rate": exact_met_rate,
     "exact_chain_bridge": exact_chain_bridge,
     "toy_estimators": toy_estimators,
     "burgers_estimators": burgers_estimators,
