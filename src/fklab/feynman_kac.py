@@ -6,7 +6,10 @@ steps is exp(sum of potential values along the path), and only ratios or
 log-slopes of such quantities are ever reported.  The growth rate of the
 total mass gives the pressure, its slope-normalized limit the eigenvalue,
 the resampled particle cloud the eigenmeasure, and mass estimates started
-from query points the eigenfunction.
+from query points the eigenfunction.  One particle loop serves every
+resampled estimator: it advances the tilts alpha V of one potential in
+lockstep on shared kicks, a single tilt for ``particle_fk`` and every
+nonzero alpha of ``pressure_curve`` at once.
 """
 
 from __future__ import annotations
@@ -172,49 +175,74 @@ class FKResult:
     ensemble: WeightedEnsemble
 
 
+def _particle_loop(model, V, init, k, n, ess_threshold, seed, tilts):
+    """The one particle loop: sequential importance sampling with
+    multinomial resampling for each tilt alpha V of ``tilts``, advanced in
+    lockstep from stream ``(seed, 0)``.
+
+    The tilts are the leading axis of one (A, n, d) ensemble started from
+    the same n rows.  Each step draws one set of kicks for the n rows,
+    shared by every tilt (common random numbers), and calls V once on the
+    A n rows; each tilt keeps its own weights, ESS and collapse count, and
+    resamples in tilt order on the same stream.  Returns the (A, k)
+    log-mass series, each tilt's :class:`WeightedEnsemble` and the
+    generator, positioned after the last resampling draw.
+    """
+    if n < 100:
+        raise ValueError("need at least 100 particles")
+    if not 0 < ess_threshold < 1:
+        raise ValueError("ess_threshold must be in (0, 1)")
+    tilts = np.asarray(tilts, dtype=float)
+    rng = rng_stream(seed, 0)
+    X0 = initial_ensemble(model, init, n, rng)
+    X = np.repeat(X0[None], tilts.size, axis=0)
+    ensembles = [
+        WeightedEnsemble(particles=X[a], logweights=np.zeros(n), k=0, lognorm=0.0, ess=float(n))
+        for a in range(tilts.size)
+    ]
+
+    def tilted(Y):
+        return tilts[:, None] * V(Y.reshape(-1, Y.shape[-1])).reshape(Y.shape[:-1])
+
+    series = np.empty((tilts.size, k))
+    collapses = np.zeros(tilts.size, dtype=int)
+    for step, X, logws in propagate(model, X, rng, k, tilted):
+        for a, (ens, logw) in enumerate(zip(ensembles, logws)):
+            if not np.isfinite(logw.max()):  # the weights would be NaN in _ess and rng.choice
+                raise FloatingPointError(f"non-finite log-weights at step {step} for tilt {tilts[a]:g}")
+            ens.logweights = logw
+            ens.k = step
+            ens.ess = _ess(logw)
+            series[a, step - 1] = ens.log_mass
+            resampled = False
+            if ens.ess < ess_threshold * n:
+                if ens.ess <= 1.5:
+                    collapses[a] += 1
+                    if collapses[a] >= 3:
+                        raise EnsembleCollapse(
+                            "effective sample size collapsed repeatedly; increase "
+                            "n_particles or reduce the potential's oscillation"
+                        )
+                ens.lognorm += _logmeanexp(logw)
+                w = np.exp(logw - logw.max())
+                w /= w.sum()
+                idx = rng.choice(n, size=n, p=w)
+                ens.particles[:] = ens.particles[idx]
+                logw[:] = 0.0
+                resampled = True
+            ens.history.append((step, ens.ess, resampled))
+    return series, ensembles, rng
+
+
 def particle_fk(model, V, init, k, n_particles=1000, ess_threshold=0.5, seed=0):
-    """Sequential importance sampling with multinomial resampling.
+    """Sequential importance sampling with multinomial resampling: the one
+    particle loop at the single tilt 1.
 
     Returns an :class:`FKResult` with the eigenvalue estimate (slope of the
     log-mass series over its last half), the terminal equal-weight cloud of
     ensemble states as the eigenmeasure estimate, and the full ensemble.
     """
-    if n_particles < 100:
-        raise ValueError("need at least 100 particles")
-    if not 0 < ess_threshold < 1:
-        raise ValueError("ess_threshold must be in (0, 1)")
-    rng = rng_stream(seed, 0)
-    X = initial_ensemble(model, init, n_particles, rng)
-    ens = WeightedEnsemble(
-        particles=X, logweights=np.zeros(n_particles), k=0, lognorm=0.0, ess=float(n_particles)
-    )
-    series = np.empty(k)
-    collapses = 0
-    for step, X, logw in propagate(model, X, rng, k, V):
-        if not np.isfinite(logw.max()):  # the weights would be NaN in _ess and rng.choice
-            raise FloatingPointError(f"non-finite log-weights at step {step}")
-        ens.logweights = logw
-        ens.k = step
-        ens.ess = _ess(logw)
-        series[step - 1] = ens.log_mass
-        resampled = False
-        if ens.ess < ess_threshold * n_particles:
-            if ens.ess <= 1.5:
-                collapses += 1
-                if collapses >= 3:
-                    raise EnsembleCollapse(
-                        "effective sample size collapsed repeatedly; increase "
-                        "n_particles or reduce the potential's oscillation"
-                    )
-            ens.lognorm += _logmeanexp(logw)
-            w = np.exp(logw - logw.max())
-            w /= w.sum()
-            idx = rng.choice(n_particles, size=n_particles, p=w)
-            X[:] = X[idx]
-            logw[:] = 0.0
-            resampled = True
-        ens.history.append((step, ens.ess, resampled))
-
+    (series,), (ens,), rng = _particle_loop(model, V, init, k, n_particles, ess_threshold, seed, (1.0,))
     lam, lam_err = fits.drift(series)
     # terminal equal-weight cloud
     w = np.exp(ens.logweights - ens.logweights.max())
@@ -249,19 +277,14 @@ class PressureFit:
 
 CURVATURE_TOL = 0.02  # largest |quadratic coefficient| per step of an accepted pressure tail
 RECENTER_TRAJ = 64  # ensemble size of pressure_curve's recentring run
+MIN_TAIL_STEPS = 20  # shortest log-mass series a pressure fit reads
 
 
-def pressure_estimate(model, V, u0, k_max=60, n_traj=4000, seed=0):
-    """Pressure (exponential growth rate of the total weighted mass) from
-    the tail slope of the log-mass series started at u0.
-
-    The fit is rejected (``accepted=False``) when the tail's quadratic
-    curvature exceeds ``CURVATURE_TOL`` per step, signalling that the
-    asymptotic regime was not reached.
-    """
-    if k_max < 20:
-        raise ValueError("k_max must be at least 20 for a tail fit")
-    series = particle_fk(model, V, u0, k_max, n_particles=max(100, n_traj), seed=seed).log_mass_series
+def _pressure_fit(series):
+    """Pressure fit of one log-mass series: its tail drift with the
+    batch-means stderr, rejected (``accepted=False``) when the tail's
+    quadratic curvature exceeds ``CURVATURE_TOL`` per step, signalling that
+    the asymptotic regime was not reached."""
     slope, err = fits.drift(series)
     half = series[len(series) // 2 :]
     quad = np.polyfit(np.arange(half.size, dtype=float), half, 2)[0]
@@ -272,6 +295,16 @@ def pressure_estimate(model, V, u0, k_max=60, n_traj=4000, seed=0):
         curvature=float(quad),
         accepted=bool(abs(quad) <= CURVATURE_TOL),
     )
+
+
+def pressure_estimate(model, V, u0, k_max=60, n_traj=4000, seed=0):
+    """Pressure (exponential growth rate of the total weighted mass) from
+    the tail slope of the log-mass series started at u0 (see
+    :func:`_pressure_fit` for the stderr and the verdict)."""
+    if k_max < MIN_TAIL_STEPS:
+        raise ValueError(f"k_max must be at least {MIN_TAIL_STEPS} for a tail fit")
+    series = particle_fk(model, V, u0, k_max, n_particles=max(100, n_traj), seed=seed).log_mass_series
+    return _pressure_fit(series)
 
 
 @dataclass
@@ -293,8 +326,22 @@ def pressure_curve(model, V, alphas, u0, k_max=60, n_traj=4000, seed=0, recenter
     The potential is recentred so its mean under the (V = 0) stationary
     occupation vanishes; the curve then has zero slope at 0 and its second
     difference estimates the CLT variance of the running average of V.
+    Every nonzero alpha runs ``n_traj`` particles for ``k_max`` steps in one
+    lockstep particle system on shared kicks (common random numbers), so
+    the tilts' log-mass series s_alpha are correlated.  Errors of
+    combinations of them are therefore read off the combined series, with
+    s_0 = 0: sigma_V and its stderr are ``fits.drift(s_- + s_+) / da^2``,
+    and the curve is convex when each second difference, the drift of
+    s_(i-1) - 2 s_i + s_(i+1), is at least minus three of its stderrs.
     """
     alphas = np.asarray(sorted(set(float(a) for a in alphas) | {0.0}))
+    i0 = int(np.flatnonzero(alphas == 0.0)[0])
+    if i0 == 0 or i0 == len(alphas) - 1:
+        raise ValueError("alpha grid must straddle zero")
+    if k_max < MIN_TAIL_STEPS:
+        raise ValueError(f"k_max must be at least {MIN_TAIL_STEPS} for a tail fit")
+    if recenter and recenter_k < RECENTER_TRAJ:
+        raise ValueError(f"recenter_k = {recenter_k} runs no recentring step; it must be at least {RECENTER_TRAJ}")
     shift = 0.0
     if recenter:
         U = initial_ensemble(model, u0, RECENTER_TRAJ)
@@ -307,38 +354,22 @@ def pressure_curve(model, V, alphas, u0, k_max=60, n_traj=4000, seed=0, recenter
         shift = acc / max(cnt, 1)
     Vc = V.shifted(-shift) if shift != 0.0 else V
 
-    Qs, errs, accepted = [], [], []
-    for i, a in enumerate(alphas):
-        if a == 0.0:
-            Qs.append(0.0)
-            errs.append(0.0)
-            accepted.append(True)
-            continue
-        fit = pressure_estimate(model, Vc.scaled(a), u0, k_max, n_traj, seed=seed + 17 * i)
-        Qs.append(fit.Q)
-        errs.append(fit.stderr)
-        accepted.append(fit.accepted)
-    Qs = np.asarray(Qs)
-    errs = np.asarray(errs)
-
-    i0 = int(np.flatnonzero(alphas == 0.0)[0])
-    if i0 == 0 or i0 == len(alphas) - 1:
-        raise ValueError("alpha grid must straddle zero")
+    tilts = np.delete(alphas, i0)
+    series, _, _ = _particle_loop(model, Vc, u0, k_max, max(100, n_traj), 0.5, seed, tilts)
+    tilt_fits = [_pressure_fit(s) for s in series]
+    S = np.insert(series, i0, 0.0, axis=0)
+    second = np.array([fits.drift(d2) for d2 in S[:-2] - 2 * S[1:-1] + S[2:]])
     da = min(alphas[i0 + 1] - alphas[i0], alphas[i0] - alphas[i0 - 1])
-    sigma = (Qs[i0 + 1] - 2 * Qs[i0] + Qs[i0 - 1]) / da**2
-    sigma_err = np.sqrt(errs[i0 + 1] ** 2 + errs[i0 - 1] ** 2) / da**2
-    second = np.diff(Qs, 2)
-    tol = 3 * np.sqrt(errs[:-2] ** 2 + 4 * errs[1:-1] ** 2 + errs[2:] ** 2) + 1e-9
-    convex = bool(np.all(second >= -tol))
+    sigma, sigma_err = second[i0 - 1] / da**2
     return PressureCurve(
         alphas=alphas,
-        Q=Qs,
-        stderr=errs,
+        Q=np.insert([f.Q for f in tilt_fits], i0, 0.0),
+        stderr=np.insert([f.stderr for f in tilt_fits], i0, 0.0),
         sigma_V=float(sigma),
         sigma_V_stderr=float(sigma_err),
-        convex=convex,
+        convex=bool(np.all(second[:, 0] >= -(3 * second[:, 1] + 1e-9))),
         mean_shift=float(shift),
-        accepted=np.asarray(accepted),
+        accepted=np.insert([f.accepted for f in tilt_fits], i0, True),
     )
 
 

@@ -7,7 +7,11 @@ bump density 2 Beta(3, 3) - 1, drawn exactly from three uniforms each as
 Beta(3, 3) = U1^(1/3) U2^(1/4) U3^(1/5) (Devroye 1986).
 SFC64 streams seeded by ``SeedSequence(master seed, spawn_key=(stream id,))``
 make every run bitwise reproducible; every ensemble is advanced by
-:func:`propagate`, drawing all its rows from one stream.
+:func:`propagate`, drawing all its rows from one stream.  An ensemble is
+(n, d), or (..., n, d) for stacked copies of it (the tilts of a pressure
+curve): a step draws for the n rows once and shares the draw along the
+leading axes, so each copy sees the draws a 2-D step would take from the
+same stream state.
 
 A finite Markov chain on embedded points is provided as a second model type
 so the Monte Carlo estimators can be cross-checked against the exact
@@ -171,9 +175,10 @@ class RDSModel:
         return self.step_many(np.asarray(u, dtype=float)[None, :], rng)[0]
 
     def step_many(self, U, rng):
-        """One step of an ensemble, all kicks drawn from the one stream."""
+        """One step of an ensemble, all kicks drawn from the one stream: n
+        kicks for (..., n, d) states, shared along the leading axes."""
         V = self.map.apply_batch(U)
-        V[:, : self.kicks.dim] += sample_kicks(self.kicks, rng, U.shape[0])
+        V[..., : self.kicks.dim] += sample_kicks(self.kicks, rng, U.shape[-2])
         return V
 
 
@@ -226,17 +231,18 @@ class FiniteChainModel:
         return idx
 
     def step_indices(self, idx, rng):
-        """Next state of each index in ``idx``, one uniform per row: the count
-        of its cumulative row sums below the uniform, all but the last (so a
-        row summing to just under one never steps past the last state)."""
-        u = rng.random(idx.shape[0])
-        nxt = np.zeros(idx.shape[0], dtype=np.intp)
+        """Next state of each index in ``idx``, one uniform per row (per
+        entry of the last axis, shared along the others): the count of its
+        cumulative row sums below the uniform, all but the last (so a row
+        summing to just under one never steps past the last state)."""
+        u = rng.random(idx.shape[-1])
+        nxt = np.zeros(idx.shape, dtype=np.intp)
         for row in self._cumT[:-1]:
             nxt += u > row[idx]
         return nxt
 
     def step_many(self, X, rng):
-        return self.step_indices(X[:, 0], rng)[:, None]
+        return self.step_indices(X[..., 0], rng)[..., None]
 
     def coords(self, X):
         """Points of the index states ``X``: the one way out of index space."""
@@ -259,16 +265,18 @@ def propagate(model, X, rng, steps, V=None, active=None):
     """The one ensemble loop: advance the rows of ``X`` in place for up to
     ``steps`` steps, drawing from the single generator ``rng``.
 
-    Yields ``(k, X, logw)`` after step k = 1..steps, where ``logw`` holds
-    each row's running sum V(u_1) + ... + V(u_k) (zeros without ``V``).
-    Consumers may modify ``X``, ``logw`` and the boolean mask ``active`` in
-    place between steps (resampling, freezing rows); only rows active at a
-    step are advanced and weighted, and the loop ends early once no row is
-    active.  A non-finite state raises :class:`FloatingPointError` naming
-    the step and the row.
+    Yields ``(k, X, logw)`` after step k = 1..steps, where ``logw`` (shape
+    ``X.shape[:-1]``) holds each row's running sum V(u_1) + ... + V(u_k)
+    (zeros without ``V``, which maps states to values of that shape).
+    Consumers may modify ``X``, ``logw`` and the boolean mask ``active`` (of
+    an (n, d) ensemble) in place between steps (resampling, freezing rows);
+    only rows active at a step are advanced and weighted, and the loop ends
+    early once no row is active.  A non-finite state raises
+    :class:`FloatingPointError` naming the step, the tilt (the index along
+    the leading axis of a stacked ensemble) and the row.
     """
     rows = slice(None)
-    logw = np.zeros(X.shape[0])
+    logw = np.zeros(X.shape[:-1])
     for k in range(1, int(steps) + 1):
         if active is not None:
             rows = np.flatnonzero(active)
@@ -276,8 +284,10 @@ def propagate(model, X, rng, steps, V=None, active=None):
                 return
         Y = model.step_many(X[rows], rng)
         if not np.isfinite(Y).all():
-            bad = np.arange(X.shape[0])[rows][np.argmin(np.isfinite(Y).all(axis=1))]
-            raise FloatingPointError(f"non-finite state at step {k} in row {bad}")
+            ok = np.isfinite(Y).all(axis=-1)
+            *tilt, row = np.unravel_index(np.argmin(ok), ok.shape)
+            at = "".join(f"tilt {t}, " for t in tilt)
+            raise FloatingPointError(f"non-finite state at step {k} in {at}row {np.arange(X.shape[-2])[rows][row]}")
         X[rows] = Y
         if V is not None:
             logw[rows] += V(Y)

@@ -148,12 +148,9 @@ def test_reproducible_across_thread_counts(tmp_path, command):
 
 def test_pressure_curve_reports_each_fit_verdict(tmp_path, capsys, monkeypatch):
     # a rejected fit keeps the exit code but reaches results.json and stderr
-    from dataclasses import replace
-
     from fklab import feynman_kac as fk
 
-    estimate = fk.pressure_estimate
-    monkeypatch.setattr(fk, "pressure_estimate", lambda *a, **k: replace(estimate(*a, **k), accepted=False))
+    monkeypatch.setattr(fk, "CURVATURE_TOL", -1.0)  # every tilt's fit rejects its curvature
     cfg = write_cfg(
         tmp_path,
         {"model": TOY_MODEL, "potential": {"kind": "coordinate", "index": 0, "scale": 1.0, "clip": 2.0},
@@ -165,6 +162,18 @@ def test_pressure_curve_reports_each_fit_verdict(tmp_path, capsys, monkeypatch):
     assert res["alphas"] == [-0.2, 0.0, 0.2]
     assert res["accepted"] == [False, True, False]
     assert "fit rejected at alpha = [-0.2, 0.2]" in capsys.readouterr().err
+
+
+def test_pressure_recentring_of_no_step_exits_2(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path,
+        {"model": TOY_MODEL, "potential": {"kind": "coordinate", "index": 0, "center": -0.5, "clip": 2.0},
+         "u0": [0] * 6, "k_max": 20, "n_traj": 100, "alphas": [-0.2, 0.2], "recenter_k": 50, "seed": 13},
+    )
+    out = tmp_path / "out"
+    assert run_cli(["pressure", "--config", cfg, "--out", str(out)]) == 2
+    assert "recenter_k = 50 runs no recentring step; it must be at least 64" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_seed_override_changes_manifest(tmp_path):

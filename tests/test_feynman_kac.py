@@ -226,6 +226,60 @@ def test_pressure_curve_matches_exact_curvature(chain_setup):
             assert abs(q - q_exact_same_shift(a)) <= 3 * err + 2e-3
 
 
+def test_lockstep_tilts_of_a_zero_potential_are_particle_fk(chain_setup, toy_model):
+    # with V = 0 no tilt resamples, so every tilt of the lockstep loop holds
+    # particle_fk's rows, weights and history, bitwise: only the kicks are shared
+    chain = chain_setup[3]
+    for model, u0 in ((toy_model, np.zeros(6)), (chain, chain.points[0])):
+        ref = fk.particle_fk(model, fk.PotentialFn.zero(), u0, k=15, n_particles=300, seed=3).ensemble
+        series, ensembles, _ = fk._particle_loop(model, fk.PotentialFn.zero(), u0, 15, 300, 0.5, 3, (-0.5, 0.25, 1.0))
+        assert series.shape == (3, 15) and not series.any()
+        for ens in ensembles:
+            assert not any(resampled for _, _, resampled in ens.history)
+            assert np.array_equal(ens.particles, ref.particles)
+            assert np.array_equal(ens.logweights, ref.logweights)
+            assert ens.history == ref.history
+
+
+def test_one_tilt_of_the_loop_is_particle_fk_on_the_scaled_potential(chain_setup, toy_model):
+    # a single tilt alpha draws and resamples as particle_fk does on alpha V
+    chain, Vfn = chain_setup[3], chain_setup[4]
+    V_toy = fk.PotentialFn.coordinate(0, clip=2.0)
+    for model, V, u0 in ((toy_model, V_toy, np.zeros(6)), (chain, Vfn, chain.points[0])):
+        ref = fk.particle_fk(model, V.scaled(-1.5), u0, k=20, n_particles=400, seed=9)
+        (series,), (ens,), _ = fk._particle_loop(model, V, u0, 20, 400, 0.5, 9, (-1.5,))
+        assert any(resampled for _, _, resampled in ens.history)
+        assert np.array_equal(series, ref.log_mass_series)
+        assert np.array_equal(ens.particles, ref.ensemble.particles)
+        assert ens.history == ref.ensemble.history
+
+
+def test_pressure_curve_rejects_a_recentring_run_of_no_step(toy_model):
+    V = fk.PotentialFn.coordinate(0, clip=2.0, center=-0.5)
+    with pytest.raises(ValueError, match="recenter_k = 50 .* at least 64"):
+        fk.pressure_curve(toy_model, V, [-0.25, 0.25], np.zeros(6), k_max=20, n_traj=100, recenter_k=50)
+    curve = fk.pressure_curve(toy_model, V, [-0.25, 0.25], np.zeros(6), k_max=20, n_traj=100, recenter_k=64)
+    assert curve.mean_shift > 0.3  # the mean of u_0 + 0.5 under the stationary law is 0.5
+
+
+@pytest.mark.slow
+def test_pressure_curve_sigma_stderr_is_calibrated_on_a_fast_mixing_chain():
+    # under shared kicks the tilts are correlated, and sigma_V's stderr,
+    # read off the paired series s_- + s_+, still matches its spread over
+    # seeds (the independence formula sqrt(e_-^2 + e_+^2) read 0.61)
+    rng = np.random.default_rng(7)
+    P = rng.uniform(0.1, 1.0, (5, 5))
+    chain = rc.FiniteChainModel(points=np.linspace(0, 2, 5)[:, None], P=P / P.sum(axis=1, keepdims=True))
+    V = fk.PotentialFn.from_chain(chain, rng.uniform(-1, 1, 5))
+    curves = [
+        fk.pressure_curve(chain, V, [-0.25, 0.25], chain.points[0], k_max=60, n_traj=2000, seed=seed)
+        for seed in range(100)
+    ]
+    sigma = np.array([c.sigma_V for c in curves])
+    stderr = np.array([c.sigma_V_stderr for c in curves])
+    assert 0.75 <= sigma.std(ddof=1) / np.sqrt(np.mean(stderr**2)) <= 1.33
+
+
 def test_pressure_curve_requires_straddling_grid(chain_setup):
     _, _, _, chain, Vfn = chain_setup
     with pytest.raises(ValueError):

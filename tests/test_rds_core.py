@@ -236,6 +236,38 @@ def test_propagate_raises_on_non_finite_state():
             pass
 
 
+@pytest.mark.parametrize("kind", ["toy", "chain"])
+def test_stacked_step_shares_its_draws_along_the_tilt_axis(toy_model, kind):
+    # an (A, n, d) step is the 2-D step of each tilt from the same stream
+    # state, bitwise, and leaves the stream where one 2-D step does
+    rng = np.random.default_rng(5)
+    if kind == "toy":
+        model, X = toy_model, rng.uniform(-1, 1, size=(3, 50, 6))
+    else:
+        P = rng.uniform(0.1, 1.0, size=(4, 4))
+        model = rc.FiniteChainModel(points=np.arange(4.0)[:, None], P=P / P.sum(axis=1, keepdims=True))
+        X = rng.integers(0, 4, size=(3, 50, 1)).astype(np.intp)
+    stacked = rc.rng_stream(8, 0)
+    Y = model.step_many(X.copy(), stacked)
+    assert Y.shape == X.shape and Y.dtype == X.dtype
+    for a in range(3):
+        solo = rc.rng_stream(8, 0)
+        assert np.array_equal(Y[a], model.step_many(X[a].copy(), solo))
+        assert np.array_equal(Y[a], model.step_many(X[None, a].copy(), rc.rng_stream(8, 0))[0])
+    assert stacked.random() == solo.random()
+    # propagate keeps one running weight per row of each tilt
+    V = lambda Z: np.ones(Z.shape[:-1])
+    _, _, logw = next(rc.propagate(model, X.copy(), rc.rng_stream(8, 0), 1, V=V))
+    assert logw.shape == (3, 50) and np.all(logw == 1.0)
+
+
+def test_propagate_names_the_tilt_and_row_of_a_non_finite_state(toy_model):
+    X = np.zeros((3, 5, 6))
+    X[1, 3, 2] = np.nan
+    with pytest.raises(FloatingPointError, match="non-finite state at step 1 in tilt 1, row 3"):
+        next(rc.propagate(toy_model, X, rc.rng_stream(0, 0), 5))
+
+
 def test_attainability_cloud_trivials(toy_model):
     B = np.zeros((1, 6))
     assert np.array_equal(rc.attainability_cloud(toy_model, B, 0), B)
