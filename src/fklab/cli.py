@@ -33,7 +33,7 @@ from .dynamics_maps import BurgersMap, ToyDiagonalMap, l1_circle_metric
 # every key some subcommand reads, per config section ("" is the top level)
 _KEYS = {
     "": set(
-        "seed model potential kernel params plan u0 u0s K stream k_max n_traj alphas recenter recenter_k"
+        "seed model potential kernel params plan u0 u0s K stream k_max n_traj alphas recenter_k"
         " N n_samples delta coordinate f x_grid k_set eps horizon cloud_k cloud_points hit_eps mu_f C".split()
     ),
     "model": set(
@@ -257,13 +257,11 @@ def _cmd_pressure(cfg, seed, threads):
     model = _build_model(cfg)
     V = _build_potential(cfg, model)
     u0 = _arr(cfg, "u0", np.zeros(model.dim))
-    k_max, n_traj = _num(cfg, "k_max", 60, int), _num(cfg, "n_traj", 4000, int, 1)
+    k_max, n_traj = _num(cfg, "k_max", 60, int), _num(cfg, "n_traj", 4000, int, 100)
     alphas = _arr(cfg, "alphas", None)
-    recenter, recenter_k = _num(cfg, "recenter", True, bool), _num(cfg, "recenter_k", 10_000, int, 0)
+    recenter_k = _num(cfg, "recenter_k", 10_000, int, 0)
     if alphas is not None and alphas.size:
-        curve = fk.pressure_curve(
-            model, V, alphas, u0, k_max=k_max, n_traj=n_traj, seed=seed, recenter=recenter, recenter_k=recenter_k,
-        )
+        curve = fk.pressure_curve(model, V, alphas, u0, k_max=k_max, n_traj=n_traj, seed=seed, recenter_k=recenter_k)
         result = {
             "alphas": curve.alphas,
             "Q": curve.Q,
@@ -290,8 +288,7 @@ def _cmd_met_check(cfg, seed, threads):
     k_max = _num(cfg, "k_max", 80, int, 1)
     M = kl.build_tilted_matrix(kernel, potential)
     triple = kl.perron_triple(M, kernel.A)
-    rng = np.random.default_rng(seed)
-    f = rng.uniform(-1, 1, kernel.n)
+    f = rc.rng_stream(seed, 0).uniform(-1, 1, kernel.n)
     C, gamma, residuals = kl.met_residuals(kernel, potential, triple, f, k_max=k_max)
     rate, info = kl.met_rate_estimate(kernel, potential, triple)
     return {

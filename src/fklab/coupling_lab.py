@@ -9,11 +9,12 @@ the map; the closed-form total-variation overlap serves as the exact oracle
 for every coupling probability.
 
 The couplings are sampled in state space: on the agreement event both
-components are assigned the same float, so agreement is bitwise and the
-tail-kick identity holds exactly by construction.  On the disagreement
-event the second component is the reflection of the first about the
-midpoint of the two means (reflection-maximal coupling, Bou-Rabee, Eberle
-and Zimmer 2020), which needs no further random draws.
+components are assigned the same float, so agreement is bitwise, and both
+add the same tail-kick floats, so tail coordinates that the map sends to
+equal values stay bitwise equal.  On the disagreement event the second
+component is the reflection of the first about the midpoint of the two
+means (reflection-maximal coupling, Bou-Rabee, Eberle and Zimmer 2020),
+which needs no further random draws.
 """
 
 from __future__ import annotations
@@ -84,10 +85,9 @@ def coupled_step(model, N, U, U_prime, rng):
     """One step of a batch of coupled pairs (rows of U and U_prime).
 
     Coordinates j <= N: per-coordinate maximal coupling of the shifted kick
-    laws.  Coordinates j > N (within the kick range): identical draws, so
-    the tail kicks agree bitwise.  Returns
-    (U1, U1_prime, coupled_mask, kicks, kicks_prime), each with one row per
-    pair.
+    laws.  Coordinates j > N (within the kick range): one draw added to both
+    sides, so the tail kicks agree bitwise.  Returns
+    (U1, U1_prime, coupled_mask), each with one row per pair.
     """
     n = U.shape[0]
     S = model.map.apply_batch(np.vstack([U, U_prime]))
@@ -99,50 +99,36 @@ def coupled_step(model, N, U, U_prime, rng):
     V1[:, :N], V2[:, :N] = x1, x2
     V1[:, N : law.dim] += shared
     V2[:, N : law.dim] += shared
-    kicks = np.hstack([x1 - S[:n, :N], shared])
-    kicks_prime = np.hstack([x2 - S[n:, :N], shared])
-    return V1, V2, coupled, kicks, kicks_prime
+    return V1, V2, coupled
 
 
 @dataclass
 class CoupledRun:
-    """Coupled pair trajectories with per-step agreement bookkeeping.
-
-    ``kicks`` stores the drawn kick vectors of both components; the tail
-    block (coordinates beyond N) holds the identical floats for both, which
-    is the bitwise form of the shared-tail-noise property.
-    """
+    """Coupled pair trajectories with per-step agreement flags for the
+    first N kicked coordinates; ``seed`` and ``stream`` name the generator
+    the run drew from."""
 
     states: np.ndarray  # (K+1, 2, dim)
-    kicks: np.ndarray  # (K, 2, kick_dim)
     coupled: np.ndarray  # (K, N) agreement flags for the coupled block
     N: int
     seed: int
     stream: int
 
-    @property
-    def tail_kicks_equal(self):
-        return bool(np.array_equal(self.kicks[:, 0, self.N :], self.kicks[:, 1, self.N :]))
-
 
 def coupled_trajectories(model, N, v, v_prime, K, seed=0, stream=0):
     """Run the coupled pair for K steps."""
     rng = rng_stream(seed, stream)
-    dim = model.dim
-    law = model.kicks
-    N = int(min(N, law.dim))
-    states = np.empty((K + 1, 2, dim))
+    N = int(min(N, model.kicks.dim))
+    states = np.empty((K + 1, 2, model.dim))
     states[0, 0] = v
     states[0, 1] = v_prime
-    kicks = np.empty((K, 2, law.dim))
     flags = np.empty((K, N), dtype=bool)
     u, up = states[0, :1], states[0, 1:]
     for k in range(K):
-        u, up, coupled, kick, kick_prime = coupled_step(model, N, u, up, rng)
+        u, up, coupled = coupled_step(model, N, u, up, rng)
         states[k + 1] = np.vstack([u, up])
-        kicks[k] = np.vstack([kick, kick_prime])
         flags[k] = coupled[0]
-    return CoupledRun(states=states, kicks=kicks, coupled=flags, N=N, seed=seed, stream=stream)
+    return CoupledRun(states=states, coupled=flags, N=N, seed=seed, stream=stream)
 
 
 @dataclass
@@ -176,7 +162,7 @@ def squeezing_check(model, N, pairs, r_max, gamma_N, seed=0, tol=1e-2):
             ratios[r] = np.empty(0)
             occurrences[r] = 0
             continue
-        u[idx], up[idx], coupled, _, _ = coupled_step(model, N, u[idx], up[idx], rng)
+        u[idx], up[idx], coupled = coupled_step(model, N, u[idx], up[idx], rng)
         agreed = coupled.all(axis=1)
         alive[idx[~agreed]] = False
         keep = idx[agreed]

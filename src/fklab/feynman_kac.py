@@ -9,7 +9,8 @@ the resampled particle cloud the eigenmeasure, and mass estimates started
 from query points the eigenfunction.  One particle loop serves every
 resampled estimator: it advances the tilts alpha V of one potential in
 lockstep on shared kicks, a single tilt for ``particle_fk`` and every
-nonzero alpha of ``pressure_curve`` at once.
+nonzero alpha of ``pressure_curve`` at once, normalizing each tilt's
+weights once per step.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .rds_core import FiniteChainModel, initial_ensemble, propagate, rng_stream
 __all__ = [
     "PotentialFn",
     "WeightedEnsemble",
-    "xi_weight",
     "mc_semigroup",
     "mc_semigroup_series",
     "particle_fk",
@@ -90,18 +90,6 @@ class PotentialFn:
         return cls(fn=fn)
 
 
-def xi_weight(trajectory, V, k, f):
-    """Path weight f(u_k) exp(sum_{n=1..k} V(u_n)), assembled in log space."""
-    states = trajectory.states
-    if states.shape[0] < k + 1:
-        raise ValueError("trajectory shorter than k")
-    logw = float(V(states[1 : k + 1]).sum()) if k > 0 else 0.0
-    fval = float(np.asarray(f(states[k : k + 1])).ravel()[0])
-    if np.isnan(fval) or np.isnan(logw):
-        raise ValueError("NaN in potential or observable")
-    return fval * np.exp(logw)
-
-
 def _signed_mean(logw, fvals):
     """Mean of f * exp(logw) with a common factored exponent; returns
     (mean, stderr)."""
@@ -139,31 +127,24 @@ class WeightedEnsemble:
     """Particle system state plus normalization bookkeeping.
 
     ``lognorm`` accumulates the log of every normalization divided out at
-    resampling times, so ``lognorm + logmeanexp(logweights)`` always equals
-    the running log estimate of the unnormalized total mass.
+    resampling times, so ``lognorm + log(mean(exp(logweights)))`` always
+    equals the running log estimate of the unnormalized total mass.
     """
 
     particles: np.ndarray
     logweights: np.ndarray
-    k: int
     lognorm: float
     ess: float
     history: list = field(default_factory=list)
 
-    @property
-    def log_mass(self):
-        return self.lognorm + _logmeanexp(self.logweights)
 
-
-def _logmeanexp(x):
-    m = x.max()
-    return float(m + np.log(np.mean(np.exp(x - m))))
-
-
-def _ess(logw):
-    w = np.exp(logw - logw.max())
+def _normalized(logw):
+    """(log(mean(exp(logw))), exp(logw) scaled to sum 1), from one exp."""
+    m = logw.max()
+    w = np.exp(logw - m)
+    log_mean = float(m + np.log(np.mean(w)))
     w /= w.sum()
-    return float(1.0 / np.sum(w**2))
+    return log_mean, w
 
 
 @dataclass
@@ -175,7 +156,7 @@ class FKResult:
     ensemble: WeightedEnsemble
 
 
-def _particle_loop(model, V, init, k, n, ess_threshold, seed, tilts):
+def _particle_loop(model, V, init, k, n, seed, tilts):
     """The one particle loop: sequential importance sampling with
     multinomial resampling for each tilt alpha V of ``tilts``, advanced in
     lockstep from stream ``(seed, 0)``.
@@ -184,20 +165,19 @@ def _particle_loop(model, V, init, k, n, ess_threshold, seed, tilts):
     the same n rows.  Each step draws one set of kicks for the n rows,
     shared by every tilt (common random numbers), and calls V once on the
     A n rows; each tilt keeps its own weights, ESS and collapse count, and
-    resamples in tilt order on the same stream.  Returns the (A, k)
-    log-mass series, each tilt's :class:`WeightedEnsemble` and the
-    generator, positioned after the last resampling draw.
+    resamples in tilt order on the same stream when its ESS, read off the
+    step's one weight normalization, is below ``ESS_THRESHOLD`` n.  Returns
+    the (A, k) log-mass series, each tilt's :class:`WeightedEnsemble` and
+    the generator, positioned after the last resampling draw.
     """
     if n < 100:
         raise ValueError("need at least 100 particles")
-    if not 0 < ess_threshold < 1:
-        raise ValueError("ess_threshold must be in (0, 1)")
     tilts = np.asarray(tilts, dtype=float)
     rng = rng_stream(seed, 0)
     X0 = initial_ensemble(model, init, n, rng)
     X = np.repeat(X0[None], tilts.size, axis=0)
     ensembles = [
-        WeightedEnsemble(particles=X[a], logweights=np.zeros(n), k=0, lognorm=0.0, ess=float(n))
+        WeightedEnsemble(particles=X[a], logweights=np.zeros(n), lognorm=0.0, ess=float(n))
         for a in range(tilts.size)
     ]
 
@@ -208,14 +188,14 @@ def _particle_loop(model, V, init, k, n, ess_threshold, seed, tilts):
     collapses = np.zeros(tilts.size, dtype=int)
     for step, X, logws in propagate(model, X, rng, k, tilted):
         for a, (ens, logw) in enumerate(zip(ensembles, logws)):
-            if not np.isfinite(logw.max()):  # the weights would be NaN in _ess and rng.choice
+            if not np.isfinite(logw.max()):  # the normalized weights would be NaN
                 raise FloatingPointError(f"non-finite log-weights at step {step} for tilt {tilts[a]:g}")
             ens.logweights = logw
-            ens.k = step
-            ens.ess = _ess(logw)
-            series[a, step - 1] = ens.log_mass
-            resampled = False
-            if ens.ess < ess_threshold * n:
+            log_mean, w = _normalized(logw)
+            ens.ess = float(1.0 / np.sum(w**2))
+            series[a, step - 1] = ens.lognorm + log_mean
+            resampled = ens.ess < ESS_THRESHOLD * n
+            if resampled:
                 if ens.ess <= 1.5:
                     collapses[a] += 1
                     if collapses[a] >= 3:
@@ -223,18 +203,15 @@ def _particle_loop(model, V, init, k, n, ess_threshold, seed, tilts):
                             "effective sample size collapsed repeatedly; increase "
                             "n_particles or reduce the potential's oscillation"
                         )
-                ens.lognorm += _logmeanexp(logw)
-                w = np.exp(logw - logw.max())
-                w /= w.sum()
+                ens.lognorm += log_mean
                 idx = rng.choice(n, size=n, p=w)
                 ens.particles[:] = ens.particles[idx]
                 logw[:] = 0.0
-                resampled = True
             ens.history.append((step, ens.ess, resampled))
     return series, ensembles, rng
 
 
-def particle_fk(model, V, init, k, n_particles=1000, ess_threshold=0.5, seed=0):
+def particle_fk(model, V, init, k, n_particles=1000, seed=0):
     """Sequential importance sampling with multinomial resampling: the one
     particle loop at the single tilt 1.
 
@@ -242,18 +219,15 @@ def particle_fk(model, V, init, k, n_particles=1000, ess_threshold=0.5, seed=0):
     log-mass series over its last half), the terminal equal-weight cloud of
     ensemble states as the eigenmeasure estimate, and the full ensemble.
     """
-    (series,), (ens,), rng = _particle_loop(model, V, init, k, n_particles, ess_threshold, seed, (1.0,))
+    (series,), (ens,), rng = _particle_loop(model, V, init, k, n_particles, seed, (1.0,))
     lam, lam_err = fits.drift(series)
     # terminal equal-weight cloud
-    w = np.exp(ens.logweights - ens.logweights.max())
-    w /= w.sum()
-    idx = rng.choice(n_particles, size=n_particles, p=w)
-    mu_cloud = ens.particles[idx].copy()
+    idx = rng.choice(n_particles, size=n_particles, p=_normalized(ens.logweights)[1])
     return FKResult(
         lam=float(np.exp(lam)),
         lam_stderr=float(lam_err * np.exp(lam)),
         log_mass_series=series,
-        mu_cloud=mu_cloud,
+        mu_cloud=ens.particles[idx].copy(),
         ensemble=ens,
     )
 
@@ -276,6 +250,7 @@ class PressureFit:
 
 
 CURVATURE_TOL = 0.02  # largest |quadratic coefficient| per step of an accepted pressure tail
+ESS_THRESHOLD = 0.5  # the particle loop resamples a tilt whose ESS falls below this fraction of n
 RECENTER_TRAJ = 64  # ensemble size of pressure_curve's recentring run
 MIN_TAIL_STEPS = 20  # shortest log-mass series a pressure fit reads
 
@@ -303,7 +278,7 @@ def pressure_estimate(model, V, u0, k_max=60, n_traj=4000, seed=0):
     :func:`_pressure_fit` for the stderr and the verdict)."""
     if k_max < MIN_TAIL_STEPS:
         raise ValueError(f"k_max must be at least {MIN_TAIL_STEPS} for a tail fit")
-    series = particle_fk(model, V, u0, k_max, n_particles=max(100, n_traj), seed=seed).log_mass_series
+    series = particle_fk(model, V, u0, k_max, n_particles=n_traj, seed=seed).log_mass_series
     return _pressure_fit(series)
 
 
@@ -319,20 +294,23 @@ class PressureCurve:
     accepted: np.ndarray  # each alpha's fit verdict (True at alpha = 0)
 
 
-def pressure_curve(model, V, alphas, u0, k_max=60, n_traj=4000, seed=0, recenter=True, recenter_k=10_000):
+def pressure_curve(model, V, alphas, u0, k_max=60, n_traj=4000, seed=0, recenter_k=10_000):
     """Pressure along alpha -> Q(alpha V) with the CLT variance read off the
     second difference at the origin.
 
-    The potential is recentred so its mean under the (V = 0) stationary
-    occupation vanishes; the curve then has zero slope at 0 and its second
-    difference estimates the CLT variance of the running average of V.
-    Every nonzero alpha runs ``n_traj`` particles for ``k_max`` steps in one
-    lockstep particle system on shared kicks (common random numbers), so
-    the tilts' log-mass series s_alpha are correlated.  Errors of
-    combinations of them are therefore read off the combined series, with
-    s_0 = 0: sigma_V and its stderr are ``fits.drift(s_- + s_+) / da^2``,
-    and the curve is convex when each second difference, the drift of
-    s_(i-1) - 2 s_i + s_(i+1), is at least minus three of its stderrs.
+    The potential is always recentred so its mean under the (V = 0)
+    stationary occupation (from ``recenter_k`` states) vanishes; the curve
+    then has zero slope at 0 and its second difference estimates the CLT
+    variance of the running average of V.  Every nonzero alpha runs
+    ``n_traj`` particles for ``k_max`` steps in one lockstep particle system
+    on shared kicks (common random numbers), so the tilts' log-mass series
+    s_alpha are correlated.  Errors of combinations of them are therefore
+    read off the combined series, with s_0 = 0.  The second difference at
+    grid point i, with spacings h_- and h_+ to its neighbours, is the drift
+    of c_- s_(i-1) - 2 s_i + c_+ s_(i+1) over h_- h_+, where
+    c_- = 2 h_+ / (h_- + h_+) and c_+ = 2 h_- / (h_- + h_+) (both 1 on a
+    uniform grid).  sigma_V and its stderr are its value at 0; the curve is
+    convex when each drift is at least minus three of its stderrs.
     """
     alphas = np.asarray(sorted(set(float(a) for a in alphas) | {0.0}))
     i0 = int(np.flatnonzero(alphas == 0.0)[0])
@@ -340,27 +318,25 @@ def pressure_curve(model, V, alphas, u0, k_max=60, n_traj=4000, seed=0, recenter
         raise ValueError("alpha grid must straddle zero")
     if k_max < MIN_TAIL_STEPS:
         raise ValueError(f"k_max must be at least {MIN_TAIL_STEPS} for a tail fit")
-    if recenter and recenter_k < RECENTER_TRAJ:
+    if recenter_k < RECENTER_TRAJ:
         raise ValueError(f"recenter_k = {recenter_k} runs no recentring step; it must be at least {RECENTER_TRAJ}")
-    shift = 0.0
-    if recenter:
-        U = initial_ensemble(model, u0, RECENTER_TRAJ)
-        acc, cnt = 0.0, 0
-        burn = min(200, recenter_k // 10)
-        for k, U, _ in propagate(model, U, rng_stream(seed, 1), recenter_k // RECENTER_TRAJ):
-            if k > burn // RECENTER_TRAJ:
-                acc += float(V(U).sum())
-                cnt += U.shape[0]
-        shift = acc / max(cnt, 1)
-    Vc = V.shifted(-shift) if shift != 0.0 else V
+    U = initial_ensemble(model, u0, RECENTER_TRAJ)
+    acc, cnt = 0.0, 0
+    burn = min(200, recenter_k // 10)
+    for k, U, _ in propagate(model, U, rng_stream(seed, 1), recenter_k // RECENTER_TRAJ):
+        if k > burn // RECENTER_TRAJ:
+            acc += float(V(U).sum())
+            cnt += U.shape[0]
+    shift = acc / cnt
 
     tilts = np.delete(alphas, i0)
-    series, _, _ = _particle_loop(model, Vc, u0, k_max, max(100, n_traj), 0.5, seed, tilts)
+    series, _, _ = _particle_loop(model, V.shifted(-shift), u0, k_max, n_traj, seed, tilts)
     tilt_fits = [_pressure_fit(s) for s in series]
     S = np.insert(series, i0, 0.0, axis=0)
-    second = np.array([fits.drift(d2) for d2 in S[:-2] - 2 * S[1:-1] + S[2:]])
-    da = min(alphas[i0 + 1] - alphas[i0], alphas[i0] - alphas[i0 - 1])
-    sigma, sigma_err = second[i0 - 1] / da**2
+    h_minus, h_plus = np.diff(alphas)[:-1, None], np.diff(alphas)[1:, None]
+    c_minus, c_plus = 2 * h_plus / (h_minus + h_plus), 2 * h_minus / (h_minus + h_plus)
+    second = np.array([fits.drift(d2) for d2 in c_minus * S[:-2] - 2 * S[1:-1] + c_plus * S[2:]])
+    sigma, sigma_err = second[i0 - 1] / (h_minus[i0 - 1, 0] * h_plus[i0 - 1, 0])
     return PressureCurve(
         alphas=alphas,
         Q=np.insert([f.Q for f in tilt_fits], i0, 0.0),

@@ -249,13 +249,19 @@ class FiniteChainModel:
         return self.points[X[:, 0]]
 
 
+def _start_points(model, init):
+    """``init`` as rows of finite start points with ``model.dim`` coordinates."""
+    init = np.atleast_2d(np.asarray(init, dtype=float))
+    if init.shape[1] != model.dim or not np.isfinite(init).all():
+        raise ValueError(f"start points must be finite, with {model.dim} coordinates, got shape {init.shape}")
+    return init
+
+
 def initial_ensemble(model, init, n, rng=None):
     """The one way into an ensemble: n copies of the start point ``init``, or
     n rows drawn with ``rng`` from a cloud; a chain snaps coordinates to the
     index of the nearest point."""
-    init = np.atleast_2d(np.asarray(init, dtype=float))
-    if init.shape[1] != model.dim or not np.isfinite(init).all():
-        raise ValueError(f"start points must be finite, with {model.dim} coordinates, got shape {init.shape}")
+    init = _start_points(model, init)
     if isinstance(model, FiniteChainModel):
         init = model.index_of(init)[:, None]
     return np.repeat(init, n, axis=0) if init.shape[0] == 1 else init[rng.integers(0, init.shape[0], n)]
@@ -472,7 +478,7 @@ def attraction_counter(model, cloud, eps, u0s, n_traj=1000, horizon=400, seed=0)
     spacing = tree.query(cloud, k=2)[0][:, 1].max()
     if eps < spacing:
         raise ValueError(f"eps={eps} below cloud resolution {spacing:.3g}")
-    u0s = np.atleast_2d(np.asarray(u0s, dtype=float))
+    u0s = _start_points(model, u0s)
     reps = int(np.ceil(n_traj / u0s.shape[0]))
     U = np.repeat(u0s, reps, axis=0)[:n_traj].copy()
     n = U.shape[0]

@@ -298,12 +298,17 @@ def test_criterion_08_coupling():
     toy = ToyDiagonalMap.geometric(6, base=0.7, ratio=0.8)
     model = rc.RDSModel(map=toy, kicks=law, rho=1.0, contraction_factor=0.7)
 
-    # property (b) bitwise along coupled runs
+    # property (b) bitwise along coupled runs: pairs equal beyond N keep
+    # their tails bitwise equal (shared tail kicks), and agreement flags
+    # mean bitwise-equal coupled coordinates
     prop_b = True
     for i in range(20):
         v = np.full(6, 0.15) + 0.01 * i
+        v_prime = v.copy()
+        v_prime[:3] += 2e-3
+        run = cl.coupled_trajectories(model, 3, v, v_prime, K=12, seed=8, stream=i)
+        prop_b &= bool(np.array_equal(run.states[:, 0, 3:], run.states[:, 1, 3:]))
         run = cl.coupled_trajectories(model, 3, v, v + 2e-3, K=12, seed=8, stream=i)
-        prop_b &= run.tail_kicks_equal
         for k in range(12):
             agree = run.coupled[k]
             prop_b &= bool(

@@ -262,6 +262,18 @@ def test_attract_rejects_non_number_contraction_factor(tmp_path, capsys, factor)
     assert "contraction_factor" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("u0s", [[[0.5, float("nan"), 0, 0, 0, 0]], [[0.5, 0.5, 0.5]]], ids=["nan", "3-wide"])
+def test_attract_rejects_bad_start_points(tmp_path, capsys, u0s):
+    # the attraction counter checks its start points as every ensemble does
+    cfg = write_cfg(
+        tmp_path,
+        {"model": TOY_MODEL, "u0s": u0s, "eps": 0.3, "n_traj": 10, "horizon": 5, "cloud_k": 2,
+         "cloud_points": 50, "seed": 1},
+    )
+    assert run_cli(["attract", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "start points must be finite, with 6 coordinates" in capsys.readouterr().err
+
+
 def test_attract_on_chain_exits_2(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,
@@ -578,10 +590,13 @@ def shipped(name, **changes):
          "factors must be a nonempty vector"),
         ("pressure", shipped("pressure_curve_toy.json", potential__scale=1e308, potential__clip=DROP), 3,
          "potential produced NaN"),
+        ("pressure", shipped("pressure_curve_toy.json", recenter=False), 2,
+         "unknown key 'recenter'; did you mean 'recenter_k'?"),
+        ("pressure", shipped("pressure_toy_v0.json", n_traj=10), 2, "n_traj = 10 must be at least 100"),
     ],
     ids=["misspelt-K", "misspelt-kick_b0", "lowercase-V", "V-under-potential", "K-list", "model-number",
          "kernel-list", "params-kmax", "params-p_floor", "k_max-4", "radii-number", "K-negative", "no-factors",
-         "scale-1e308"],
+         "scale-1e308", "recenter", "n_traj-10"],
 )
 def test_bad_config_exits_by_cause_and_names_the_key(tmp_path, capsys, command, cfg, code, message):
     out = tmp_path / "out"

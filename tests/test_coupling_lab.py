@@ -124,39 +124,48 @@ def test_reflection_off_the_coupled_event(law):
 def test_coupled_step_identical_states(model):
     rng = rc.rng_stream(4, 0)
     U = np.full((4, 6), 0.2)
-    u1, u1p, coupled, kick, kickp = cl.coupled_step(model, 3, U, U.copy(), rng)
-    assert u1.shape == (4, 6) and coupled.shape == (4, 3) and kick.shape == (4, 6)
+    u1, u1p, coupled = cl.coupled_step(model, 3, U, U.copy(), rng)
+    assert u1.shape == (4, 6) and coupled.shape == (4, 3)
     assert coupled.all()
     assert np.array_equal(u1, u1p)
-    assert np.array_equal(kick, kickp)
 
 
 def test_coupled_step_zero_map_always_couples(law):
     tiny = ToyDiagonalMap(factors=np.full(6, 1e-300))
     model0 = rc.RDSModel(map=tiny, kicks=law, rho=1.0)
     rng = rc.rng_stream(5, 0)
-    u1, u1p, coupled, _, _ = cl.coupled_step(model0, 4, np.full((50, 6), 0.5), np.full((50, 6), -0.5), rng)
+    u1, u1p, coupled = cl.coupled_step(model0, 4, np.full((50, 6), 0.5), np.full((50, 6), -0.5), rng)
     assert coupled.all()
     assert np.array_equal(u1[:, :4], u1p[:, :4])
 
 
 def test_coupled_step_tail_kicks_shared_per_pair(model):
+    # the diagonal toy maps equal tail coordinates to equal values, so the
+    # pair's tails stay bitwise equal only if both sides add the same kicks
     rng = rc.rng_stream(14, 0)
     U = rng.uniform(-0.3, 0.3, size=(200, 6))
-    u1, u1p, coupled, kick, kickp = cl.coupled_step(model, 3, U, U + 0.05, rng)
-    S1, S2 = model.map.apply_batch(U), model.map.apply_batch(U + 0.05)
-    assert np.array_equal(kick[:, 3:], kickp[:, 3:])
-    assert np.array_equal(u1[:, 3:], S1[:, 3:] + kick[:, 3:])
-    assert np.array_equal(u1p[:, 3:], S2[:, 3:] + kickp[:, 3:])
+    Up = U.copy()
+    Up[:, :3] += rng.uniform(-0.1, 0.1, size=(200, 3))  # pairs that differ only below N
+    u1, u1p, coupled = cl.coupled_step(model, 3, U, Up, rng)
+    S1 = model.map.apply_batch(U)
+    assert np.array_equal(u1[:, 3:], u1p[:, 3:])
+    assert np.all(np.abs(u1[:, 3:] - S1[:, 3:]) <= model.kicks.b[3:])
+    assert not np.array_equal(u1[:, 3:], S1[:, 3:])
     assert np.array_equal(u1[:, :3][coupled], u1p[:, :3][coupled])
     assert 0 < coupled.mean() < 1
 
 
 def test_property_b_bitwise_along_runs(model):
+    # shared tail kicks keep equal tail coordinates bitwise equal at every step
+    for i in range(10):
+        v = np.full(6, 0.2) + 0.01 * i
+        v_prime = v.copy()
+        v_prime[:3] += 1e-3
+        run = cl.coupled_trajectories(model, 3, v, v_prime, K=12, seed=6, stream=i)
+        assert np.array_equal(run.states[:, 0, 3:], run.states[:, 1, 3:])
     for i in range(10):
         v = np.full(6, 0.2) + 0.01 * i
         run = cl.coupled_trajectories(model, 3, v, v + 1e-3, K=12, seed=6, stream=i)
-        assert run.tail_kicks_equal
         # agreement flags imply bitwise equality of the coupled block
         for k in range(12):
             agree = run.coupled[k]
@@ -188,7 +197,7 @@ def test_decoupling_probability_linear_in_distance(model, law):
     assert abs(p_dec - p_exact) < 3 * sigma
 
 
-def test_diagonal_map_never_decouples_after_agreement(model, law):
+def test_diagonal_map_never_decouples_after_agreement(model):
     # exactly diagonal map: once the leading block agrees, the shift stays
     # zero and the maximal coupling succeeds forever
     N = 3
@@ -196,13 +205,15 @@ def test_diagonal_map_never_decouples_after_agreement(model, law):
     rng = rc.rng_stream(8, 0)
     base = rng.uniform(-0.2, 0.2, size=(n_pairs, 6))
     runs_alive = base + 0.05 * rng.normal(size=(n_pairs, 6))
-    first_disagree = _decoupling_cascade(model, law, N, base, runs_alive, r_max=4, rng=rng)
+    first_disagree = _decoupling_cascade(model, N, base, runs_alive, r_max=4, rng=rng)
     counts = np.array([(first_disagree == r).sum() for r in range(1, 5)])
     assert counts[0] > 0
     assert np.all(counts[1:] == 0)
 
 
-def _decoupling_cascade(model, law, N, u, up, r_max, rng):
+def _decoupling_cascade(model, N, u, up, r_max, rng):
+    """First step at which each pair's coupled block disagrees (0: never
+    within r_max), advancing the pairs still agreeing with coupled_step."""
     n_pairs = u.shape[0]
     first_disagree = np.zeros(n_pairs, dtype=int)
     u, up = u.copy(), up.copy()
@@ -211,19 +222,8 @@ def _decoupling_cascade(model, law, N, u, up, r_max, rng):
         idx = np.flatnonzero(alive)
         if idx.size == 0:
             break
-        S1 = model.map.apply_batch(u[idx])
-        S2 = model.map.apply_batch(up[idx])
-        x1, x2, coupled = cl._coupled_coordinates(
-            law.density, S1[:, :N], S2[:, :N], law.b[:N], rng
-        )
+        u[idx], up[idx], coupled = cl.coupled_step(model, N, u[idx], up[idx], rng)
         ok = coupled.all(axis=1)
-        u[idx] = S1
-        up[idx] = S2
-        u[idx, :N] = x1
-        up[idx, :N] = x2
-        shared = rc.sample_kicks(law, rng, idx.size)[:, N:]
-        u[idx, N:] += shared
-        up[idx, N:] += shared
         first_disagree[idx[~ok]] = r
         alive[idx[~ok]] = False
     return first_disagree
@@ -241,7 +241,7 @@ def test_decoupling_log_tail_slope(law):
     rng = rc.rng_stream(9, 0)
     base = rng.uniform(-0.2, 0.2, size=(n_pairs, 6))
     up = base + 0.02 * rng.normal(size=(n_pairs, 6))
-    first_disagree = _decoupling_cascade(model, law, N, base, up, r_max=4, rng=rng)
+    first_disagree = _decoupling_cascade(model, N, base, up, r_max=4, rng=rng)
     counts = np.array([(first_disagree == r).sum() for r in range(1, 5)])
     probs = counts / n_pairs
     keep = probs > 1e-5

@@ -31,19 +31,6 @@ def toy_model():
     return rc.RDSModel(map=toy, kicks=law, rho=1.0, contraction_factor=0.7)
 
 
-def test_xi_weight_trivials(chain_setup):
-    _, _, _, chain, _ = chain_setup
-    traj = rc.simulate(chain, chain.points[0], 10, seed=1)
-    f0 = lambda U: U[:, 0]
-    assert fk.xi_weight(traj, fk.PotentialFn.zero(), 5, f0) == traj.states[5, 0]
-    const = fk.PotentialFn(fn=lambda U: np.full(U.shape[0], 0.2))
-    ones = lambda U: np.ones(U.shape[0])
-    assert fk.xi_weight(traj, const, 6, ones) == pytest.approx(np.exp(1.2), rel=1e-12)
-    assert fk.xi_weight(traj, const, 0, f0) == traj.states[0, 0]
-    with pytest.raises(ValueError):
-        fk.xi_weight(traj, const, 11, ones)
-
-
 def test_mc_semigroup_markov_mass(chain_setup):
     _, _, _, chain, _ = chain_setup
     est, err = fk.mc_semigroup(
@@ -51,6 +38,21 @@ def test_mc_semigroup_markov_mass(chain_setup):
     )
     assert est == 1.0
     assert err == 0.0
+
+
+def test_mc_semigroup_series_averages_the_path_weights(toy_model):
+    # the average of f(u_k) exp(V(u_1) + ... + V(u_k)) over one pass: with
+    # V = 0 it is the mean of f(u_k) over the ensemble the same stream
+    # draws, and a constant potential c with f = 1 gives e^{kc} at every k
+    u0, f0 = np.full(6, 0.3), lambda U: U[:, 0]
+    est, _ = fk.mc_semigroup_series(toy_model, fk.PotentialFn.zero(), f0, u0, 6, 300, rc.rng_stream(1, 0))
+    means = [u0[0]] + [U[:, 0].mean() for _, U, _ in rc.propagate(
+        toy_model, rc.initial_ensemble(toy_model, u0, 300), rc.rng_stream(1, 0), 6)]
+    assert np.array_equal(est, means)
+    const = fk.PotentialFn(fn=lambda U: np.full(U.shape[0], 0.2))
+    est, err = fk.mc_semigroup_series(toy_model, const, lambda U: np.ones(U.shape[0]), u0, 6, 300, rc.rng_stream(1, 0))
+    assert est == pytest.approx(np.exp(0.2 * np.arange(7)), rel=1e-12)
+    assert not err.any()
 
 
 def test_mc_semigroup_constant_potential(chain_setup):
@@ -151,18 +153,18 @@ def test_particle_fk_validates_inputs(chain_setup):
     _, _, _, chain, Vfn = chain_setup
     with pytest.raises(ValueError):
         fk.particle_fk(chain, Vfn, chain.points[0], k=10, n_particles=50)
-    with pytest.raises(ValueError):
-        fk.particle_fk(chain, Vfn, chain.points[0], k=10, n_particles=200, ess_threshold=1.5)
 
 
-def test_resampling_unbiasedness(toy_model):
-    # with and without resampling the mass estimates agree within error
+def test_resampling_unbiasedness(toy_model, monkeypatch):
+    # with and without resampling the mass estimates agree within error,
+    # also when the loop resamples at nine tenths of n
+    monkeypatch.setattr(fk, "ESS_THRESHOLD", 0.9)
     V = fk.PotentialFn.coordinate(0, scale=0.8, clip=1.0)
     k = 8
     est_mc, err_mc = fk.mc_semigroup(
         toy_model, V, lambda U: np.ones(U.shape[0]), np.zeros(6), k, 40_000, seed=7
     )
-    res = fk.particle_fk(toy_model, V, np.zeros(6), k=k, n_particles=40_000, ess_threshold=0.9, seed=8)
+    res = fk.particle_fk(toy_model, V, np.zeros(6), k=k, n_particles=40_000, seed=8)
     est_pf = np.exp(res.log_mass_series[-1])
     assert abs(est_pf - est_mc) <= 3 * (err_mc + est_mc * 0.01)
 
@@ -232,7 +234,7 @@ def test_lockstep_tilts_of_a_zero_potential_are_particle_fk(chain_setup, toy_mod
     chain = chain_setup[3]
     for model, u0 in ((toy_model, np.zeros(6)), (chain, chain.points[0])):
         ref = fk.particle_fk(model, fk.PotentialFn.zero(), u0, k=15, n_particles=300, seed=3).ensemble
-        series, ensembles, _ = fk._particle_loop(model, fk.PotentialFn.zero(), u0, 15, 300, 0.5, 3, (-0.5, 0.25, 1.0))
+        series, ensembles, _ = fk._particle_loop(model, fk.PotentialFn.zero(), u0, 15, 300, 3, (-0.5, 0.25, 1.0))
         assert series.shape == (3, 15) and not series.any()
         for ens in ensembles:
             assert not any(resampled for _, _, resampled in ens.history)
@@ -247,7 +249,7 @@ def test_one_tilt_of_the_loop_is_particle_fk_on_the_scaled_potential(chain_setup
     V_toy = fk.PotentialFn.coordinate(0, clip=2.0)
     for model, V, u0 in ((toy_model, V_toy, np.zeros(6)), (chain, Vfn, chain.points[0])):
         ref = fk.particle_fk(model, V.scaled(-1.5), u0, k=20, n_particles=400, seed=9)
-        (series,), (ens,), _ = fk._particle_loop(model, V, u0, 20, 400, 0.5, 9, (-1.5,))
+        (series,), (ens,), _ = fk._particle_loop(model, V, u0, 20, 400, 9, (-1.5,))
         assert any(resampled for _, _, resampled in ens.history)
         assert np.array_equal(series, ref.log_mass_series)
         assert np.array_equal(ens.particles, ref.ensemble.particles)
@@ -280,10 +282,33 @@ def test_pressure_curve_sigma_stderr_is_calibrated_on_a_fast_mixing_chain():
     assert 0.75 <= sigma.std(ddof=1) / np.sqrt(np.mean(stderr**2)) <= 1.33
 
 
+def test_pressure_curve_reads_sigma_off_grids_not_symmetric_about_zero():
+    # the divided second difference over h_- h_+: on [-0.5, 0.25] and
+    # [-0.25, 0.5] the min-spacing formula read 0.2498 and 0.2428 here
+    rng = np.random.default_rng(7)
+    P = rng.uniform(0.1, 1.0, (5, 5))
+    K = kl.FiniteKernel(points=np.linspace(0, 2, 5)[:, None], P=P / P.sum(axis=1, keepdims=True), A=np.arange(5))
+    vals = rng.uniform(-1, 1, 5)
+    chain = rc.FiniteChainModel.from_kernel(K)
+    vc = vals - vals @ kl.perron_triple(K.P, K.A).mu
+
+    def q_exact(a):
+        Vp = kl.PotentialVector.from_values(K, a * vc)
+        return np.log(kl.perron_triple(kl.build_tilted_matrix(K, Vp), K.A).lam)
+
+    eps = 1e-3
+    sigma_exact = (q_exact(eps) + q_exact(-eps)) / eps**2
+    for grid in ([-0.5, 0.25], [-0.25, 0.5]):
+        curve = fk.pressure_curve(
+            chain, fk.PotentialFn.from_chain(chain, vals), grid, chain.points[0], k_max=60, n_traj=20_000, seed=3
+        )
+        assert abs(curve.sigma_V - sigma_exact) <= 4 * curve.sigma_V_stderr
+
+
 def test_pressure_curve_requires_straddling_grid(chain_setup):
     _, _, _, chain, Vfn = chain_setup
     with pytest.raises(ValueError):
-        fk.pressure_curve(chain, Vfn, alphas=[0.25, 0.5], u0=chain.points[0], k_max=30, n_traj=500, recenter=False)
+        fk.pressure_curve(chain, Vfn, alphas=[0.25, 0.5], u0=chain.points[0], k_max=30, n_traj=500)
 
 
 def slow_mixing_chain(rng, n=4, hold=0.8):
