@@ -156,7 +156,7 @@ def _json_text(payload, sha, seed):
 
 def _csv_text(header, array, sha, seed):
     array = np.atleast_2d(np.asarray(array, dtype=float))
-    lines = [f"# config_sha256={sha} seed={seed}", header] + [",".join(repr(float(x)) for x in row) for row in array]
+    lines = [f"# config_sha256={sha} seed={seed}", header] + [",".join(map(repr, row)) for row in array.tolist()]
     return "\n".join(lines) + "\n"
 
 

@@ -373,7 +373,7 @@ def met_convergence_mc(model, V, lam, h_at, mu_cloud, f_list, u0s, k_max, n_traj
     for fi, f in enumerate(f_list):
         mu_f = float(np.mean(f(mu_cloud)))
         for ui, u0 in enumerate(u0s):
-            rng = rng_stream(seed, 1000 + 31 * fi + ui)
+            rng = rng_stream(seed, 1000 + fi * len(u0s) + ui)
             est, err = mc_semigroup_series(model, V, f, u0, k_max, n_traj, rng)
             residuals[(fi, ui)] = np.abs(scale * est[1:] - mu_f * h_at[ui])
             stderrs[(fi, ui)] = scale * err[1:]

@@ -8,8 +8,9 @@ union support: the first is an LP in the function values, the second a plan
 moving c+ onto c-, which needs equal masses (the truncated cost is a metric,
 so shared mass stays put at no cost).  Independent LPs share no variable or
 constraint, so a batch of them (the two metrics of one sandwich check, every
-state pair of one contraction factor) is stacked block-diagonally and solved
-in one HiGHS call; an optimum of the stack is optimal in each block.
+state pair of one contraction factor) is stacked as one sparse block-diagonal
+matrix and solved in one HiGHS call, through ``scipy.optimize.milp`` with no
+integer column; an optimum of the stack is optimal in each block.
 """
 
 from __future__ import annotations
@@ -70,11 +71,16 @@ class DiscreteMeasure:
         return cls(samples, np.full(samples.shape[0], 1.0 / samples.shape[0]))
 
 
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on its first call."""
-    from scipy import optimize
+def linprog(c, rows, cols, vals, lo, hi, lb):
+    """HiGHS on min ``c @ x`` subject to ``lo <= A x <= hi`` and ``x >= lb``,
+    for ``A`` with the entries ``vals`` at (``rows``, ``cols``):
+    ``scipy.optimize.milp`` with no integer column, imported on the first call."""
+    from scipy import optimize, sparse
 
-    return optimize.linprog(*args, **kwargs)
+    order = np.lexsort((rows, cols))  # compressed columns, at a fraction of scipy's COO conversion cost
+    indptr = np.searchsorted(cols[order], np.arange(len(c) + 1))
+    A = sparse.csc_array((vals[order], rows[order], indptr), shape=(len(lo), len(c)))
+    return optimize.milp(c, constraints=(A, lo, hi), bounds=(lb, np.inf))
 
 
 def distances(x, y):
@@ -119,54 +125,44 @@ def _union_support(mu1, mu2):
     return _merge_close(pts, np.concatenate([mu1.weights, -mu2.weights]))
 
 
-_STACK_ENTRIES = 2**20  # dense constraint entries per stacked solve (8 MiB)
-
-
 def _solve(items, kind):
     """Values of independent problems, each a float known in closed form or
-    an LP block ``(c, A_ub, b_ub, A_eq, b_eq, bounds)`` whose value is
-    ``c @ x`` at an optimum.  The blocks are stacked block-diagonally and
-    solved in one HiGHS call; a stack whose dense constraint matrix would
-    exceed ``_STACK_ENTRIES`` entries (a contraction factor on more than 11
-    states, each pair's block having at most n^2/4 variables and n - 1
-    rows) is halved first."""
-    from scipy.linalg import block_diag
-
+    an LP block ``(c, rows, cols, vals, lo, hi, lb)`` of ``linprog`` whose
+    value is ``c @ x`` at an optimum.  The blocks' entries are stacked into
+    one sparse block-diagonal matrix and solved in one HiGHS call."""
     blocks = [b for b in items if not isinstance(b, float)]
-    entries = sum(len(b[1]) + len(b[3]) for b in blocks) * sum(len(b[0]) for b in blocks)
-    if len(blocks) > 1 and entries > _STACK_ENTRIES:
-        return _solve(items[: len(items) // 2], kind) + _solve(items[len(items) // 2 :], kind)
     values = iter(())
     if blocks:
-        c, A_ub, b_ub, A_eq, b_eq, bounds = zip(*blocks)
-        res = linprog(
-            np.concatenate(c), A_ub=block_diag(*A_ub), b_ub=np.concatenate(b_ub),
-            A_eq=block_diag(*A_eq), b_eq=np.concatenate(b_eq), bounds=np.vstack(bounds), method="highs",
-        )
+        c, rows, cols, vals, lo, hi, lb = zip(*blocks)
+        col0, row0 = (np.cumsum([0] + [len(v) for v in vs]) for vs in (c, lo))
+        rows = [r + r0 for r, r0 in zip(rows, row0)]
+        cols = [k + k0 for k, k0 in zip(cols, col0)]
+        res = linprog(*map(np.concatenate, (c, rows, cols, vals, lo, hi, lb)))
         if not res.success:
             raise RuntimeError(f"{kind} LP failed: {res.message}")
-        values = (float(ci @ xi) for ci, xi in zip(c, np.split(res.x, np.cumsum([len(ci) for ci in c])[:-1])))
+        values = (float(ci @ res.x[k0 : k0 + len(ci)]) for ci, k0 in zip(c, col0))
     return [b if isinstance(b, float) else next(values) for b in items]
 
 
 def _dual_lipschitz_block(pts, c):
     """LP in the variables (f_1..f_m, s, t) minimising -<f, c> for the signed
-    weights ``c`` of mu1 - mu2 on the points ``pts``, under +-f_i - s <= 0,
-    +-(f_i - f_j) - t d_ij <= 0 (i < j) and s + t <= 1; 0.0 when the
-    measures agree."""
+    weights ``c`` of mu1 - mu2 on ``pts``, in rows +F - S <= 0, then -F - S <= 0,
+    for the forms F = f_i (slack S = s) and f_i - f_j (i < j, S = t d_ij), then
+    s + t <= 1; 0.0 when the measures agree."""
     m = pts.shape[0]
     if np.abs(c).max() == 0:
         return 0.0
     iu, ju = np.triu_indices(m, k=1)
-    D = np.eye(m)[iu] - np.eye(m)[ju]
-    st = np.zeros((2 * m + 2 * iu.size + 1, 2))
-    st[: 2 * m, 0] = -1.0
-    st[2 * m : -1, 1] = -np.tile(distances(pts, pts)[iu, ju], 2)
-    st[-1] = 1.0
-    A_ub = np.hstack([np.vstack([np.eye(m), -np.eye(m), D, -D, np.zeros((1, m))]), st])
-    b_ub = np.r_[np.zeros(len(A_ub) - 1), 1.0]
-    bounds = np.array([(-np.inf, np.inf)] * m + [(0.0, np.inf)] * 2)
-    return np.concatenate([-c, [0.0, 0.0]]), A_ub, b_ub, np.zeros((0, m + 2)), np.zeros(0), bounds
+    n = m + iu.size
+    r = np.concatenate([np.arange(n), np.arange(m, n), np.arange(n)])  # the entries of the rows +F - S
+    k = np.concatenate([np.arange(m), iu, ju, np.repeat([m, m + 1], [m, iu.size])])
+    form = np.concatenate([np.ones(n), -np.ones(iu.size)])
+    slack = -np.concatenate([np.ones(m), distances(pts, pts)[iu, ju]])
+    rows, cols = np.concatenate([r, r + n, [2 * n, 2 * n]]), np.concatenate([k, k, [m, m + 1]])
+    vals = np.concatenate([form, slack, -form, slack, [1.0, 1.0]])
+    lo, hi = np.full(2 * n + 1, -np.inf), np.concatenate([np.zeros(2 * n), [1.0]])
+    lb = np.concatenate([np.full(m, -np.inf), [0.0, 0.0]])
+    return np.concatenate([-c, [0.0, 0.0]]), rows, cols, vals, lo, hi, lb
 
 
 def _transport_block(pts, c, theta):
@@ -188,10 +184,11 @@ def _transport_block(pts, c, theta):
         return float(cost[0] @ dst)
     if n == 1:
         return float(cost[:, 0] @ src)
-    A_eq = np.vstack([np.kron(np.eye(m), np.ones(n)), np.kron(np.ones(m), np.eye(n))])
-    b_eq = np.concatenate([src, dst])
-    bounds = np.tile([0.0, np.inf], (m * n, 1))
-    return cost.ravel(), np.zeros((0, m * n)), np.zeros(0), A_eq[:-1], b_eq[:-1], bounds
+    k = np.arange(m * n)  # the plan entry (i, j) is variable i n + j, in rows i and m + j
+    kc = k[k % n < n - 1]  # no row m + n - 1: the last column sum is dropped
+    rows, cols = np.concatenate([k // n, m + kc % n]), np.concatenate([k, kc])
+    b = np.concatenate([src, dst[:-1]])
+    return cost.ravel(), rows, cols, np.ones(cols.size), b, b, np.zeros(m * n)
 
 
 def dual_lipschitz(mu1: DiscreteMeasure, mu2: DiscreteMeasure) -> float:

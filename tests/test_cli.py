@@ -672,3 +672,14 @@ def test_readme_config_sketch_keys_are_known():
             assert set(value) <= _KEYS[key]
     kernel = re.search(r"`kernel` section\n`(\{.*?\})`", readme, re.S).group(1)
     assert set(re.findall(r'"(\w+)":', kernel)) == _KEYS["kernel"]
+
+
+def test_csv_text_bytes_match_per_value_repr():
+    # the rows are formatted off array.tolist(); the bytes are those of
+    # repr(float(x)) on every numpy scalar
+    from fklab.cli import _csv_text
+
+    values = np.array([[0.1, -0.0, 1 / 3, 1e-310], [2.0**60, np.nan, -np.inf, 7.0]])
+    rows = [",".join(repr(float(x)) for x in row) for row in values]
+    assert _csv_text("a,b,c,d", values, "ab", 3) == "\n".join(["# config_sha256=ab seed=3", "a,b,c,d", *rows]) + "\n"
+    assert _csv_text("x", np.float32(0.1), "ab", 3).endswith("\n0.10000000149011612\n")

@@ -359,6 +359,20 @@ def test_met_convergence_eigenfunction_inconclusive(chain_setup):
     assert rep.verdict == "inconclusive" or rep.residuals[(0, 0)].max() < 0.02
 
 
+def test_met_convergence_mc_draws_one_stream_per_function_and_start(chain_setup, monkeypatch):
+    # 2 functions at 32 start points: 64 distinct streams (1000 + 31 fi + ui
+    # gave (0, 31) and (1, 0) the same one)
+    K, V, triple, chain, Vfn = chain_setup
+    keys, rng_stream = [], fk.rng_stream
+    monkeypatch.setattr(fk, "rng_stream", lambda seed, key: keys.append(key) or rng_stream(seed, key))
+    starts = K.points[np.arange(32) % len(K.points)]
+    f_list = [lambda X: chain.coords(X)[:, 0], lambda X: np.cos(chain.coords(X)[:, 0])]
+    h_at = triple.h[np.arange(32) % len(K.points)]
+    mu_cloud = np.arange(len(K.points))[:, None]  # index states, as particle_fk returns them
+    fk.met_convergence_mc(chain, Vfn, triple.lam, h_at, mu_cloud, f_list, starts, k_max=3, n_traj=100, seed=1)
+    assert len(keys) == len(set(keys)) == 64
+
+
 def test_met_convergence_mc_fits_the_late_half(monkeypatch):
     # the Monte Carlo rate reads the window k >= (k_max + 1) // 2 of fits.late_half,
     # the one the exact MET fits read; at k_max = 12 that window starts at k = 6

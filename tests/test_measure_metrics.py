@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from fklab import kernel_lab as kl
 from fklab import measure_metrics
+from conftest import random_kernel_potential
 from fklab.measure_metrics import (
     DiscreteMeasure,
     _dual_lipschitz_block,
@@ -312,13 +313,26 @@ def test_sandwich_is_one_solve(rng, lp_calls):
     assert lp_calls[0] == 25 + 12  # the plan's 5 x 5 variables, then (f, s, t) on 10 points
 
 
-def test_oversized_stack_is_halved(rng, lp_calls, monkeypatch):
-    pairs = [(random_measure(rng, m=4), random_measure(rng, m=4)) for _ in range(6)]
-    items = [_transport_block(*_union_support(a, b), 2.0) for a, b in pairs]
-    whole = _solve(items, "transport")
-    monkeypatch.setattr(measure_metrics, "_STACK_ENTRIES", 2 * 7 * 2 * 16)  # two blocks per stack
-    assert _solve(items, "transport") == pytest.approx(whole, abs=1e-12)
-    assert len(lp_calls) == 1 + 4  # halves of 3 blocks split again into 1 + 2
+def test_stack_past_the_old_dense_limit_is_one_solve(lp_calls):
+    # a contraction factor on 14 states stacks 91 plan LPs, whose dense
+    # block-diagonal matrix would hold more than 2**20 entries; the sparse
+    # stack is still one solve, equal pair by pair to the full plan LP
+    K, V = random_kernel_potential(np.random.default_rng(3), 14, v_scale=0.5)
+    M = kl.build_tilted_matrix(K, V)
+    t = kl.perron_triple(M, K.A)
+    theta = 4.0 / K.diam
+    rows = M / t.lam * t.h[None, :] / t.h[:, None]
+    pairs = [(u, v) for u in range(14) for v in range(u + 1, 14)]
+    items = [_transport_block(K.points, rows[u] - rows[v], theta) for u, v in pairs]
+    blocks = [b for b in items if not isinstance(b, float)]
+    assert sum(len(b[4]) for b in blocks) * sum(len(b[0]) for b in blocks) > 2**20
+    nums = _solve(items, "transport")
+    assert len(lp_calls) == 1
+    mus = [DiscreteMeasure(K.points, row) for row in rows]
+    assert nums == pytest.approx([_plan_lp(mus[u], mus[v], theta) for u, v in pairs], abs=1e-12)
+    factor = kl.kantorovich_contraction_factor(M, t, K.points, theta, 1)
+    assert factor == max(num / min(1.0, theta * K.dists[u, v]) for num, (u, v) in zip(nums, pairs))
+    assert len(lp_calls) == 2
 
 
 def test_failed_stack_names_the_kind(rng, monkeypatch):

@@ -10,7 +10,7 @@ from scipy import integrate, stats
 from fklab import cli
 from fklab import feynman_kac as fk
 from fklab import rds_core as rc
-from fklab.dynamics_maps import ToyDiagonalMap
+from fklab.dynamics_maps import BurgersMap, ToyDiagonalMap
 
 
 @pytest.fixture
@@ -285,6 +285,35 @@ def test_attainability_cloud_bounded_by_rho(toy_model):
     # gamma_1 = 0.7 and kick radius give rho = radius / (1 - 0.7)
     rho = toy_model.kicks.radius / 0.3
     assert np.linalg.norm(cloud, axis=1).max() <= rho
+
+
+def _all_parents_cloud(model, B, k, seed, kicks_per_point, max_points):
+    # the construction that maps every parent before it subsamples the candidates
+    cloud, rng = np.atleast_2d(np.asarray(B, dtype=float)), rc.rng_stream(seed, 987)
+    for _ in range(k):
+        img = model.map.apply_batch(cloud)
+        kicks = rc._kick_mesh(model.kicks, rng, kicks_per_point)
+        cloud = np.repeat(img, kicks_per_point, axis=0)
+        cloud[:, : model.kicks.dim] += np.tile(kicks, (img.shape[0], 1))
+        if cloud.shape[0] > max_points:
+            cloud = cloud[rng.choice(cloud.shape[0], size=max_points, replace=False)]
+    return cloud
+
+
+@pytest.mark.parametrize("which", ["toy", "burgers16"])
+def test_attainability_cloud_maps_only_kept_parents(toy_model, monkeypatch, which):
+    model = toy_model
+    if which == "burgers16":
+        bm = BurgersMap(nu=1.0, modes=16, dt=2e-2)
+        model = rc.RDSModel(map=bm, kicks=rc.KickLaw.from_decay(8, b0=0.3, s=1.0), rho=0.7)
+    B = np.zeros((1, model.dim))
+    ref = _all_parents_cloud(model, B, 5, 2, 6, 500)
+    mapped, apply_batch = [], type(model.map).apply_batch
+    monkeypatch.setattr(type(model.map), "apply_batch", lambda self, U: mapped.append(len(U)) or apply_batch(self, U))
+    cloud = rc.attainability_cloud(model, B, 5, seed=2, kicks_per_point=6, max_points=500)
+    assert np.array_equal(cloud, ref)
+    # 1, 6 and 36 parents are mapped whole; of 216 and then 500 parents, only those kept
+    assert mapped[:3] == [1, 6, 36] and 0 < mapped[3] < 216 and 0 < mapped[4] < 500
 
 
 def test_attainability_hausdorff_decreases(toy_model):
