@@ -25,7 +25,6 @@ from .rds_core import FiniteChainModel, initial_ensemble, propagate, rng_stream
 __all__ = [
     "PotentialFn",
     "WeightedEnsemble",
-    "mc_semigroup",
     "mc_semigroup_series",
     "particle_fk",
     "h_estimate",
@@ -98,13 +97,6 @@ def _signed_mean(logw, fvals):
     mean = w.mean()
     stderr = w.std(ddof=1) / np.sqrt(w.size)
     return float(np.exp(shift) * mean), float(np.exp(shift) * stderr)
-
-
-def mc_semigroup(model, V, f, u0, k, n_traj, seed=0):
-    """Plain Monte Carlo estimate of the weighted average
-    E[f(u_k) exp(sum V(u_n))] from u0; returns (estimate, stderr)."""
-    ests, errs = mc_semigroup_series(model, V, f, u0, k, n_traj, rng_stream(seed, 0))
-    return float(ests[-1]), float(errs[-1])
 
 
 def mc_semigroup_series(model, V, f, u0, k_max, n_traj, rng):
@@ -235,9 +227,9 @@ def particle_fk(model, V, init, k, n_particles=1000, seed=0):
 def h_estimate(model, V, u0, k, lam, n_traj=2000, seed=0):
     """Eigenfunction value at u0: lam^-k times the Monte Carlo mass
     estimate, one dedicated ensemble per query point (no interpolation)."""
-    est, err = mc_semigroup(model, V, lambda U: np.ones(U.shape[0]), u0, k, n_traj, seed=seed)
+    ests, errs = mc_semigroup_series(model, V, lambda U: np.ones(U.shape[0]), u0, k, n_traj, rng_stream(seed, 0))
     scale = float(lam) ** (-k)
-    return scale * est, scale * err
+    return scale * float(ests[-1]), scale * float(errs[-1])
 
 
 @dataclass

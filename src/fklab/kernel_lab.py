@@ -33,7 +33,6 @@ __all__ = [
     "met_residuals",
     "met_rate_estimate",
     "verify_theorem21",
-    "normalized_semigroup_apply",
     "kantorovich_contraction_factor",
     "contraction_search",
 ]
@@ -263,22 +262,6 @@ def met_rate_estimate(kernel, potential, triple):
 
 def _lip_norm(f, dists):
     return float(np.abs(f).max() + lipschitz_constant(f, dists))
-
-
-def normalized_semigroup_apply(M, triple, g, k):
-    """Markov-normalized semigroup: lam^-k h^-1 M^k (g h).
-
-    With ``g = 1`` the result is the constant one vector for every ``k``.
-    """
-    if not triple.extension_ok:
-        raise ValueError("h off A is a Cesaro surrogate, not an eigenfunction (extension_ok is false)")
-    if np.any(triple.h == 0):
-        raise ValueError("eigenfunction has a zero entry")
-    v = np.asarray(g, dtype=float) * triple.h
-    M = np.asarray(M, dtype=float)
-    for _ in range(int(k)):
-        v = M @ v / triple.lam
-    return v / triple.h
 
 
 # fixed thresholds of the four-condition check

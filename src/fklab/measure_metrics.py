@@ -101,21 +101,21 @@ def lipschitz_constant(values, dists):
 
 
 def _merge_close(pts, w):
-    """Sort the points and sum the (signed) weights of points closer than
-    the merge tolerance to their predecessor."""
+    """Sort the points and sum the (signed) weights of each run of points
+    within the merge tolerance of their predecessor.  The run chains:
+    a point joins its predecessor's group even when the group's first point
+    is farther away, which matters only for runs spanning more than the
+    tolerance.  The sums run in sorted order from each group's first
+    weight, as one running total per group would."""
     if pts.shape[0] <= 1:
         return pts, w
     order = np.lexsort(pts.T[::-1])
     pts, w = pts[order], w[order]
-    keep_pts = [pts[0]]
-    keep_w = [w[0]]
-    for p, wi in zip(pts[1:], w[1:]):
-        if np.linalg.norm(p - keep_pts[-1]) <= _MERGE_TOL:
-            keep_w[-1] += wi
-        else:
-            keep_pts.append(p)
-            keep_w.append(wi)
-    return np.asarray(keep_pts), np.asarray(keep_w)
+    first = np.ones(w.shape[0], dtype=bool)
+    first[1:] = np.linalg.norm(pts[1:] - pts[:-1], axis=1) > _MERGE_TOL
+    merged = w[first]
+    np.add.at(merged, np.cumsum(first)[~first] - 1, w[~first])
+    return pts[first], merged
 
 
 def _union_support(mu1, mu2):

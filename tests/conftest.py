@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from fklab import fits
 from fklab import kernel_lab as kl
 from fklab import measure_metrics
+from fklab import rds_core as rc
 
 
 def random_kernel_potential(rng, n, strict_subset=False, v_scale=1.0):
@@ -64,6 +66,64 @@ def dense_perron_triple(M, A):
     mu[A] = muA / muA.sum()
     h /= h @ mu
     return lam, h, mu
+
+
+def normalized_semigroup_apply(M, triple, g, k):
+    """Markov-normalized semigroup oracle: lam^-k h^-1 M^k (g h).
+
+    With ``g = 1`` the result is the constant one vector for every ``k``.
+    """
+    if not triple.extension_ok:
+        raise ValueError("h off A is a Cesaro surrogate, not an eigenfunction (extension_ok is false)")
+    if np.any(triple.h == 0):
+        raise ValueError("eigenfunction has a zero entry")
+    v = np.asarray(g, dtype=float) * triple.h
+    M = np.asarray(M, dtype=float)
+    for _ in range(int(k)):
+        v = M @ v / triple.lam
+    return v / triple.h
+
+
+def brute_force_attraction_counter(model, cloud, eps, u0s, n_traj, horizon, seed):
+    """``rds_core.attraction_counter`` with one kd-tree query for every
+    active row at every step (no cached bound): the report's counts,
+    censored fraction and tail fit, as a dict."""
+    from scipy.spatial import cKDTree
+
+    tree = cKDTree(cloud)
+    spacing = tree.query(cloud, k=2)[0][:, 1].max()
+    u0s = np.atleast_2d(np.asarray(u0s, dtype=float))
+    U = np.repeat(u0s, int(np.ceil(n_traj / u0s.shape[0])), axis=0)[:n_traj].copy()
+    n = U.shape[0]
+    counts = np.zeros(n, dtype=int)
+    settled = np.zeros(n, dtype=int)
+    active = np.ones(n, dtype=bool)
+    cf = model.contraction_factor
+    can_settle = cf is not None and cf < 1 and rc.SETTLE_FRAC * cf + spacing / eps <= 0.95
+    for _, U, _ in rc.propagate(model, U, rc.rng_stream(seed, 0), horizon, active=active):
+        idx = np.flatnonzero(active)
+        dist = tree.query(U[idx])[0]
+        counts[idx] += dist > eps
+        if can_settle:
+            settled[idx] = np.where(dist <= rc.SETTLE_FRAC * eps, settled[idx] + 1, 0)
+            active[idx[settled[idx] >= rc.SETTLE_STEPS]] = False
+    ms = np.arange(1, counts.max() + 1) if counts.max() > 0 else np.array([1])
+    tail = np.array([(counts >= m).mean() for m in ms])
+    keep = tail > 0
+    if keep.sum() >= 2:
+        slope, intercept, _ = fits.line(ms[keep], np.log(tail[keep]))
+        delta, Lambda = -slope, float(np.exp(intercept))
+    else:
+        delta, Lambda = np.inf, 1.0
+    alpha = delta / 2 if np.isfinite(delta) else 1.0
+    return {
+        "counts": counts,
+        "censored_fraction": float(active.sum()) / n,
+        "delta": delta,
+        "Lambda": Lambda,
+        "alpha_moment": float(np.exp(np.minimum(alpha * counts, 700)).mean()),
+        "settling_shortcut": bool(can_settle),
+    }
 
 
 @pytest.fixture

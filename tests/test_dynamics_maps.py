@@ -189,6 +189,17 @@ def test_burgers_rows_equal_one_row_calls_across_a_chunk_boundary(rng, modes):
     assert [i for i in range(chunk + 8) if not np.array_equal(bm.apply(U[i]), out[i])] == []
 
 
+def test_burgers_short_tail_chunk_reads_the_first_rows_of_the_factor_tables(rng):
+    # two full chunks of 640 rows and a 46-row tail, padded to 48: the tail
+    # multiplies by the first 48 rows of each tiled factor table
+    bm = BurgersMap(nu=0.5, modes=16, dt=0.05)
+    chunk = bm._tables["chunk"]
+    assert chunk == 640 and all(bm._tables[k].shape == (chunk, bm.dim) for k in ("E", "phi1dt", "phi2dt"))
+    U = 0.8 * rng.normal(size=(2 * chunk + 46, bm.dim)) * np.exp(-0.2 * np.arange(bm.dim))
+    out = bm.apply_batch(U)
+    assert [i for i in range(U.shape[0]) if not np.array_equal(bm.apply(U[i]), out[i])] == []
+
+
 def test_toy_map_zero_and_linearity(rng):
     toy = ToyDiagonalMap.geometric(5, base=0.7, ratio=0.8)
     assert np.all(toy.apply(np.zeros(5)) == 0)

@@ -33,11 +33,11 @@ def toy_model():
 
 def test_mc_semigroup_markov_mass(chain_setup):
     _, _, _, chain, _ = chain_setup
-    est, err = fk.mc_semigroup(
-        chain, fk.PotentialFn.zero(), lambda U: np.ones(U.shape[0]), chain.points[0], 7, 500, seed=2
+    est, err = fk.mc_semigroup_series(
+        chain, fk.PotentialFn.zero(), lambda U: np.ones(U.shape[0]), chain.points[0], 7, 500, rc.rng_stream(2, 0)
     )
-    assert est == 1.0
-    assert err == 0.0
+    assert est[-1] == 1.0
+    assert err[-1] == 0.0
 
 
 def test_mc_semigroup_series_averages_the_path_weights(toy_model):
@@ -58,9 +58,11 @@ def test_mc_semigroup_series_averages_the_path_weights(toy_model):
 def test_mc_semigroup_constant_potential(chain_setup):
     _, _, _, chain, _ = chain_setup
     const = fk.PotentialFn(fn=lambda U: np.full(U.shape[0], 0.3))
-    est, err = fk.mc_semigroup(chain, const, lambda U: np.ones(U.shape[0]), chain.points[1], 5, 200, seed=3)
-    assert est == pytest.approx(np.exp(1.5), rel=1e-12)
-    assert err == pytest.approx(0.0, abs=1e-12)
+    est, err = fk.mc_semigroup_series(
+        chain, const, lambda U: np.ones(U.shape[0]), chain.points[1], 5, 200, rc.rng_stream(3, 0)
+    )
+    assert est[-1] == pytest.approx(np.exp(1.5), rel=1e-12)
+    assert err[-1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mc_semigroup_matches_matrix_power(chain_setup):
@@ -69,9 +71,9 @@ def test_mc_semigroup_matches_matrix_power(chain_setup):
     f = K.points[:, 0]
     for k, u0_idx in ((1, 0), (4, 2), (8, 3)):
         f_chain = lambda X: chain.coords(X)[:, 0]  # f on the chain's index states
-        est, err = fk.mc_semigroup(chain, Vfn, f_chain, K.points[u0_idx], k, 40_000, seed=10 + k)
+        est, err = fk.mc_semigroup_series(chain, Vfn, f_chain, K.points[u0_idx], k, 40_000, rc.rng_stream(10 + k, 0))
         exact = (np.linalg.matrix_power(M, k) @ f)[u0_idx]
-        assert abs(est - exact) <= 3 * err
+        assert abs(est[-1] - exact) <= 3 * err[-1]
 
 
 def test_mc_semigroup_series_reads_every_horizon(chain_setup):
@@ -82,8 +84,8 @@ def test_mc_semigroup_series_reads_every_horizon(chain_setup):
     est, err = fk.mc_semigroup_series(chain, Vfn, f, K.points[2], 6, 300, rc.rng_stream(9, 0))
     assert est.shape == err.shape == (7,)
     for k in range(7):
-        e, s = fk.mc_semigroup(chain, Vfn, f, K.points[2], k, 300, seed=9)
-        assert (est[k], err[k]) == (e, s)
+        e, s = fk.mc_semigroup_series(chain, Vfn, f, K.points[2], k, 300, rc.rng_stream(9, 0))
+        assert (est[k], err[k]) == (e[-1], s[-1])
     with pytest.raises(ValueError):
         fk.mc_semigroup_series(chain, Vfn, f, K.points[2], 3, 1, rc.rng_stream(9, 0))
 
@@ -161,9 +163,9 @@ def test_resampling_unbiasedness(toy_model, monkeypatch):
     monkeypatch.setattr(fk, "ESS_THRESHOLD", 0.9)
     V = fk.PotentialFn.coordinate(0, scale=0.8, clip=1.0)
     k = 8
-    est_mc, err_mc = fk.mc_semigroup(
-        toy_model, V, lambda U: np.ones(U.shape[0]), np.zeros(6), k, 40_000, seed=7
-    )
+    est_mc, err_mc = (a[-1] for a in fk.mc_semigroup_series(
+        toy_model, V, lambda U: np.ones(U.shape[0]), np.zeros(6), k, 40_000, rc.rng_stream(7, 0)
+    ))
     res = fk.particle_fk(toy_model, V, np.zeros(6), k=k, n_particles=40_000, seed=8)
     est_pf = np.exp(res.log_mass_series[-1])
     assert abs(est_pf - est_mc) <= 3 * (err_mc + est_mc * 0.01)

@@ -130,6 +130,46 @@ def test_support_merge_dedupes():
     assert sorted(m.weights) == pytest.approx([0.5, 0.5])
 
 
+def test_support_merge_chains_a_run_past_the_tolerance():
+    # each point is within 1e-12 of its predecessor, the last is 1.6e-12 from
+    # the first: the run is one group, kept at its first point
+    m = DiscreteMeasure(np.array([[1.6e-12], [0.0], [0.8e-12], [1.0]]), [0.125, 0.25, 0.125, 0.5])
+    assert m.support[:, 0].tolist() == [0.0, 1.0]
+    assert m.weights.tolist() == [0.5, 0.5]
+
+
+def running_total_merge(pts, w):
+    """The merge as one running total per group, point by point in sorted order."""
+    order = np.lexsort(pts.T[::-1])
+    pts, w = pts[order], w[order]
+    keep_pts, keep_w = [pts[0]], [w[0]]
+    for prev, p, wi in zip(pts[:-1], pts[1:], w[1:]):
+        if np.linalg.norm(p - prev) <= measure_metrics._MERGE_TOL:
+            keep_w[-1] += wi
+        else:
+            keep_pts.append(p)
+            keep_w.append(wi)
+    return np.asarray(keep_pts), np.asarray(keep_w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 40).flatmap(
+        lambda n: st.tuples(
+            arrays(np.float64, (n, 2), elements=st.sampled_from([0.0, 1e-13, 0.5, 1.0])),
+            arrays(np.float64, n, elements=st.floats(-1.0, 1.0)),
+        )
+    )
+)
+def test_support_merge_sums_like_a_running_total(case):
+    # coarse coordinates make long runs, where a pairwise sum would round differently
+    pts, w = case
+    got_pts, got_w = measure_metrics._merge_close(pts, w)
+    ref_pts, ref_w = running_total_merge(pts, w)
+    assert np.array_equal(got_pts, ref_pts)
+    assert got_w.tobytes() == ref_w.tobytes()
+
+
 def test_union_support_collapses_shared_points():
     a = DiscreteMeasure(np.array([[0.0], [1.0]]), [0.5, 0.5])
     b = DiscreteMeasure(np.array([[1.0], [2.0]]), [0.25, 0.75])

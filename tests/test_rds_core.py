@@ -1,12 +1,15 @@
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+import scipy.spatial
 from scipy import integrate, stats
 
+from conftest import brute_force_attraction_counter
 from fklab import cli
 from fklab import feynman_kac as fk
 from fklab import rds_core as rc
@@ -316,14 +319,6 @@ def test_attainability_cloud_maps_only_kept_parents(toy_model, monkeypatch, whic
     assert mapped[:3] == [1, 6, 36] and 0 < mapped[3] < 216 and 0 < mapped[4] < 500
 
 
-def test_attainability_hausdorff_decreases(toy_model):
-    gaps = rc.attainability_hausdorff(toy_model, R=0.5, eps_grid=[0.4, 0.2, 0.1], k=10, n_samples=300, seed=4)
-    eps_vals = [g[0] for g in gaps]
-    d_vals = [g[1] for g in gaps]
-    assert eps_vals == sorted(eps_vals, reverse=True)
-    assert d_vals[-1] <= d_vals[0] + 1e-9
-
-
 def test_hitting_time_immediate_hit(toy_model):
     rep = rc.hitting_time_stats(toy_model, [np.zeros(6)], eps=0.5, n_traj=50, horizon=50, seed=1)
     taus = next(iter(rep.taus.values()))
@@ -394,6 +389,92 @@ def test_attraction_counter_tail_fit(toy_model):
     # exponential moment at alpha = delta/2 stays modest (empirical form of
     # the finite-exponential-moment claim)
     assert rep.alpha_moment < 50
+
+
+@contextmanager
+def counted_tree_queries():
+    """The rows of every one-nearest-point kd-tree query made inside."""
+    calls = []
+
+    class CountingTree(scipy.spatial.cKDTree):
+        def query(self, x, k=1):
+            if k == 1:
+                calls.append(np.array(x))
+            return super().query(x, k=k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scipy.spatial, "cKDTree", CountingTree)
+        yield calls
+
+
+@pytest.fixture(scope="module")
+def counter_cases():
+    """The toy with settling on and Burgers M = 16 with settling off, each
+    with an attainable cloud, its eps and the radius of its start points."""
+    toy = rc.RDSModel(
+        ToyDiagonalMap.geometric(6, base=0.7, ratio=0.8), rc.KickLaw.from_decay(6, b0=0.3, s=1.0),
+        rho=1.0, contraction_factor=0.7,
+    )
+    bm = BurgersMap(nu=1.0, modes=16, dt=2e-2)
+    burgers = rc.RDSModel(bm, rc.KickLaw.from_decay(8, b0=0.3, s=1.0), rho=0.7)
+    return {
+        "toy": (toy, rc.attainability_cloud(toy, np.zeros((1, 6)), 40, seed=8, max_points=2000), 0.2, 2.5),
+        "burgers": (
+            burgers,
+            rc.attainability_cloud(burgers, np.zeros((1, bm.dim)), 14, seed=2, kicks_per_point=5, max_points=2000),
+            0.16,
+            0.7,
+        ),
+    }
+
+
+@pytest.mark.parametrize("case, settles", [("toy", True), ("burgers", False)])
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_attraction_counter_equals_a_query_per_row(counter_cases, case, settles, seed):
+    # the cached bound decides some rows and the tree the rest; every
+    # number of the report equals that of one query per active row
+    model, cloud, eps, radius = counter_cases[case]
+    gen = np.random.default_rng(seed)
+    dirs = gen.normal(size=(20, model.dim))
+    u0s = dirs / np.linalg.norm(dirs, axis=1, keepdims=True) * (radius * gen.random((20, 1)))
+    with counted_tree_queries() as queries:
+        rep = rc.attraction_counter(model, cloud, eps, u0s, n_traj=200, horizon=40, seed=seed)
+    with counted_tree_queries() as every_row:
+        ref = brute_force_attraction_counter(model, cloud, eps, u0s, 200, 40, seed)
+    assert rep.settling_shortcut is ref["settling_shortcut"] is settles
+    assert np.array_equal(rep.counts, ref["counts"])
+    for key in ("censored_fraction", "delta", "Lambda", "alpha_moment"):
+        assert getattr(rep, key) == ref[key], key
+    # the bound decides more than a third of the rows (a half to three fifths here)
+    assert 0 < sum(map(len, queries)) < 2 / 3 * sum(map(len, every_row))
+
+
+class IdentityMap:
+    """S(u) = u on the plane."""
+
+    dim = 2
+
+    def apply_batch(self, U):
+        return np.array(U, dtype=float)
+
+
+def test_attraction_counter_queries_a_row_at_the_edge_of_its_bound():
+    # kicks of 1e-300 leave every row where it starts; rows 0 and 1 sit
+    # 1e-12 inside and outside eps of cloud point 0, their first cached
+    # point, and must reach the tree at every step; row 2, at eps / 2, never
+    # does; row 3 is eps / 5 from cloud point 3 and reaches the tree once,
+    # which then caches that point
+    model = rc.RDSModel(IdentityMap(), rc.KickLaw(np.full(2, 1e-300)), rho=1.0)
+    eps = 0.1
+    cloud = np.array([[1.0, 0.0], [1.05, 0.0], [1.1, 0.0], [1.15, 0.0]])
+    u0s = np.array([[1.0, eps - 1e-12], [1.0, eps + 1e-12], [1.0, eps / 2], [1.15, eps / 5]])
+    with counted_tree_queries() as asked:
+        rep = rc.attraction_counter(model, cloud, eps, u0s, n_traj=4, horizon=5, seed=1)
+    ref = brute_force_attraction_counter(model, cloud, eps, u0s, 4, 5, 1)
+    assert rep.counts.tolist() == ref["counts"].tolist() == [0, 5, 0, 0]
+    assert len(asked) == 5 and np.array_equal(asked[0], u0s[[0, 1, 3]])
+    assert all(np.array_equal(x, u0s[:2]) for x in asked[1:])
 
 
 def test_verify_map_conditions_toy_exact(toy_model):
