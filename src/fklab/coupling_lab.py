@@ -15,10 +15,14 @@ equal values stay bitwise equal.  On the disagreement event the second
 component is the reflection of the first about the midpoint of the two
 means (reflection-maximal coupling, Bou-Rabee, Eberle and Zimmer 2020),
 which needs no further random draws.
+
+``ks_test`` checks the coupled marginals against the kick law; from
+``KS_ASYMP_MIN_N`` samples on it loads no scipy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +39,14 @@ __all__ = [
     "squeezing_check",
     "feller_bound_check",
     "CoupledRun",
+    "kolmogorov_sf",
+    "ks_test",
 ]
+
+# from here on the KS p-value is the asymptotic one, within about 1% of the
+# exact one, whose cost depends on the draws at large n
+KS_ASYMP_MIN_N = 10_000
+KOLMOGOROV_SWITCH = 0.82  # kolmogorov_sf's theta series below, alternating above
 
 
 def tv_shifted(density, s):
@@ -100,6 +111,53 @@ def coupled_step(model, N, U, U_prime, rng):
     V1[:, N : law.dim] += shared
     V2[:, N : law.dim] += shared
     return V1, V2, coupled
+
+
+def kolmogorov_sf(lam):
+    """Kolmogorov's limit law Q(lam) = lim P(D sqrt(n) > lam) =
+    2 sum_{k>=1} (-1)^(k-1) exp(-2 k^2 lam^2) (Kolmogorov 1933).
+
+    Below ``KOLMOGOROV_SWITCH`` it is read off the Jacobi theta form
+    1 - (sqrt(2 pi) / lam) sum_{k>=1} exp(-(2k-1)^2 pi^2 / (8 lam^2)).
+    Each series keeps four terms in nested form, as in Marsaglia, Tsang and
+    Wang (2003, J. Stat. Softw. 8(18)) and scipy.special.kolmogorov, whose
+    values this matches bitwise.  The result is clipped to [0, 1].
+    """
+    if lam <= 0.04:  # exp(-pi^2 / (8 lam^2)) underflows to 0
+        return 1.0
+    if lam <= KOLMOGOROV_SWITCH:
+        logu = -math.pi**2 / 8 / (lam * lam)
+        u, u8 = math.exp(logu), math.exp(8 * logu)
+        # u (1 + u^8 + u^24 + u^48)
+        q = 1 - math.sqrt(2 * math.pi) / lam * u * (1 + u8 * (1 + u8 * u8 * (1 + u8**3)))
+    else:
+        v = math.exp(-2 * lam * lam)
+        v3 = v**3
+        # 2 (v - v^4 + v^9 - v^16)
+        q = 2 * v * (1 - v3 * (1 - v3 * v * v * (1 - v3 * v3 * v)))
+    return min(max(q, 0.0), 1.0)
+
+
+def ks_test(x, cdf):
+    """Two-sided one-sample Kolmogorov-Smirnov test of the sample ``x``
+    against the continuous distribution function ``cdf``: (D, p-value).
+
+    D = max(D+, D-) over the sorted sample, with D+ = max(i/n - F(x_(i)))
+    and D- = max(F(x_(i)) - (i-1)/n), computed as scipy.stats.kstest does,
+    so it is scipy's D bitwise.  From ``KS_ASYMP_MIN_N`` samples on the
+    p-value is ``kolmogorov_sf(D sqrt(n))`` (scipy's ``method="asymp"``);
+    below, it is the exact ``scipy.stats.kstwo.sf(D, n)``.
+    """
+    x = np.sort(np.asarray(x, dtype=float))
+    n = x.size
+    F = cdf(x)
+    d_plus = (np.arange(1.0, n + 1) / n - F).max()
+    D = float(max(d_plus, (F - np.arange(0.0, n) / n).max()))
+    if n >= KS_ASYMP_MIN_N:
+        return D, kolmogorov_sf(D * math.sqrt(n))
+    from scipy.stats import kstwo  # +72 MiB and about 1 s: only on this branch
+
+    return D, float(np.clip(kstwo.sf(D, n), 0.0, 1.0))
 
 
 @dataclass

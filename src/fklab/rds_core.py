@@ -376,8 +376,8 @@ def hitting_time_stats(model, u0s, eps, n_traj=1000, horizon=1000, seed=0):
     for the observed part only.
     """
     _require_map(model, "hitting_time_stats")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     taus = {}
     censored = 0
     total = 0
@@ -461,6 +461,8 @@ def attraction_counter(model, cloud, eps, u0s, n_traj=1000, horizon=400, seed=0)
     from scipy.spatial import cKDTree
 
     _require_map(model, "attraction_counter")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     cloud = np.atleast_2d(np.asarray(cloud, dtype=float))
     tree = cKDTree(cloud)
     spacing = tree.query(cloud, k=2)[0][:, 1].max()

@@ -221,6 +221,32 @@ def test_coupling_check_rejects_bad_config(tmp_path, capsys, payload, message):
     assert not (out / "results.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        ("attract", {"eps": float("nan")}, "eps must be positive and finite, got nan"),
+        ("attract", {"eps": float("inf")}, "eps must be positive and finite, got inf"),
+        ("attract", {"hit_eps": float("nan")}, "eps must be positive and finite, got nan"),
+        ("attract", {"hit_eps": float("inf")}, "eps must be positive and finite, got inf"),
+        ("coupling-check", {"delta": float("nan")}, "delta must be finite, got nan"),
+        ("coupling-check", {"delta": float("-inf")}, "delta must be finite, got -inf"),
+    ],
+    ids=["nan-eps", "inf-eps", "nan-hit-eps", "inf-hit-eps", "nan-delta", "inf-delta"],
+)
+def test_non_finite_threshold_exits_2(tmp_path, capsys, command, payload, message):
+    # a NaN or infinite threshold gives no verdict (an infinite delta read as
+    # a certified tail, a NaN p-value), only exit 2
+    base = {
+        "attract": {"eps": 0.5, "n_traj": 10, "horizon": 5, "cloud_k": 2, "cloud_points": 50},
+        "coupling-check": {"n_samples": 1000},
+    }[command]
+    cfg = write_cfg(tmp_path, {"model": TOY_MODEL, **base, **payload, "seed": 1})
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "results.json").exists()
+
+
 def test_attract_command(tmp_path):
     cfg = write_cfg(
         tmp_path,
@@ -355,13 +381,30 @@ def test_ldp_rejects_coincident_points(tmp_path, capsys):
     assert "chain points 0 and 1 coincide" in capsys.readouterr().err
 
 
-def test_import_loads_no_scipy():
-    # scipy is imported only inside the functions that use it
+def fresh_python(code, *args):
+    """Standard output of ``code`` run in a fresh interpreter on this checkout's ``src``."""
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True)
+    return proc.stdout
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported only inside the functions that use it
     code = "import sys, fklab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert fresh_python(code).strip() == "[]"
+
+
+def test_coupling_check_from_1e4_samples_loads_no_scipy_stats(tmp_path):
+    # from 10,000 samples on the KS p-values are asymptotic and computed
+    # without scipy, whose stats module alone is about 70 MiB and 1 s
+    cfg = write_cfg(tmp_path, {"model": TOY_MODEL, "n_samples": 10_000, "delta": 0.1, "seed": 4})
+    out = tmp_path / "out"
+    code = ("import sys; from fklab.cli import main; assert main(sys.argv[1:]) == 0;"
+            " print([m for m in ('scipy.stats', 'scipy.special') if m in sys.modules])")
+    stdout = fresh_python(code, "coupling-check", "--config", cfg, "--out", str(out))
+    assert stdout.splitlines()[-1] == "[]"
+    assert (out / "results.json").exists()
 
 
 def test_slln_command(tmp_path):
@@ -489,24 +532,29 @@ def test_simulate_on_chain_writes_points(tmp_path):
 @pytest.mark.parametrize("n_samples, method", [(9_999, "exact"), (10_000, "asymp")])
 def test_coupling_check_ks_method_by_sample_count(tmp_path, monkeypatch, n_samples, method):
     # the exact KS p-value's cost depends on the draws at large n; from
-    # n = 10,000 on the asymptotic one is used, within about 1% of it
+    # n = 10,000 on the asymptotic one is used, within about 1% of it.
+    # coupling_lab.ks_test gives scipy's D and, by the same rule, its p-value
     from scipy import stats
 
-    kstest, seen = stats.kstest, []
+    from fklab import coupling_lab
 
-    def spy(*args, **kwargs):
-        res = kstest(*args, **kwargs)
-        seen.append((kwargs.get("method"), res.pvalue, kstest(*args, method="exact").pvalue))
-        return res
+    ks_test, seen = coupling_lab.ks_test, []
 
-    monkeypatch.setattr(stats, "kstest", spy)
+    def spy(x, cdf):
+        seen.append((x, cdf, *ks_test(x, cdf)))
+        return seen[-1][2:]
+
+    monkeypatch.setattr(coupling_lab, "ks_test", spy)
     cfg = write_cfg(tmp_path, {"model": TOY_MODEL, "n_samples": n_samples, "delta": 0.1, "seed": 4})
     out = tmp_path / "out"
     assert run_cli(["coupling-check", "--config", cfg, "--out", str(out)]) == 0
-    assert [m for m, _, _ in seen] == [method, method]
-    assert json.loads((out / "results.json").read_text())["ks_pvalues"] == [p for _, p, _ in seen]
-    for _, p, exact in seen:
-        assert p == pytest.approx(exact, rel=0.02)
+    assert json.loads((out / "results.json").read_text())["ks_pvalues"] == [p for *_, p in seen]
+    assert len(seen) == 2
+    for x, cdf, D, p in seen:
+        ref = stats.kstest(x, cdf, method=method)
+        assert D == ref.statistic
+        assert p == (ref.pvalue if method == "exact" else pytest.approx(ref.pvalue, rel=1e-14, abs=0))
+        assert p == pytest.approx(stats.kstest(x, cdf, method="exact").pvalue, rel=0.02)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate, special, stats
 
 from fklab import coupling_lab as cl
 from fklab import rds_core as rc
@@ -109,6 +111,35 @@ def test_residual_law_ks(law):
     y = x2[~coupled] / b
     assert y.size > 10_000
     assert stats.kstest(y, residual_cdf).pvalue > 1e-3
+
+
+@settings(max_examples=300, deadline=None)
+@given(lam=st.floats(0.0, 8.0, exclude_min=True))
+def test_kolmogorov_sf_matches_scipy(lam):
+    ref = special.kolmogorov(lam)
+    assert abs(cl.kolmogorov_sf(lam) - ref) <= max(1e-14 * ref, 1e-300)
+
+
+def test_kolmogorov_sf_series_switch():
+    # each series holds on its side of the switch, and the two meet there
+    s = cl.KOLMOGOROV_SWITCH
+    below, above = np.nextafter(s, 0.0), np.nextafter(s, 1.0)
+    for lam in (below, s, above):
+        assert cl.kolmogorov_sf(lam) == pytest.approx(special.kolmogorov(lam), rel=1e-14, abs=0)
+    assert abs(cl.kolmogorov_sf(s) - cl.kolmogorov_sf(above)) < 1e-14
+
+
+def test_kolmogorov_sf_tends_to_one_at_zero():
+    lams = [5e-324, 1e-300, 1e-3, 0.04, 0.1, 0.2, 0.3]
+    q = [cl.kolmogorov_sf(lam) for lam in lams]
+    assert q[:5] == [1.0] * 5
+    assert 1 - 1e-12 < q[5] < 1.0 and 1 - 1e-5 < q[6] < q[5]
+
+
+@settings(max_examples=200, deadline=None)
+@given(lam=st.floats(1e-3, 8.0), gap=st.floats(1e-3, 8.0))
+def test_kolmogorov_sf_decreases(lam, gap):
+    assert cl.kolmogorov_sf(lam) >= cl.kolmogorov_sf(lam + gap)
 
 
 def test_reflection_off_the_coupled_event(law):
