@@ -395,6 +395,9 @@ def _cmd_ldp(cfg, seed, threads):
 def _cmd_attract(cfg, seed, threads):
     model = _build_map_model(cfg, "attract")
     eps, hit_eps = _num(cfg, "eps", 0.1), _num(cfg, "hit_eps", model.rho / 2)
+    for key, value in (("eps", eps), ("hit_eps", hit_eps)):
+        if not 0 < value < np.inf:  # before the cloud and the counter run
+            raise ConfigError(f"{key} must be positive and finite, got {value}")
     n_traj, horizon = _num(cfg, "n_traj", 2000, int, 1), _num(cfg, "horizon", 400, int, 1)
     cloud_k, cloud_points = _num(cfg, "cloud_k", 40, int, 0), _num(cfg, "cloud_points", 4000, int, 1)
     u0s = _arr(cfg, "u0s", [list(np.full(model.dim, model.rho))])

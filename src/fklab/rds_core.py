@@ -421,6 +421,69 @@ def hitting_time_stats(model, u0s, eps, n_traj=1000, horizon=1000, seed=0):
 
 SETTLE_STEPS = 25  # consecutive steps within SETTLE_FRAC * eps that settle a trajectory
 SETTLE_FRAC = 0.75  # the settling radius, as a share of eps
+SEARCH_BLOCK_BYTES = 2**21  # each (rows x cloud) product of the nearest-point search stays near 2 MiB
+
+
+class _CloudSearch:
+    """Nearest cloud points by blocked products with W = [-2 cloud^T; |c|^2].
+
+    Row [x, 1] of a block times W is |c|^2 - 2 x.c, so one product and one
+    argmin give each row a candidate point, whose distance d is recomputed
+    in ``distances``' coordinate order.  The product rounds by at most
+    gamma_(2d+2) (|x| + R)^2 per entry, with R the largest |c| (Higham 2002,
+    sec. 3.1), and a recomputed square by gamma_(d+4) of itself; the slack
+    4 (d + 2) machine epsilons of (|x| + R)^2 exceeds twice their sum.  So
+    the nearest distance in ``distances``' order lies in
+    [sqrt(d^2 - slack), d] (``_low``), and a row whose interval straddles a
+    threshold is searched over the whole cloud exactly.
+    """
+
+    def __init__(self, cloud):
+        sq = np.einsum("ij,ij->i", cloud, cloud)
+        self.cloud = cloud
+        self.W = np.vstack([-2.0 * cloud.T, sq])
+        self.rows = max(1, SEARCH_BLOCK_BYTES // (8 * cloud.shape[0]))
+        self.tol = 4 * (cloud.shape[1] + 2) * np.finfo(float).eps
+        self.reach = np.sqrt(sq.max())
+
+    def _search(self, X, exact, skip=None):
+        """Each row's candidate point (its nearest when ``exact``) and the
+        distance to it; ``skip[i]`` is a point row i may not take."""
+        j = np.empty(X.shape[0], dtype=np.intp)
+        for lo in range(0, X.shape[0], self.rows):
+            x = X[lo : lo + self.rows]
+            T = distances(x, self.cloud) if exact else np.hstack([x, np.ones((len(x), 1))]) @ self.W
+            if skip is not None:
+                T[np.arange(len(x)), skip[lo : lo + self.rows]] = np.inf
+            j[lo : lo + self.rows] = T.argmin(axis=1)
+        # a cumulative sum adds in order, so these are ``distances``' bits
+        return j, np.sqrt(np.cumsum((X - self.cloud[j]) ** 2, axis=1)[:, -1])
+
+    def _low(self, X, d):
+        """Lower bounds of the squared nearest distances, given candidate distances d."""
+        return d * d - self.tol * (np.linalg.norm(X, axis=1) + self.reach) ** 2
+
+    def nearest(self, X, cuts):
+        """Distance to and index of a cloud point for each row of X, on the
+        same side of every threshold in ``cuts`` as the nearest one's."""
+        j, d = self._search(X, exact=False)
+        low = self._low(X, d)
+        redo = np.zeros(d.shape, dtype=bool)
+        for t in cuts:
+            redo |= (d > t) & (low <= t * t)
+        j[redo], d[redo] = self._search(X[redo], exact=True)
+        return d, j
+
+    def spacing(self):
+        """The largest distance from a cloud point to its nearest other one.
+        Only a point whose candidate distance reaches the largest lower
+        bound can attain it, and those points are searched exactly."""
+        if self.cloud.shape[0] < 2:
+            return np.inf  # a lone point has no neighbour
+        rows = np.arange(self.cloud.shape[0])
+        _, d = self._search(self.cloud, exact=False, skip=rows)
+        keep = d * d >= self._low(self.cloud, d).max()
+        return self._search(self.cloud[keep], exact=True, skip=rows[keep])[1].max()
 
 
 @dataclass
@@ -450,22 +513,22 @@ def attraction_counter(model, cloud, eps, u0s, n_traj=1000, horizon=400, seed=0)
     factor that was assumed rather than measured makes it an assumption.
 
     The distance is read only through two decisions, > eps and (when
-    settling) <= SETTLE_FRAC * eps, so the kd-tree is asked only for rows
+    settling) <= SETTLE_FRAC * eps, so the cloud is searched only for rows
     that a cheaper bound cannot decide (Elkan 2003): the distance to a row's
     last nearest cloud point bounds its cloud distance from above, and a
     bound at most r (1 - 1e-9), with r = SETTLE_FRAC * eps when settling and
     eps otherwise, decides both as the true distance would (the 1e-9 covers
-    the rounding of two ways of computing a distance).  So the counts equal
-    those of one query per row bitwise.
+    the rounding of two ways of computing a distance).  The search
+    (``_CloudSearch``, a blocked product) decides the other rows as the
+    nearest distance in ``distances``' order would.  So the counts equal
+    those of one exact query per row bitwise.
     """
-    from scipy.spatial import cKDTree
-
     _require_map(model, "attraction_counter")
     if not 0 < eps < np.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
     cloud = np.atleast_2d(np.asarray(cloud, dtype=float))
-    tree = cKDTree(cloud)
-    spacing = tree.query(cloud, k=2)[0][:, 1].max()
+    search = _CloudSearch(cloud)
+    spacing = search.spacing()
     if eps < spacing:
         raise ValueError(f"eps={eps} below cloud resolution {spacing:.3g}")
     u0s = _start_points(model, u0s)
@@ -478,12 +541,13 @@ def attraction_counter(model, cloud, eps, u0s, n_traj=1000, horizon=400, seed=0)
     cf = model.contraction_factor
     can_settle = cf is not None and cf < 1 and SETTLE_FRAC * cf + spacing / eps <= 0.95
     near = np.zeros(n, dtype=np.intp)  # each row's last nearest cloud point (any point bounds)
-    decided = (SETTLE_FRAC * eps if can_settle else eps) * (1.0 - 1e-9)
+    cuts = (eps, SETTLE_FRAC * eps) if can_settle else (eps,)
+    decided = cuts[-1] * (1.0 - 1e-9)
     for _, U, _ in propagate(model, U, rng_stream(seed, 0), horizon, active=active):
         idx = np.flatnonzero(active)
         dist = np.linalg.norm(U[idx] - cloud[near[idx]], axis=1)
-        ask = dist > decided  # only these rows need the tree
-        dist[ask], near[idx[ask]] = tree.query(U[idx[ask]])
+        ask = dist > decided  # only these rows need the search
+        dist[ask], near[idx[ask]] = search.nearest(U[idx[ask]], cuts)
         counts[idx] += dist > eps
         if can_settle:
             inside = dist <= SETTLE_FRAC * eps

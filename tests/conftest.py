@@ -87,7 +87,8 @@ def normalized_semigroup_apply(M, triple, g, k):
 def brute_force_attraction_counter(model, cloud, eps, u0s, n_traj, horizon, seed):
     """``rds_core.attraction_counter`` with one kd-tree query for every
     active row at every step (no cached bound): the report's counts,
-    censored fraction and tail fit, as a dict."""
+    censored fraction and tail fit, and the number of rows queried, as a
+    dict."""
     from scipy.spatial import cKDTree
 
     tree = cKDTree(cloud)
@@ -98,11 +99,13 @@ def brute_force_attraction_counter(model, cloud, eps, u0s, n_traj, horizon, seed
     counts = np.zeros(n, dtype=int)
     settled = np.zeros(n, dtype=int)
     active = np.ones(n, dtype=bool)
+    queried = 0
     cf = model.contraction_factor
     can_settle = cf is not None and cf < 1 and rc.SETTLE_FRAC * cf + spacing / eps <= 0.95
     for _, U, _ in rc.propagate(model, U, rc.rng_stream(seed, 0), horizon, active=active):
         idx = np.flatnonzero(active)
         dist = tree.query(U[idx])[0]
+        queried += idx.size
         counts[idx] += dist > eps
         if can_settle:
             settled[idx] = np.where(dist <= rc.SETTLE_FRAC * eps, settled[idx] + 1, 0)
@@ -123,6 +126,7 @@ def brute_force_attraction_counter(model, cloud, eps, u0s, n_traj, horizon, seed
         "Lambda": Lambda,
         "alpha_moment": float(np.exp(np.minimum(alpha * counts, 700)).mean()),
         "settling_shortcut": bool(can_settle),
+        "queried_rows": queried,
     }
 
 

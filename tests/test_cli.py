@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fklab import rds_core as rc
 from fklab.cli import main
 
 
@@ -226,16 +227,21 @@ def test_coupling_check_rejects_bad_config(tmp_path, capsys, payload, message):
     [
         ("attract", {"eps": float("nan")}, "eps must be positive and finite, got nan"),
         ("attract", {"eps": float("inf")}, "eps must be positive and finite, got inf"),
-        ("attract", {"hit_eps": float("nan")}, "eps must be positive and finite, got nan"),
-        ("attract", {"hit_eps": float("inf")}, "eps must be positive and finite, got inf"),
+        ("attract", {"hit_eps": float("nan")}, "hit_eps must be positive and finite, got nan"),
+        ("attract", {"hit_eps": float("inf")}, "hit_eps must be positive and finite, got inf"),
         ("coupling-check", {"delta": float("nan")}, "delta must be finite, got nan"),
         ("coupling-check", {"delta": float("-inf")}, "delta must be finite, got -inf"),
     ],
     ids=["nan-eps", "inf-eps", "nan-hit-eps", "inf-hit-eps", "nan-delta", "inf-delta"],
 )
-def test_non_finite_threshold_exits_2(tmp_path, capsys, command, payload, message):
+def test_non_finite_threshold_exits_2(tmp_path, capsys, monkeypatch, command, payload, message):
     # a NaN or infinite threshold gives no verdict (an infinite delta read as
-    # a certified tail, a NaN p-value), only exit 2
+    # a certified tail, a NaN p-value), only exit 2, and attract says so
+    # before it builds the cloud
+    def no_cloud(*args, **kwargs):
+        raise AssertionError("the cloud was built")
+
+    monkeypatch.setattr(rc, "attainability_cloud", no_cloud)
     base = {
         "attract": {"eps": 0.5, "n_traj": 10, "horizon": 5, "cloud_k": 2, "cloud_points": 50},
         "coupling-check": {"n_samples": 1000},
@@ -403,6 +409,19 @@ def test_coupling_check_from_1e4_samples_loads_no_scipy_stats(tmp_path):
     code = ("import sys; from fklab.cli import main; assert main(sys.argv[1:]) == 0;"
             " print([m for m in ('scipy.stats', 'scipy.special') if m in sys.modules])")
     stdout = fresh_python(code, "coupling-check", "--config", cfg, "--out", str(out))
+    assert stdout.splitlines()[-1] == "[]"
+    assert (out / "results.json").exists()
+
+
+def test_attract_on_burgers_loads_no_scipy(tmp_path):
+    # the attraction counter searches its cloud with numpy alone
+    model = {"kind": "burgers", "nu": 1.0, "modes": 16, "dt": 2e-2, "kick_dim": 8, "rho": 0.7}
+    cfg = write_cfg(tmp_path, {"model": model, "eps": 0.3, "hit_eps": 0.35, "n_traj": 50, "horizon": 20,
+                               "cloud_k": 6, "cloud_points": 300, "seed": 5})
+    out = tmp_path / "out"
+    code = ("import sys; from fklab.cli import main; assert main(sys.argv[1:]) == 0;"
+            " print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    stdout = fresh_python(code, "attract", "--config", cfg, "--out", str(out))
     assert stdout.splitlines()[-1] == "[]"
     assert (out / "results.json").exists()
 

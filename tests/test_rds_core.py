@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-import scipy.spatial
 from scipy import integrate, stats
 
 from conftest import brute_force_attraction_counter
@@ -14,6 +13,7 @@ from fklab import cli
 from fklab import feynman_kac as fk
 from fklab import rds_core as rc
 from fklab.dynamics_maps import BurgersMap, ToyDiagonalMap
+from fklab.measure_metrics import distances
 
 
 @pytest.fixture
@@ -392,18 +392,17 @@ def test_attraction_counter_tail_fit(toy_model):
 
 
 @contextmanager
-def counted_tree_queries():
-    """The rows of every one-nearest-point kd-tree query made inside."""
+def counted_searches():
+    """The rows of every nearest-point search of the attraction counter made inside."""
     calls = []
+    nearest = rc._CloudSearch.nearest
 
-    class CountingTree(scipy.spatial.cKDTree):
-        def query(self, x, k=1):
-            if k == 1:
-                calls.append(np.array(x))
-            return super().query(x, k=k)
+    def counting(self, X, cuts):
+        calls.append(np.array(X))
+        return nearest(self, X, cuts)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scipy.spatial, "cKDTree", CountingTree)
+        mp.setattr(rc._CloudSearch, "nearest", counting)
         yield calls
 
 
@@ -432,22 +431,21 @@ def counter_cases():
 @settings(max_examples=6, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_attraction_counter_equals_a_query_per_row(counter_cases, case, settles, seed):
-    # the cached bound decides some rows and the tree the rest; every
-    # number of the report equals that of one query per active row
+    # the cached bound decides some rows and the search the rest; every
+    # number of the report equals that of one kd-tree query per active row
     model, cloud, eps, radius = counter_cases[case]
     gen = np.random.default_rng(seed)
     dirs = gen.normal(size=(20, model.dim))
     u0s = dirs / np.linalg.norm(dirs, axis=1, keepdims=True) * (radius * gen.random((20, 1)))
-    with counted_tree_queries() as queries:
+    with counted_searches() as queries:
         rep = rc.attraction_counter(model, cloud, eps, u0s, n_traj=200, horizon=40, seed=seed)
-    with counted_tree_queries() as every_row:
-        ref = brute_force_attraction_counter(model, cloud, eps, u0s, 200, 40, seed)
+    ref = brute_force_attraction_counter(model, cloud, eps, u0s, 200, 40, seed)
     assert rep.settling_shortcut is ref["settling_shortcut"] is settles
     assert np.array_equal(rep.counts, ref["counts"])
     for key in ("censored_fraction", "delta", "Lambda", "alpha_moment"):
         assert getattr(rep, key) == ref[key], key
     # the bound decides more than a third of the rows (a half to three fifths here)
-    assert 0 < sum(map(len, queries)) < 2 / 3 * sum(map(len, every_row))
+    assert 0 < sum(map(len, queries)) < 2 / 3 * ref["queried_rows"]
 
 
 class IdentityMap:
@@ -462,19 +460,101 @@ class IdentityMap:
 def test_attraction_counter_queries_a_row_at_the_edge_of_its_bound():
     # kicks of 1e-300 leave every row where it starts; rows 0 and 1 sit
     # 1e-12 inside and outside eps of cloud point 0, their first cached
-    # point, and must reach the tree at every step; row 2, at eps / 2, never
-    # does; row 3 is eps / 5 from cloud point 3 and reaches the tree once,
-    # which then caches that point
+    # point, and must reach the search at every step; row 2, at eps / 2,
+    # never does; row 3 is eps / 5 from cloud point 3 and reaches the search
+    # once, which then caches that point
     model = rc.RDSModel(IdentityMap(), rc.KickLaw(np.full(2, 1e-300)), rho=1.0)
     eps = 0.1
     cloud = np.array([[1.0, 0.0], [1.05, 0.0], [1.1, 0.0], [1.15, 0.0]])
     u0s = np.array([[1.0, eps - 1e-12], [1.0, eps + 1e-12], [1.0, eps / 2], [1.15, eps / 5]])
-    with counted_tree_queries() as asked:
+    with counted_searches() as asked:
         rep = rc.attraction_counter(model, cloud, eps, u0s, n_traj=4, horizon=5, seed=1)
     ref = brute_force_attraction_counter(model, cloud, eps, u0s, 4, 5, 1)
     assert rep.counts.tolist() == ref["counts"].tolist() == [0, 5, 0, 0]
     assert len(asked) == 5 and np.array_equal(asked[0], u0s[[0, 1, 3]])
     assert all(np.array_equal(x, u0s[:2]) for x in asked[1:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(1, 40), n=st.integers(1, 30), ring=st.integers(0, 6), dups=st.integers(0, 4),
+    offset=st.sampled_from([0.0, 1.0, 1e3]), seed=st.integers(0, 2**32 - 1),
+)
+def test_cloud_search_is_the_kd_tree_search(dim, n, ring, dups, offset, seed):
+    # clouds with duplicate points and a ring of points near-tied at distance
+    # t from a centre; far from the origin (offset 1e3) the product's
+    # rounding can misorder points a relative 1e-9 apart, so the candidate
+    # alone would decide some of the rows near t wrongly
+    from scipy.spatial import cKDTree
+
+    gen = np.random.default_rng(seed)
+    t, centre = 0.5, gen.normal(size=dim)
+    dirs = gen.normal(size=(ring, dim))
+    nudge = gen.choice([-1e-9, -1e-12, 0.0, 1e-12, 1e-9], size=(ring, 1))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    pts = np.vstack([gen.normal(size=(n, dim)), centre + t * (1 + nudge) * dirs])
+    cloud = offset + np.vstack([pts, pts[gen.integers(0, len(pts), dups)]])
+    # rows: the centre, every cloud point, random points, and rows 1e-12
+    # (relative) inside and outside t of a cloud point
+    u = gen.normal(size=(4, dim))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    edge = cloud[gen.integers(0, len(cloud), 4)] + t * (1 + np.array([[-1e-12], [1e-12], [-1e-12], [1e-12]])) * u
+    X = np.vstack([offset + centre, cloud, offset + gen.normal(size=(5, dim)), edge])
+    search = rc._CloudSearch(cloud)
+    cuts = (t, rc.SETTLE_FRAC * t)
+    d, j = search.nearest(X, cuts)
+    table = distances(X, cloud)
+    rows = np.arange(len(X))
+    exact = table.min(axis=1)
+    assert np.array_equal(d, table[rows, j])  # distances' bits for the point returned
+    for cut in cuts:  # each decision is the exact distance's
+        assert np.array_equal(d > cut, exact > cut), cut
+    kd_d, kd_j = cKDTree(cloud).query(X)
+    assert np.allclose(kd_d, exact, rtol=1e-13, atol=0)
+    # the kd-tree's point, or one tied with it up to the product's rounding
+    reach = np.linalg.norm(X, axis=1) + np.linalg.norm(cloud, axis=1).max()
+    slack = 4 * (dim + 2) * np.finfo(float).eps * reach**2
+    assert np.all((j == kd_j) | (d**2 - exact**2 <= slack))
+    # the spacing, self excluded, is distances' exact one and the kd-tree's k = 2 column
+    own = distances(cloud, cloud)
+    np.fill_diagonal(own, np.inf)
+    assert search.spacing() == own.min(axis=1).max()
+    assert search.spacing() == pytest.approx(cKDTree(cloud).query(cloud, k=2)[0][:, 1].max(), rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 6, 32, 40])
+def test_cloud_search_slack_covers_the_rounding_bounds(dim):
+    # twice a product entry's bound gamma_(2d+2) (|x| + R)^2 and a
+    # recomputed square's gamma_(d+4), here with |x| + R = 1
+    u = np.finfo(float).eps / 2
+    gamma = lambda k: k * u / (1 - k * u)  # noqa: E731
+    cloud = np.zeros((2, dim))
+    cloud[1, 0] = 1.0
+    low = rc._CloudSearch(cloud)._low(np.zeros((1, dim)), np.zeros(1))
+    assert -low[0] >= 2 * (gamma(2 * dim + 2) + gamma(dim + 4))
+
+
+def test_cloud_search_searches_few_rows_exactly(counter_cases, monkeypatch):
+    # the exact whole-cloud search is kept for the rows the product leaves
+    # in doubt: the largest spacing's row, and none of the counter's rows
+    cloud = counter_cases["burgers"][1]
+    rows = []
+    search_rows = rc._CloudSearch._search
+
+    def counting(self, X, exact, skip=None):
+        if exact:
+            rows.append(len(X))
+        return search_rows(self, X, exact, skip)
+
+    monkeypatch.setattr(rc._CloudSearch, "_search", counting)
+    search = rc._CloudSearch(cloud)
+    spacing = search.spacing()
+    X = cloud[:500] + np.random.default_rng(5).normal(scale=0.05, size=(500, cloud.shape[1]))
+    search.nearest(X, (0.16, 0.12))
+    own = distances(cloud, cloud)
+    np.fill_diagonal(own, np.inf)
+    assert spacing == own.min(axis=1).max()
+    assert rows[0] <= 3 and rows[1] == 0
 
 
 def test_verify_map_conditions_toy_exact(toy_model):

@@ -367,6 +367,29 @@ def burgers_estimators():
     return out + [rep]
 
 
+BURGERS_ATTRACT_CFG = {
+    "model": {"kind": "burgers", "nu": 1.0, "modes": 16, "dt": 2e-2, "kick_dim": 8, "kick_b0": 0.3, "rho": 0.7},
+    "eps": 0.12, "hit_eps": 0.35, "n_traj": 200, "horizon": 60, "cloud_k": 10, "cloud_points": 1500, "seed": 33,
+}
+
+
+def burgers_attract():
+    """An M = 16 cloud; the attraction counter on it without a contraction
+    factor and with one that turns settling on, resolution included; and
+    ``attract`` on a Burgers config."""
+    model = burgers_model()
+    cloud = rc.attainability_cloud(model, np.zeros((1, model.dim)), 10, seed=31, kicks_per_point=5, max_points=1500)
+    dirs = np.random.default_rng(32).normal(size=(8, model.dim))
+    u0s = 0.7 * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    out = [cloud]
+    for factor in (None, 0.6):
+        m = rc.RDSModel(map=model.map, kicks=model.kicks, rho=model.rho, contraction_factor=factor)
+        att = rc.attraction_counter(m, cloud, 0.12, u0s, n_traj=300, horizon=60, seed=34)
+        out += [att.counts, att.delta, att.Lambda, att.alpha_moment, att.censored_fraction, att.resolution,
+                att.settling_shortcut]
+    return out + [run_cli("attract", BURGERS_ATTRACT_CFG)]
+
+
 # --- CLI runs -------------------------------------------------------------------------
 
 
@@ -460,6 +483,7 @@ CASES = {
     "exact_chain_bridge": exact_chain_bridge,
     "toy_estimators": toy_estimators,
     "burgers_estimators": burgers_estimators,
+    "burgers_attract": burgers_attract,
     "cli_shipped": cli_shipped,
     "cli_chain": cli_chain,
     "cli_chain_off_point": cli_chain_off_point,
