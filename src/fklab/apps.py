@@ -12,15 +12,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fits, kernel_lab as kl
+from .feynman_kac import PotentialFn
 from .measure_metrics import DiscreteMeasure
-from .rds_core import initial_ensemble, propagate, rng_stream
+from .rds_core import FiniteChainModel, initial_ensemble, propagate, rng_stream
 
 __all__ = [
     "occupation_measure",
     "path_average_samples",
     "ldp_level1",
     "rate_function_eval",
-    "default_v_family",
     "slln_time",
     "LdpReport",
     "SllnReport",
@@ -45,6 +45,8 @@ def path_average_samples(model, f, u0, k_set, n_traj, seed=0):
     states, so on a chain it is a value table (``PotentialFn.from_chain``).
     """
     k_set = sorted(int(k) for k in k_set)
+    if not k_set or k_set[0] < 1:
+        raise ValueError(f"k_set must list path lengths k >= 1, got {k_set}")
     U = initial_ensemble(model, u0, n_traj)
     acc = np.asarray(f(U), dtype=float).copy()
     out = {1: acc.copy()} if 1 in k_set else {}
@@ -76,112 +78,105 @@ class LdpReport:
     mean_f: float
 
 
-def ldp_level1(model, f, x_grid, k_set, n_traj, pressure_fn, alphas, u0, seed=0):
-    """Level-1 large deviations check for the path average of f.
-
-    ``pressure_fn(alpha)`` must return Q(alpha f) (exact tilted-eigenvalue
-    computation on finite chains, Monte Carlo otherwise).  The Legendre
-    transform over the alpha grid gives the rate bound.  The empirical side
-    reports, per (x, k) cell, the raw rate -(1/k) log P(<f, zeta_k> >= x)
-    with Wilson intervals; a slope-in-k fit per x; and a prefactor-corrected
-    rate that subtracts the first-order sharp-deviation term
-    log(a* sqrt(2 pi k Q''(a*)))/k, since at desk-scale sample sizes the raw
-    single-k rate is dominated by exactly that bias.
-    """
-    samples = path_average_samples(model, f, u0, k_set, n_traj, seed=seed)
-    all_samples = np.concatenate(list(samples.values()))
-    if np.ptp(all_samples) == 0:
-        raise ValueError("f is constant on the sampled trajectories")
-    Q = {a: pressure_fn(a) for a in alphas}
+def ldp_level1(kernel, f_values, x_grid, k_set, n_traj, u0, seed=0):
+    """Level-1 large deviations check for the path average of f, given by
+    its values on the states of a finite kernel.  The exact side is the
+    Legendre transform I(x) of Q(a) = log lam(a f) on A (``_legendre``).  The
+    empirical side reports, per (x, k) cell, the raw rate
+    -(1/k) log P(<f, zeta_k> >= x) with Wilson intervals, a slope-in-k fit
+    per x and, for x above the mean, that rate less the sharp-deviation term
+    log(a* sqrt(2 pi k Q''(a*)))/k at the exact tilt a*, the bias that
+    dominates a single-k rate at desk-scale sample sizes."""
     x_grid = np.asarray(x_grid, dtype=float)
-    legendre = np.array([max(a * x - Q[a] for a in alphas) for x in x_grid])
-    a_hi = float(max(alphas))
+    if np.isnan(x_grid).any():
+        raise ValueError(f"x_grid must hold numbers, got {x_grid.tolist()}")
+    chain = FiniteChainModel.from_kernel(kernel)
+    samples = path_average_samples(chain, PotentialFn.from_chain(chain, f_values), u0, k_set, n_traj, seed=seed)
+    if np.ptp(np.concatenate(list(samples.values()))) == 0:
+        raise ValueError("f is constant on the sampled trajectories")
+    P = kernel.P[np.ix_(kernel.A, kernel.A)]
+    f = np.asarray(f_values, dtype=float)[kernel.A]
+    mean = kl.pressure_derivatives(P, np.zeros_like(f))[1] @ f
+    exact = [_legendre(P, f, x, mean) for x in x_grid]
     cells = {}
     slope_rates = {}
-    for xi, x in enumerate(x_grid):
-        astar = _tilt_parameter(pressure_fn, x, a_hi)
-        obs_ks, obs_logp = [], []
+    for x, (_, astar, qpp) in zip(x_grid, exact):
+        observed = []
         for k in k_set:
             count = int((samples[k] >= x).sum())
             p, lo, hi = _wilson(count, n_traj)
             observable = count > 0 and lo > 0.0
-            rate = -np.log(p) / k if observable else None
-            corrected = None
-            if observable and astar is not None:
-                h = 1e-3
-                qpp = (pressure_fn(astar + h) - 2 * pressure_fn(astar) + pressure_fn(astar - h)) / h**2
-                if qpp > 0:
-                    pref = np.log(astar * np.sqrt(2 * np.pi * k * qpp))
-                    corrected = -(np.log(p) + pref) / k
+            tilted = observable and astar is not None and astar > 0 and qpp > 0
             cells[(float(x), int(k))] = {
-                "p": p,
-                "lo": lo,
-                "hi": hi,
-                "rate": rate,
-                "rate_corrected": corrected,
-                "observable": observable,
+                "p": p, "lo": lo, "hi": hi, "observable": observable,
+                "rate": -np.log(p) / k if observable else None,
+                "rate_corrected": -(np.log(p) + np.log(astar * np.sqrt(2 * np.pi * k * qpp))) / k if tilted else None,
             }
             if observable:
-                obs_ks.append(k)
-                obs_logp.append(np.log(p))
-        if len(obs_ks) >= 3:
-            slope_rates[float(x)] = -fits.line(obs_ks, obs_logp)[0]
-    mean_f = float(np.mean(samples[max(k_set)]))
+                observed.append((k, np.log(p)))
+        if len(observed) >= 3:
+            slope_rates[float(x)] = -fits.line(*zip(*observed))[0]
     return LdpReport(
         x_grid=x_grid,
         k_set=sorted(k_set),
-        legendre=legendre,
+        legendre=np.array([rate for rate, _, _ in exact]),
         cells=cells,
         slope_rates=slope_rates,
-        mean_f=mean_f,
+        mean_f=float(np.mean(samples[max(k_set)])),
     )
 
 
-def _tilt_parameter(pressure_fn, x, a_hi, h=1e-4):
-    """Solve Q'(a) = x by bisection; None when x is outside the grid range
-    or at most the mean (no positive tilt)."""
-    from scipy.optimize import brentq
+def _legendre(P, f, x, mean):
+    """(I(x), a*, Q''(a*)) for Q(a) = log lam(P tilted by a f), mean = Q'(0).
+    Inside f's range, I(x) = sup over b of b y - Q(b g) (``_sup_tilt``), for
+    g = s f - max(s f) and y = s x - max(s f), s the sign of x - mean, so
+    that no tilt weight exceeds one.  At an end of the range,
+    I(x) = -log rho(P on the states where f attains it); outside it, +inf."""
+    if not f.min() < x < f.max():
+        ends = np.flatnonzero(f == x)
+        with np.errstate(divide="ignore"):
+            return -np.log(np.abs(np.linalg.eigvals(P[np.ix_(ends, ends)])).max(initial=0.0)), None, None
+    s = 1.0 if x >= mean else -1.0
+    g = s * f - (s * f).max()
+    rate, b, qpp = _sup_tilt(P, g[:, None], np.array([s * x - (s * f).max()]))
+    return rate, s * b[0], qpp[0, 0]
 
-    def qp(a):
-        return (pressure_fn(a + h) - pressure_fn(a - h)) / (2 * h)
 
+def _sup_tilt(P, B, c):
+    """(sup, theta*, H) of the concave <c, theta> - Q(B theta), Q(V) = log lam
+    of the block P with columns tilted by exp(V), by Newton with gradient
+    c - B^T pi_V and Hessian -H = -B^T Sigma_V B (``kl.pressure_derivatives``).
+    A step changes no tilt weight by more than e^10 and is halved until it
+    gains a quarter of its predicted gain.  ``RuntimeError`` when the sup is
+    not attained: P reducible, a tilt that leaves float64, or no zero
+    gradient within 100 steps."""
+    theta = np.zeros(B.shape[1])
     try:
-        lo, hi = 1e-6, a_hi
-        if qp(lo) >= x or qp(hi) <= x:
-            return None
-        return float(brentq(lambda a: qp(a) - x, lo, hi))
-    except ValueError:
-        return None
+        with np.errstate(all="ignore"):
+            Q, pi, Sigma = kl.pressure_derivatives(P, B @ theta)
+            for _ in range(100):
+                g, F, H = c - B.T @ pi, theta @ c - Q, B.T @ Sigma @ B
+                if np.abs(g).max(initial=0.0) <= 1e-10:
+                    return F, theta, H
+                d = np.linalg.pinv(H) @ g  # least-norm step: H is singular along tilts that Q cannot see
+                gain = g @ d  # below 1e-12 the objective cannot resolve it: full steps
+                for t in min(1.0, 10 / np.abs(B @ d).max()) * 0.5 ** np.arange(40):
+                    Q, pi, Sigma = kl.pressure_derivatives(P, B @ (theta + t * d))
+                    if gain < 1e-12 or (theta + t * d) @ c - Q >= F + t * gain / 4:
+                        break
+                theta = theta + t * d
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        raise RuntimeError(f"the sup is not attained: {exc}") from exc
+    raise RuntimeError("the sup is not attained within 100 Newton steps")
 
 
-POLY_SCALE = 0.5  # height of the coordinate polynomials in default_v_family
-V_SCALES = (0.5, 1.0, 2.0, 4.0)  # the positive rescalings rate_function_eval tries
-
-
-def default_v_family(kernel):
-    """Finite potential family for the rate-function evaluation: smoothed
-    bumps (both signs) at every invariant-set state plus low-order
-    coordinate polynomials."""
-    bumps = kl._bumps(kernel)
-    fam = [np.zeros(kernel.n)]
-    for a in kernel.A:
-        fam += [bumps[a], -bumps[a]]
-    pts = kernel.points
-    for j in range(pts.shape[1]):
-        x = pts[:, j]
-        span = np.ptp(x) or 1.0
-        fam.append(POLY_SCALE * (x - x.mean()) / span)
-        fam.append(POLY_SCALE * ((x - x.mean()) / span) ** 2)
-    return fam
-
-
-def rate_function_eval(kernel, sigma, v_family):
-    """Lower bound for the level-2 rate function at the probability vector
-    sigma: sup over the family (and positive rescalings) of
-    <V, sigma> - log lambda_V, exact through tilted-eigenvalue solves.
-
-    Returns +inf when sigma puts mass outside the invariant set.
-    """
+def rate_function_eval(kernel, sigma):
+    """Donsker-Varadhan rate I(sigma) = sup_V <V, sigma> - log lam_V at the
+    probability vector sigma, by ``_sup_tilt`` over V on supp sigma (V off
+    it only lowers lam_V), 0 on its last state (lam_(V + c) = e^c lam_V).
+    +inf when sigma charges the complement of A or a state with no P-edge
+    into supp sigma; ``RuntimeError`` when the sup is not attained, as when
+    P on supp sigma is reducible."""
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (kernel.n,) or np.any(sigma < -1e-15):
         raise ValueError("sigma must be a probability vector on the states")
@@ -190,14 +185,11 @@ def rate_function_eval(kernel, sigma, v_family):
     outside = np.setdiff1d(np.arange(kernel.n), kernel.A)
     if outside.size and sigma[outside].sum() > 1e-12:
         return np.inf
-    best = 0.0
-    for base in v_family:
-        for s in V_SCALES:
-            values = s * np.asarray(base, dtype=float)
-            V = kl.PotentialVector.from_values(kernel, values)
-            lam = kl.perron_triple(kl.build_tilted_matrix(kernel, V), kernel.A).lam
-            best = max(best, float(values @ sigma - np.log(lam)))
-    return best
+    support = kernel.A[sigma[kernel.A] > 0]
+    P, B = kernel.P[np.ix_(support, support)], np.eye(support.size)[:, :-1]
+    if not P.any(axis=1).all():
+        return np.inf
+    return _sup_tilt(P, B, B.T @ sigma[support])[0]
 
 
 @dataclass

@@ -372,17 +372,8 @@ def _cmd_ldp(cfg, seed, threads):
     f_values, x_grid = _arr(cfg, "f"), _arr(cfg, "x_grid")
     k_set = _arr(cfg, "k_set", [50, 100, 200], int).tolist()
     n_traj = _num(cfg, "n_traj", 100_000, int, 1)
-    alphas = _arr(cfg, "alphas", np.linspace(-4, 4, 33))
     u0 = _arr(cfg, "u0", kernel.points[0])
-    chain = rc.FiniteChainModel.from_kernel(kernel)
-    f = fk.PotentialFn.from_chain(chain, f_values)
-
-    def pressure(alpha):
-        """Exact Perron pressure Q(alpha f), at any alpha on or off the grid."""
-        V = kl.PotentialVector.from_values(kernel, alpha * f_values)
-        return float(np.log(kl.perron_triple(kl.build_tilted_matrix(kernel, V), kernel.A).lam))
-
-    rep = apps.ldp_level1(chain, f, x_grid, k_set, n_traj, pressure, alphas, u0=u0, seed=seed)
+    rep = apps.ldp_level1(kernel, f_values, x_grid, k_set, n_traj, u0=u0, seed=seed)
     return {
         "x_grid": rep.x_grid,
         "legendre": rep.legendre,

@@ -29,6 +29,7 @@ __all__ = [
     "VerifyParams",
     "build_tilted_matrix",
     "perron_triple",
+    "pressure_derivatives",
     "cesaro_average",
     "met_residuals",
     "met_rate_estimate",
@@ -190,6 +191,20 @@ def perron_triple(M, A) -> EigenTriple:
     mu[A] = muA / muA.sum()
     h = h / float(h @ mu)
     return EigenTriple(lam=lam, h=h, mu=mu, extension_ok=extension_ok)
+
+
+def pressure_derivatives(P, V):
+    """Q = log lam of the irreducible block ``P`` with columns tilted by
+    exp(V), its gradient pi = mu h (Hellmann-Feynman, <mu, h> = 1: the law of
+    the Doob transform Pt_ij = M_ij h_j / (lam h_i)) and its Hessian, Pt's
+    asymptotic covariance Sigma = D_pi Z + (D_pi Z)^T - D_pi - pi pi^T with
+    Z = (I - Pt + 1 pi^T)^-1 (Kato 1966, ch. II).
+    """
+    M = P * np.exp(V)[None, :]
+    t = perron_triple(M, np.arange(len(M)))
+    pi = t.mu * t.h
+    DZ = pi[:, None] * np.linalg.inv(np.eye(len(M)) - M * t.h[None, :] / (t.lam * t.h[:, None]) + pi[None, :])
+    return float(np.log(t.lam)), pi, DZ + DZ.T - np.diag(pi) - np.outer(pi, pi)
 
 
 def cesaro_average(M, k):
@@ -427,9 +442,12 @@ def kantorovich_contraction_factor(M, triple, points, theta, m):
         raise ValueError("h off A is a Cesaro surrogate, not an eigenfunction (extension_ok is false)")
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
-    # dual semigroup on measures: row u of (M/lam)^m, reweighted by h
+    # dual semigroup on measures: row u of (M/lam)^m, reweighted by h; each
+    # row is a probability, rescaled to unit mass so that the rounding of
+    # h's small entries leaves no pair of rows unequal in mass
     K = np.linalg.matrix_power(M / triple.lam, int(m))
     rows = K * triple.h[None, :] / triple.h[:, None]
+    rows /= rows.sum(axis=1, keepdims=True)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if d[u, v] != 0]
     nums = _solve([_transport_block(points, rows[u] - rows[v], theta) for u, v in pairs], "transport")
     return max([0.0] + [num / min(1.0, theta * d[u, v]) for num, (u, v) in zip(nums, pairs)])

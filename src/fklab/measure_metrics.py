@@ -15,6 +15,7 @@ integer column; an optimum of the stack is optimal in each block.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,11 @@ __all__ = [
 ]
 
 _MERGE_TOL = 1e-12
+# HiGHS's default 1e-7 feasibility tolerances let weights below about 1e-7
+# (rows of an ill-conditioned Doob transform) shift a value by 1e-8 or read a
+# balanced plan as infeasible; at 1e-10 the stacked values match a per-plan
+# solve to 1e-9
+_HIGHS_TOLERANCES = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
 @dataclass(frozen=True)
@@ -74,13 +80,16 @@ class DiscreteMeasure:
 def linprog(c, rows, cols, vals, lo, hi, lb):
     """HiGHS on min ``c @ x`` subject to ``lo <= A x <= hi`` and ``x >= lb``,
     for ``A`` with the entries ``vals`` at (``rows``, ``cols``):
-    ``scipy.optimize.milp`` with no integer column, imported on the first call."""
+    ``scipy.optimize.milp`` with no integer column, imported on the first call,
+    at ``_HIGHS_TOLERANCES`` (passed to HiGHS verbatim, which milp warns of)."""
     from scipy import optimize, sparse
 
     order = np.lexsort((rows, cols))  # compressed columns, at a fraction of scipy's COO conversion cost
     indptr = np.searchsorted(cols[order], np.arange(len(c) + 1))
     A = sparse.csc_array((vals[order], rows[order], indptr), shape=(len(lo), len(c)))
-    return optimize.milp(c, constraints=(A, lo, hi), bounds=(lb, np.inf))
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
+        return optimize.milp(c, constraints=(A, lo, hi), bounds=(lb, np.inf), options=dict(_HIGHS_TOLERANCES))
 
 
 def distances(x, y):

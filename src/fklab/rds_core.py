@@ -221,14 +221,8 @@ class FiniteChainModel:
         return self.points.shape[1]
 
     def index_of(self, U):
-        """Index of the nearest point to each row of ``U``, in row blocks
-        whose distance tables (about four at once) stay near 1 MiB."""
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        block = max(1, 2**15 // self.points.shape[0])
-        idx = np.empty(U.shape[0], dtype=np.intp)
-        for lo in range(0, U.shape[0], block):
-            idx[lo : lo + block] = distances(U[lo : lo + block], self.points).argmin(axis=1)
-        return idx
+        """Index of the nearest point to each row of ``U``, in ``distances``' order."""
+        return _row_argmin(np.atleast_2d(np.asarray(U, dtype=float)), self.points)
 
     def step_indices(self, idx, rng):
         """Next state of each index in ``idx``, one uniform per row (per
@@ -421,7 +415,20 @@ def hitting_time_stats(model, u0s, eps, n_traj=1000, horizon=1000, seed=0):
 
 SETTLE_STEPS = 25  # consecutive steps within SETTLE_FRAC * eps that settle a trajectory
 SETTLE_FRAC = 0.75  # the settling radius, as a share of eps
-SEARCH_BLOCK_BYTES = 2**21  # each (rows x cloud) product of the nearest-point search stays near 2 MiB
+SEARCH_BLOCK_BYTES = 2**21  # each (rows x points) table of a nearest-point search stays near 2 MiB
+
+
+def _row_argmin(X, points, table=distances, skip=None):
+    """Row argmins of ``table(block, points)`` over row blocks of X, each
+    table near ``SEARCH_BLOCK_BYTES``; ``skip[i]`` is a column row i may not take."""
+    j = np.empty(X.shape[0], dtype=np.intp)
+    rows = max(1, SEARCH_BLOCK_BYTES // (8 * points.shape[0]))
+    for lo in range(0, X.shape[0], rows):
+        T = table(X[lo : lo + rows], points)
+        if skip is not None:
+            T[np.arange(len(T)), skip[lo : lo + rows]] = np.inf
+        j[lo : lo + rows] = T.argmin(axis=1)
+    return j
 
 
 class _CloudSearch:
@@ -442,20 +449,14 @@ class _CloudSearch:
         sq = np.einsum("ij,ij->i", cloud, cloud)
         self.cloud = cloud
         self.W = np.vstack([-2.0 * cloud.T, sq])
-        self.rows = max(1, SEARCH_BLOCK_BYTES // (8 * cloud.shape[0]))
         self.tol = 4 * (cloud.shape[1] + 2) * np.finfo(float).eps
         self.reach = np.sqrt(sq.max())
 
     def _search(self, X, exact, skip=None):
         """Each row's candidate point (its nearest when ``exact``) and the
         distance to it; ``skip[i]`` is a point row i may not take."""
-        j = np.empty(X.shape[0], dtype=np.intp)
-        for lo in range(0, X.shape[0], self.rows):
-            x = X[lo : lo + self.rows]
-            T = distances(x, self.cloud) if exact else np.hstack([x, np.ones((len(x), 1))]) @ self.W
-            if skip is not None:
-                T[np.arange(len(x)), skip[lo : lo + self.rows]] = np.inf
-            j[lo : lo + self.rows] = T.argmin(axis=1)
+        product = lambda x, _: np.hstack([x, np.ones((len(x), 1))]) @ self.W  # noqa: E731
+        j = _row_argmin(X, self.cloud, distances if exact else product, skip)
         # a cumulative sum adds in order, so these are ``distances``' bits
         return j, np.sqrt(np.cumsum((X - self.cloud[j]) ** 2, axis=1)[:, -1])
 

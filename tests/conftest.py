@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fklab import fits
 from fklab import kernel_lab as kl
@@ -147,3 +149,37 @@ def lp_calls(monkeypatch):
 
     monkeypatch.setattr(measure_metrics, "linprog", counting)
     return calls
+
+
+@st.composite
+def generated_kernels(draw, reducible=False):
+    """A kernel on 2-8 states with a random invariant set ``A`` and a
+    potential.  A's states lie on a random cycle; other entries of the
+    A-block are sparse and go only from one of d cyclic classes to the
+    next, so the block is irreducible with period d (d > 1 is a cyclic
+    block).  With ``reducible``, A splits into two classes instead, and
+    the second never reaches the first.  Sparse rows off A leak anywhere,
+    into A included."""
+    n = draw(st.integers(2, 8))
+    n_A = draw(st.integers(2 if reducible else 1, n))
+    order = np.array(draw(st.permutations(range(n))))
+    A, comp = order[:n_A], order[n_A:]  # A's states in cycle order
+    W = draw(arrays(float, (n, n), elements=st.floats(0.05, 1.0)))
+    keep = draw(arrays(bool, (n, n)))
+    pos = np.zeros(n, dtype=int)
+    pos[A] = np.arange(n_A)
+    if reducible:
+        split = draw(st.integers(1, n_A - 1))  # A[split:] never reaches A[:split]
+        allowed = (pos[:, None] < split) | (pos[None, :] >= split)
+        keep[A, A] = True  # a self-loop keeps every row's mass positive
+    else:
+        d = draw(st.sampled_from([d for d in range(1, n_A + 1) if n_A % d == 0]))
+        allowed = (pos[None, :] - pos[:, None] - 1) % d == 0
+        keep[A, np.roll(A, -1)] = True  # the cycle
+    on_A = np.zeros((n, n), dtype=bool)
+    on_A[np.ix_(A, A)] = True
+    P = np.where(keep & allowed & on_A, W, 0.0)
+    P[comp] = np.where(keep[comp], W[comp], 0.0)
+    P[comp, A[0]] = W[comp, A[0]]  # every transient state leaks into A
+    K = kl.FiniteKernel(points=np.arange(n, dtype=float)[:, None], P=P, A=A)
+    return K, kl.PotentialVector.from_values(K, draw(arrays(float, n, elements=st.floats(-1.0, 1.0))))

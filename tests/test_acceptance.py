@@ -407,9 +407,7 @@ def test_criterion_10_ldp_level1():
     P = rng.uniform(0.05, 1.0, (n, n))
     P /= P.sum(axis=1, keepdims=True)
     K = kl.FiniteKernel(points=pts, P=P, A=np.arange(n))
-    chain = rc.FiniteChainModel.from_kernel(K)
     f_values = rng.uniform(0, 1, n)
-    f = fk.PotentialFn.from_chain(chain, f_values)
     mu = kl.perron_triple(K.P, K.A).mu
     mean = float(f_values @ mu)
 
@@ -424,10 +422,7 @@ def test_criterion_10_ldp_level1():
     h = 1e-3
     sig = (pressure(h) - 2 * pressure(0) + pressure(-h)) / h**2
     x_grid = [mean + c * np.sqrt(sig) for c in (0.25, 0.35, 0.45)]
-    rep = apps.ldp_level1(
-        chain, f, x_grid, k_set=[20, 40, 60, 90, 120], n_traj=4_000_000,
-        pressure_fn=pressure, alphas=alphas, u0=K.points[0], seed=7,
-    )
+    rep = apps.ldp_level1(K, f_values, x_grid, k_set=[20, 40, 60, 90, 120], n_traj=4_000_000, u0=K.points[0], seed=7)
     slope_ok, corrected_ok = True, True
     details = []
     for xi, x in enumerate(rep.x_grid):

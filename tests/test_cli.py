@@ -443,21 +443,74 @@ def test_slln_command(tmp_path):
     )
 
 
+LDP_PROBE = {"kernel": {"points": [[0.0], [1.0], [2.0]], "P": [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]],
+                         "A": [0, 1, 2]},
+             "f": [0.1, 0.5, 0.9], "k_set": [10, 20, 30], "n_traj": 2000, "seed": 3}
+
+
 def test_ldp_command(tmp_path):
-    # the tilt solve evaluates the pressure off the alpha grid
-    P = [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]
-    f = [0.1, 0.5, 0.9]
-    mean = float(np.mean(f))  # doubly stochastic: uniform stationary law
-    cfg = write_cfg(
-        tmp_path,
-        {"kernel": {"points": [[0.0], [1.0], [2.0]], "P": P, "A": [0, 1, 2]},
-         "f": f, "x_grid": [mean + 0.05, mean + 0.1], "k_set": [10, 20, 30],
-         "n_traj": 2000, "seed": 3},
-    )
+    mean = float(np.mean(LDP_PROBE["f"]))  # doubly stochastic: uniform stationary law
+    cfg = write_cfg(tmp_path, {**LDP_PROBE, "x_grid": [mean + 0.05, mean + 0.1]})
     out = tmp_path / "out"
     assert run_cli(["ldp", "--config", cfg, "--out", str(out)]) == 0
     leg = np.asarray(json.loads((out / "results.json").read_text())["legendre"], dtype=float)
     assert np.all(np.isfinite(leg)) and np.all(leg >= 0)
+
+
+def test_ldp_past_the_range_of_f_reads_infinity(tmp_path):
+    # no path average exceeds max f = 0.9: the rate there is +inf, where a
+    # maximum over an alpha grid read a finite 0.827
+    cfg = write_cfg(tmp_path, {**LDP_PROBE, "x_grid": [0.95, 0.9]})
+    out = tmp_path / "out"
+    assert run_cli(["ldp", "--config", cfg, "--out", str(out)]) == 0
+    res = json.loads((out / "results.json").read_text())
+    assert res["legendre"][0] == np.inf
+    assert res["legendre"][1] == pytest.approx(-np.log(0.5), rel=1e-12)  # -log P_22 at the end of the range
+
+
+def test_ldp_reads_the_exact_rate_past_the_old_alpha_grid(tmp_path):
+    # criterion 10's chain: at x = 0.7972 the tilt a* = 7.1 lies past the
+    # old default grid of 33 alphas in [-4, 4], whose maximum read 0.562
+    rng = np.random.default_rng(23)
+    pts = np.sort(rng.uniform(-2, 2, size=(4, 1)), axis=0)
+    P = rng.uniform(0.05, 1.0, (4, 4))
+    P /= P.sum(axis=1, keepdims=True)
+    f = rng.uniform(0, 1, 4)
+    cfg = write_cfg(tmp_path, {"kernel": {"points": pts.tolist(), "P": P.tolist()}, "f": f.tolist(),
+                               "x_grid": [0.7972], "k_set": [10, 20], "n_traj": 1000, "seed": 7})
+    out = tmp_path / "out"
+    assert run_cli(["ldp", "--config", cfg, "--out", str(out)]) == 0
+    rate = json.loads((out / "results.json").read_text())["legendre"][0]
+
+    def dual(a):  # a x - log lam(a f), by a dense eigenvalue solve
+        return a * 0.7972 - np.log(np.abs(np.linalg.eigvals(P * np.exp(a * f))).max())
+
+    lo, hi = 0.0, 40.0
+    for _ in range(200):  # golden section on the concave dual
+        a, b = hi - 0.618 * (hi - lo), lo + 0.618 * (hi - lo)
+        lo, hi = (a, hi) if dual(a) < dual(b) else (lo, b)
+    assert rate == pytest.approx(dual(lo), abs=1e-10)
+    assert round(rate, 3) == 0.636 and 6 < lo < 8
+    assert max(dual(a) for a in np.linspace(-4, 4, 33)) == pytest.approx(0.562, abs=5e-4)
+
+
+@pytest.mark.parametrize("k_set", [[0, 10], [-5, 10]])
+def test_ldp_rejects_k_below_one(tmp_path, capsys, k_set):
+    cfg = write_cfg(tmp_path, {**LDP_PROBE, "x_grid": [0.6], "k_set": k_set})
+    assert run_cli(["ldp", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "k_set" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "results.json").exists()
+
+
+def test_ldp_loads_no_scipy(tmp_path):
+    # the exact rates come from Perron triples and numpy solves alone
+    cfg = write_cfg(tmp_path, {**LDP_PROBE, "x_grid": [0.55, 0.6]})
+    out = tmp_path / "out"
+    code = ("import sys; from fklab.cli import main; assert main(sys.argv[1:]) == 0;"
+            " print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    stdout = fresh_python(code, "ldp", "--config", cfg, "--out", str(out))
+    assert stdout.splitlines()[-1] == "[]"
+    assert (out / "results.json").exists()
 
 
 def test_simulate_overflow_exits_3(tmp_path, capsys):

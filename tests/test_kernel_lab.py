@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from fklab import kernel_lab as kl
 from fklab import measure_metrics
-from conftest import dense_perron_triple, normalized_semigroup_apply, random_kernel_potential
+from conftest import dense_perron_triple, generated_kernels, normalized_semigroup_apply, random_kernel_potential
 
 
 def two_state():
@@ -131,40 +131,6 @@ def test_perron_zero_matrix_rejected():
         kl.perron_triple(np.zeros((2, 2)), [0, 1])
 
 
-@st.composite
-def generated_kernels(draw, reducible=False):
-    """A kernel on 2-8 states with a random invariant set ``A`` and a
-    potential.  A's states lie on a random cycle; other entries of the
-    A-block are sparse and go only from one of d cyclic classes to the
-    next, so the block is irreducible with period d (d > 1 is a cyclic
-    block).  With ``reducible``, A splits into two classes instead, and
-    the second never reaches the first.  Sparse rows off A leak anywhere,
-    into A included."""
-    n = draw(st.integers(2, 8))
-    n_A = draw(st.integers(2 if reducible else 1, n))
-    order = np.array(draw(st.permutations(range(n))))
-    A, comp = order[:n_A], order[n_A:]  # A's states in cycle order
-    W = draw(arrays(float, (n, n), elements=st.floats(0.05, 1.0)))
-    keep = draw(arrays(bool, (n, n)))
-    pos = np.zeros(n, dtype=int)
-    pos[A] = np.arange(n_A)
-    if reducible:
-        split = draw(st.integers(1, n_A - 1))  # A[split:] never reaches A[:split]
-        allowed = (pos[:, None] < split) | (pos[None, :] >= split)
-        keep[A, A] = True  # a self-loop keeps every row's mass positive
-    else:
-        d = draw(st.sampled_from([d for d in range(1, n_A + 1) if n_A % d == 0]))
-        allowed = (pos[None, :] - pos[:, None] - 1) % d == 0
-        keep[A, np.roll(A, -1)] = True  # the cycle
-    on_A = np.zeros((n, n), dtype=bool)
-    on_A[np.ix_(A, A)] = True
-    P = np.where(keep & allowed & on_A, W, 0.0)
-    P[comp] = np.where(keep[comp], W[comp], 0.0)
-    P[comp, A[0]] = W[comp, A[0]]  # every transient state leaks into A
-    K = kl.FiniteKernel(points=np.arange(n, dtype=float)[:, None], P=P, A=A)
-    return K, kl.PotentialVector.from_values(K, draw(arrays(float, n, elements=st.floats(-1.0, 1.0))))
-
-
 @settings(max_examples=150, deadline=None)
 @given(generated_kernels(), st.floats(-2.0, 2.0))
 def test_perron_identities_on_generated_kernels(kernel, c):
@@ -189,6 +155,31 @@ def test_perron_identities_on_generated_kernels(kernel, c):
             normalized_semigroup_apply(M, t, np.ones(K.n), 7)
         with pytest.raises(ValueError, match="extension_ok"):
             kl.kantorovich_contraction_factor(M, t, K.points, 1.0, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(generated_kernels(), st.integers(0, 2**32 - 1))
+def test_pressure_derivatives_match_central_differences(kernel, seed):
+    # the gradient pi and Hessian Sigma of Q(V) = log lam_V on the A-block,
+    # cyclic blocks included, against central differences of Q and of pi;
+    # and Q'(a), Q''(a) of a -> Q(V + a f) against differences of Q alone
+    K, V = kernel
+    P, V = K.P[np.ix_(K.A, K.A)], V.V[K.A]
+    Q, pi, Sigma = kl.pressure_derivatives(P, V)
+    assert Q == pytest.approx(np.log(np.abs(np.linalg.eigvals(P * np.exp(V))).max()), abs=1e-12)
+    assert np.all(pi > 0) and pi.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(Sigma - Sigma.T).max() <= 1e-12 and np.abs(Sigma.sum(axis=1)).max() <= 1e-10
+    h = 1e-5
+    for j, e in enumerate(np.eye(K.A.size) * h):
+        (Qp, pip, _), (Qm, pim, _) = kl.pressure_derivatives(P, V + e), kl.pressure_derivatives(P, V - e)
+        assert (Qp - Qm) / (2 * h) == pytest.approx(pi[j], abs=1e-8)
+        assert np.abs((pip - pim) / (2 * h) - Sigma[:, j]).max() <= 1e-6
+    f = np.random.default_rng(seed).uniform(-1, 1, K.A.size)
+    a, h = np.random.default_rng(seed + 1).uniform(-2, 2), 1e-3
+    Qa, pia, Sigmaa = kl.pressure_derivatives(P, V + a * f)
+    Qp, Qm = kl.pressure_derivatives(P, V + (a + h) * f)[0], kl.pressure_derivatives(P, V + (a - h) * f)[0]
+    assert pia @ f == pytest.approx((Qp - Qm) / (2 * h), abs=1e-6)
+    assert f @ Sigmaa @ f == pytest.approx((Qp - 2 * Qa + Qm) / h**2, abs=1e-5)
 
 
 @settings(max_examples=60, deadline=None)

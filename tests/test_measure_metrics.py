@@ -235,14 +235,18 @@ def _measure(data, d):
 
 
 def _plan_lp(mu1, mu2, theta):
-    # the transport plan LP with every row and column constraint, no shortcut
+    # the transport plan LP with every row and column constraint, no shortcut,
+    # at the feasibility tolerances the stacked solve uses; HiGHS's presolve
+    # reads some balanced plans with weights near 1e-11 as infeasible
     from scipy.optimize import linprog
     from scipy.spatial.distance import cdist
 
     m, n = len(mu1.weights), len(mu2.weights)
     A_eq = np.vstack([np.kron(np.eye(m), np.ones(n)), np.kron(np.ones(m), np.eye(n))])
     cost = np.minimum(1.0, theta * cdist(mu1.support, mu2.support)).ravel()
-    return linprog(cost, A_eq=A_eq, b_eq=np.concatenate([mu1.weights, mu2.weights]), method="highs").fun
+    b_eq = np.concatenate([mu1.weights, mu2.weights])
+    options = dict(measure_metrics._HIGHS_TOLERANCES, presolve=False)
+    return linprog(cost, A_eq=A_eq, b_eq=b_eq, method="highs", options=options).fun
 
 
 @settings(max_examples=40, deadline=None)
@@ -334,6 +338,7 @@ def test_contraction_factor_equals_pairwise_plan_lps(data):
     dist = K.dists
     theta = data.draw(st.floats(1.0, 16.0)) / (dist.max() or 1.0)
     rows = np.linalg.matrix_power(M / t.lam, m) * t.h[None, :] / t.h[:, None]
+    rows /= rows.sum(axis=1, keepdims=True)  # probabilities, up to h's rounding
     mus = [DiscreteMeasure(points, row) for row in rows]
     pairwise = [
         _plan_lp(mus[u], mus[v], theta) / min(1.0, theta * dist[u, v])
@@ -362,6 +367,7 @@ def test_stack_past_the_old_dense_limit_is_one_solve(lp_calls):
     t = kl.perron_triple(M, K.A)
     theta = 4.0 / K.diam
     rows = M / t.lam * t.h[None, :] / t.h[:, None]
+    rows /= rows.sum(axis=1, keepdims=True)  # the factor's unit-mass rows
     pairs = [(u, v) for u in range(14) for v in range(u + 1, 14)]
     items = [_transport_block(K.points, rows[u] - rows[v], theta) for u, v in pairs]
     blocks = [b for b in items if not isinstance(b, float)]

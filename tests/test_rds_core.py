@@ -522,6 +522,22 @@ def test_cloud_search_is_the_kd_tree_search(dim, n, ring, dups, offset, seed):
     assert search.spacing() == pytest.approx(cKDTree(cloud).query(cloud, k=2)[0][:, 1].max(), rel=1e-13, abs=0)
 
 
+@settings(max_examples=30, deadline=None)
+@given(dim=st.integers(1, 8), n=st.integers(20, 60), seed=st.integers(0, 2**32 - 1))
+def test_cloud_spacing_is_exact_where_the_largest_spacing_is_a_near_tie(dim, n, seed):
+    # points 1 apart along a line far from the origin, each gap nudged by at
+    # most 1e-12: the product cannot tell a point's two neighbours apart, so
+    # the point with the largest candidate distance is seldom the one with
+    # the largest spacing, and every point whose candidate reaches the
+    # largest lower bound must be searched exactly
+    gen = np.random.default_rng(seed)
+    u = gen.normal(size=dim)
+    cloud = 1e3 + np.cumsum(1 + gen.uniform(-1e-12, 1e-12, n))[:, None] * (u / np.linalg.norm(u))
+    own = distances(cloud, cloud)
+    np.fill_diagonal(own, np.inf)
+    assert rc._CloudSearch(cloud).spacing() == own.min(axis=1).max()
+
+
 @pytest.mark.parametrize("dim", [1, 2, 6, 32, 40])
 def test_cloud_search_slack_covers_the_rounding_bounds(dim):
     # twice a product entry's bound gamma_(2d+2) (|x| + R)^2 and a
@@ -651,7 +667,7 @@ def test_index_of_is_the_kd_tree_nearest_point(data):
     coord = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
     U = data.draw(arrays(float, (data.draw(st.integers(1, 30)), d), elements=coord))
     ours, ref = chain.index_of(U), cKDTree(pts).query(U)[1]
-    reps = -(-(2**15 + 1) // len(U))  # enough rows to span more than one row block
+    reps = -(-(rc.SEARCH_BLOCK_BYTES // (8 * n) + 1) // len(U))  # enough rows to span more than one row block
     assert np.array_equal(chain.index_of(np.tile(U, (reps, 1))), np.tile(ours, reps))
     sq = ((U[:, None, :] - pts[None]) ** 2).sum(-1)
     rows = np.arange(U.shape[0])

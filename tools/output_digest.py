@@ -179,7 +179,6 @@ def chain_10():
     pts = np.sort(rng.uniform(-2, 2, size=(4, 1)), axis=0)
     P = rng.uniform(0.05, 1.0, (4, 4))
     K = kl.FiniteKernel(points=pts, P=P / P.sum(axis=1, keepdims=True), A=np.arange(4))
-    chain = rc.FiniteChainModel.from_kernel(K)
     f_values = rng.uniform(0, 1, 4)
 
     def pressure(alpha):
@@ -190,9 +189,8 @@ def chain_10():
     h = 1e-3
     sig = (pressure(h) - 2 * pressure(0) + pressure(-h)) / h**2
     rep = apps.ldp_level1(
-        chain, fk.PotentialFn.from_chain(chain, f_values), [mean + c * np.sqrt(sig) for c in (0.25, 0.35, 0.45)],
-        k_set=[20, 40, 60, 90, 120], n_traj=4_000_000, pressure_fn=pressure,
-        alphas=np.linspace(-12, 12, 481), u0=K.points[0], seed=7,
+        K, f_values, [mean + c * np.sqrt(sig) for c in (0.25, 0.35, 0.45)],
+        k_set=[20, 40, 60, 90, 120], n_traj=4_000_000, u0=K.points[0], seed=7,
     )
     return [rep.x_grid, rep.legendre, rep.cells, rep.slope_rates, rep.mean_f]
 
@@ -325,6 +323,35 @@ def exact_chain_bridge():
     Vfn = fk.PotentialFn.from_chain(chain, rng.uniform(-0.5, 0.5, 5))
     out = fk_fields(chain, fk.particle_fk(chain, Vfn, K.points[1], k=60, n_particles=10_000, seed=31))
     return out + fit_fields(fk.pressure_estimate(chain, Vfn, K.points[1], k_max=60, n_traj=10_000, seed=32))
+
+
+def exact_pressure_derivatives():
+    """``pressure_derivatives`` (Q, pi, Sigma) on the A-blocks of the
+    battery's kernels, strict subsets A included."""
+    rng = np.random.default_rng(916)
+    out = []
+    for trial in range(20):
+        K, V = battery_kernel(rng, int(rng.integers(2, 13)), trial % 2 == 1)
+        out += list(kl.pressure_derivatives(K.P[np.ix_(K.A, K.A)], V.V[K.A]))
+    return out
+
+
+def exact_rate_function():
+    """``rate_function_eval`` on the battery's kernels, strict subsets A
+    included: at the tilted laws of random potentials, at Dirichlet laws on
+    A, and at a law that charges the complement."""
+    rng = np.random.default_rng(917)
+    out = []
+    for trial in range(12):
+        K, V = battery_kernel(rng, int(rng.integers(2, 9)), trial % 2 == 1)
+        pi = kl.pressure_derivatives(K.P[np.ix_(K.A, K.A)], V.V[K.A])[1]
+        for law in (pi, rng.dirichlet(np.ones(K.A.size)), rng.dirichlet(np.full(K.A.size, 0.3))):
+            sigma = np.zeros(K.n)
+            sigma[K.A] = law / law.sum()
+            out.append(apps.rate_function_eval(K, sigma))
+        if K.A.size < K.n:
+            out.append(apps.rate_function_eval(K, np.full(K.n, 1.0 / K.n)))
+    return out
 
 
 # --- toy and Burgers estimators ------------------------------------------------------
@@ -481,6 +508,8 @@ CASES = {
     "exact_perron": exact_perron,
     "exact_met_rate": exact_met_rate,
     "exact_chain_bridge": exact_chain_bridge,
+    "exact_pressure_derivatives": exact_pressure_derivatives,
+    "exact_rate_function": exact_rate_function,
     "toy_estimators": toy_estimators,
     "burgers_estimators": burgers_estimators,
     "burgers_attract": burgers_attract,
