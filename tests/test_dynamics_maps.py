@@ -191,13 +191,62 @@ def test_burgers_rows_equal_one_row_calls_across_a_chunk_boundary(rng, modes):
 
 def test_burgers_short_tail_chunk_reads_the_first_rows_of_the_factor_tables(rng):
     # two full chunks of 640 rows and a 46-row tail, padded to 48: the tail
-    # multiplies by the first 48 rows of each tiled factor table
+    # multiplies by the first 48 rows of the tiled E table
     bm = BurgersMap(nu=0.5, modes=16, dt=0.05)
     chunk = bm._tables["chunk"]
-    assert chunk == 640 and all(bm._tables[k].shape == (chunk, bm.dim) for k in ("E", "phi1dt", "phi2dt"))
+    assert chunk == 640 and bm._tables["E"].shape == (2, chunk, bm.modes)
     U = 0.8 * rng.normal(size=(2 * chunk + 46, bm.dim)) * np.exp(-0.2 * np.arange(bm.dim))
     out = bm.apply_batch(U)
     assert [i for i in range(U.shape[0]) if not np.array_equal(bm.apply(U[i]), out[i])] == []
+
+
+def test_burgers_product_tables_are_c_contiguous():
+    # an F-ordered table makes OpenBLAS pick another kernel for a full chunk
+    # than for an 8-row call, and the rows then stop matching one-row calls
+    for modes in (1, 16, 64):
+        t = BurgersMap(nu=0.5, modes=modes)._tables
+        assert all(t[k].flags.c_contiguous for k in ("F", "B1", "B2"))
+
+
+def unfolded_etdrk2(bm, U):
+    """ETDRK2 on the half grid with the [alpha | beta] rows side by side and
+    phi_1 dt, phi_2 dt applied to the nonlinear term after each product."""
+    M, G = bm.modes, bm._tables["G"]
+    H = (G + 1) // 2
+    j = np.arange(1, M + 1)
+    z = -bm.nu * j**2.0 * bm.dt
+    x = (2.0 * np.pi / G) * (np.outer(j, np.arange(H)) % G)
+    cos, sin = np.cos(x), np.sin(x)
+    jG = j * np.sqrt(np.pi) / G
+    w = np.r_[1.0, np.full(H - 1, 2.0)]
+    C, S = cos / np.sqrt(np.pi), sin / np.sqrt(np.pi)
+    Da, Db = (-4.0 * jG[:, None] * sin).T, (jG[:, None] * w * cos).T
+    E = np.tile(np.exp(z), 2)
+    p1, p2 = np.tile(bm.dt * np.expm1(z) / z, 2), np.tile(bm.dt * (np.expm1(z) - z) / z**2, 2)
+
+    def nonlinear(X):
+        c, s = X[:, :M] @ C, X[:, M:] @ S
+        return np.hstack([(c * s) @ Da, (c**2 + s**2) @ Db])
+
+    X = np.hstack([U[:, 0::2], U[:, 1::2]])
+    for _ in range(bm.steps_per_unit):
+        N0 = nonlinear(X)
+        Xa = E * X + p1 * N0
+        X = Xa + p2 * (nonlinear(Xa) - N0)
+    out = np.empty_like(U)
+    out[:, 0::2], out[:, 1::2] = X[:, :M], X[:, M:]
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=burgers_batches())
+def test_folded_factors_match_the_unfolded_step(case):
+    # folding phi_1 dt and phi_2 dt into the backward tables only reorders
+    # the rounding of a linear map; the flow damps the state, so its
+    # roundoff is measured against the input
+    bm, U = case
+    err = np.abs(bm.apply_batch(U) - unfolded_etdrk2(bm, U)).max()
+    assert err <= 4 * np.finfo(float).eps * np.abs(U).max()
 
 
 def test_toy_map_zero_and_linearity(rng):

@@ -211,7 +211,7 @@ def chain_estimators():
     out += [rep.residuals, rep.stderrs, rep.gamma, rep.verdict]
     out += [apps.path_average_samples(chain, Vfn.scaled(0.5), K.points[1] + 0.1, [1, 5, 30], 5000, seed=3)]
     traj = rc.simulate(chain, K.points[4], 300, seed=2, stream=1)
-    occ = apps.occupation_measure(points(chain, traj.states), 300)
+    occ = DiscreteMeasure.from_samples(points(chain, traj.states)[:300])
     return out + [points(chain, traj.states), occ.support, occ.weights]
 
 
@@ -394,6 +394,14 @@ def burgers_estimators():
     return out + [rep]
 
 
+def burgers64_simulate():
+    """A one-row M = 64 trajectory at dt = 1e-3: the map on its padded
+    8-row block, one call per step."""
+    model = rc.RDSModel(map=BurgersMap(nu=1.0, modes=64, dt=1e-3), kicks=rc.KickLaw.from_decay(8), rho=0.7)
+    u0 = np.random.default_rng(41).normal(size=model.dim) * np.exp(-0.25 * np.arange(model.dim))
+    return rc.simulate(model, 0.8 * u0 / np.linalg.norm(u0), 20, seed=42).states
+
+
 BURGERS_ATTRACT_CFG = {
     "model": {"kind": "burgers", "nu": 1.0, "modes": 16, "dt": 2e-2, "kick_dim": 8, "kick_b0": 0.3, "rho": 0.7},
     "eps": 0.12, "hit_eps": 0.35, "n_traj": 200, "horizon": 60, "cloud_k": 10, "cloud_points": 1500, "seed": 33,
@@ -513,6 +521,7 @@ CASES = {
     "toy_estimators": toy_estimators,
     "burgers_estimators": burgers_estimators,
     "burgers_attract": burgers_attract,
+    "burgers64_simulate": burgers64_simulate,
     "cli_shipped": cli_shipped,
     "cli_chain": cli_chain,
     "cli_chain_off_point": cli_chain_off_point,
