@@ -6,7 +6,9 @@ seed, library versions) into the output directory.  Outputs are written
 atomically, only on success, and contain nothing time- or thread-dependent,
 so rerunning a manifest reproduces every file byte for byte.  A config key
 no subcommand reads, a wrong type or a value below its bound is rejected
-before any computation.
+before any computation.  Each handler imports the fklab modules it runs,
+so ``import fklab.cli`` loads numpy and no computation module, and a run
+loads only those of its subcommand: ``eigen``, say, no simulated dynamics.
 
 Exit codes: 0 success, 2 bad config or input (ValueError, OSError),
 3 numerical failure (ArithmeticError, RuntimeError, LinAlgError).
@@ -17,19 +19,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import numbers
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields
 
 import numpy as np
 
 from . import __version__
-from . import apps, coupling_lab, feynman_kac as fk, kernel_lab as kl, rds_core as rc
-from .dynamics_maps import BurgersMap, ToyDiagonalMap, l1_circle_metric
 
 # every key some subcommand reads, per config section ("" is the top level)
 _KEYS = {
@@ -43,7 +40,7 @@ _KEYS = {
     ),
     "potential": {"kind", "values", "index", "scale", "center", "clip"},
     "kernel": {"points", "P", "A", "V"},
-    "params": {f.name for f in fields(kl.VerifyParams)},
+    "params": None,  # the fields of kernel_lab.VerifyParams, read by _all_keys
     "plan": {"radii", "r", "n_samples", "n_iter", "projection_dims", "n_pairs"},
 }
 _REQUIRED = object()
@@ -54,11 +51,17 @@ class ConfigError(ValueError):
     pass
 
 
+def _all_keys():
+    """``_KEYS`` with the ``params`` keys, which load kernel_lab."""
+    from . import kernel_lab as kl
+    return dict(_KEYS, params=set(vars(kl.VerifyParams())))
+
+
 def _check_keys(cfg):
     """Reject a section that is not a JSON object, and any key no subcommand reads."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"the config must be a JSON object, not {type(cfg).__name__}")
-    for section, known in _KEYS.items():
+    for section, known in (_all_keys() if "params" in cfg else _KEYS).items():
         sec = cfg.get(section, {}) if section else cfg
         if not isinstance(sec, dict):
             raise ConfigError(f"section {section!r} must be a JSON object, not {sec!r}")
@@ -68,7 +71,7 @@ def _check_keys(cfg):
 
                 lower = {k.lower(): k for k in known}
                 near = difflib.get_close_matches(key.lower(), lower, n=1)
-                home = [f"in {s!r}" if s else "at the top level" for s, keys in _KEYS.items() if key in keys]
+                home = [f"in {s!r}" if s else "at the top level" for s, keys in _all_keys().items() if key in keys]
                 hint = f"; did you mean {lower[near[0]]!r}?" if near else f"; it belongs {home[0]}" if home else ""
                 raise ConfigError(f"unknown key {key!r}{f' in {section!r}' if section else ''}{hint}")
 
@@ -81,8 +84,9 @@ def _section(cfg, name):
 
 def _num(sec, key, default=_REQUIRED, typ=float, lo=None, gt=None):
     """``sec[key]`` as a ``typ`` (float, int or bool) of at least ``lo`` and
-    above ``gt``; a float must be finite, as no key takes ±inf.  ``default``
-    when absent, and None for null when the default is None."""
+    above ``gt``; a float must be finite, as no key takes ±inf, and an int
+    must fit in 64 bits.  ``default`` when absent, and None for null when
+    the default is None."""
     v = sec.get(key, default)
     if v is _REQUIRED:
         raise ConfigError(f"missing key {key!r}")
@@ -91,7 +95,10 @@ def _num(sec, key, default=_REQUIRED, typ=float, lo=None, gt=None):
     kind, name = _TYPES[typ]
     if not isinstance(v, kind) or (isinstance(v, bool) and typ is not bool):
         raise ConfigError(f"{key} must be {name}, not {v!r}")
-    if typ is float and not math.isfinite(v) or gt is not None and not v > gt:
+    if typ is int and not -(2**63) <= v < 2**64:  # no numpy count holds it; a seed is taken mod 2^64
+        raise ConfigError(f"{key} must fit in 64 bits, got {v}")
+    # finite, as a float: no NaN or ±inf, and no integer literal past the float range
+    if typ is float and not abs(v) <= sys.float_info.max or gt is not None and not v > gt:
         bound = "" if gt is None else "positive and " if gt == 0 else f"above {gt} and "
         raise ConfigError(f"{key} must be {bound}finite, got {v}")
     if lo is not None and v < lo:
@@ -99,10 +106,11 @@ def _num(sec, key, default=_REQUIRED, typ=float, lo=None, gt=None):
     return typ(v)
 
 
-def _arr(sec, key, default=_REQUIRED, dtype=float):
+def _arr(sec, key, default=_REQUIRED, dtype=float, ndim=None):
     """``sec[key]`` as a rectangular array of numbers (of integers when
-    ``dtype`` is int; ``dtype=None`` keeps JSON's ints and floats);
-    ``default`` when absent, and None for null when the default is None."""
+    ``dtype`` is int; ``dtype=None`` keeps JSON's ints and floats) with
+    ``ndim`` axes if given; ``default`` when absent, and None for null when
+    the default is None."""
     v = sec.get(key, default)
     if v is _REQUIRED:
         raise ConfigError(f"missing key {key!r}")
@@ -112,8 +120,9 @@ def _arr(sec, key, default=_REQUIRED, dtype=float):
         a = np.asarray(v)
     except ValueError:  # ragged nesting
         a = np.empty(())
-    if a.ndim == 0 or a.dtype.kind not in ("iu" if dtype is int else "iuf"):
-        raise ConfigError(f"{key} must be an array of {'integers' if dtype is int else 'numbers'}, not {v!r}")
+    if a.ndim == 0 or ndim not in (None, a.ndim) or a.dtype.kind not in ("iu" if dtype is int else "iuf"):
+        shape = f" ({ndim}-d)" if ndim else ""
+        raise ConfigError(f"{key} must be an array of {'integers' if dtype is int else 'numbers'}{shape}, not {v!r}")
     return a if dtype is None else a.astype(dtype)
 
 
@@ -129,6 +138,7 @@ def _fanout(fn, items, threads):
     """Order-preserving map over independent jobs."""
     if threads <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 
@@ -166,6 +176,8 @@ def _csv_text(header, array, sha, seed):
 
 
 def _build_model(cfg):
+    from . import rds_core as rc
+    from .dynamics_maps import BurgersMap, ToyDiagonalMap
     mc = _section(cfg, "model")
     kind = mc.get("kind")
     if kind == "toy":
@@ -192,6 +204,7 @@ def _build_model(cfg):
 
 
 def _build_map_model(cfg, command):
+    from . import rds_core as rc
     model = _build_model(cfg)
     if isinstance(model, rc.FiniteChainModel):
         raise ConfigError(f"{command} needs a continuous map model (kind 'toy' or 'burgers'), not a chain")
@@ -201,6 +214,7 @@ def _build_map_model(cfg, command):
 def _load_kernel(cfg):
     """The ``kernel`` section: ``points``, ``P``, ``A`` (default: every
     state) and the potential ``V`` (default: zero)."""
+    from . import kernel_lab as kl
     kc = _section(cfg, "kernel")
     P = _arr(kc, "P")
     kernel = kl.FiniteKernel(points=_arr(kc, "points"), P=P, A=_arr(kc, "A", range(len(P)), int))
@@ -208,6 +222,7 @@ def _load_kernel(cfg):
 
 
 def _build_potential(cfg, model):
+    from . import feynman_kac as fk, rds_core as rc
     pc = cfg.get("potential", {})
     kind = pc.get("kind", "zero")
     if kind == "chain_values":
@@ -233,6 +248,7 @@ def _build_potential(cfg, model):
 
 
 def _cmd_simulate(cfg, seed, threads):
+    from . import rds_core as rc
     model = _build_model(cfg)
     u0 = _arr(cfg, "u0", np.zeros(model.dim))
     K, stream = _num(cfg, "K", 100, int, 0), _num(cfg, "stream", 0, int, 0)
@@ -246,6 +262,7 @@ def _cmd_simulate(cfg, seed, threads):
 
 
 def _cmd_eigen(cfg, seed, threads):
+    from . import kernel_lab as kl
     kernel, potential = _load_kernel(cfg)
     M = kl.build_tilted_matrix(kernel, potential)
     triple = kl.perron_triple(M, kernel.A)
@@ -259,11 +276,12 @@ def _cmd_eigen(cfg, seed, threads):
 
 
 def _cmd_pressure(cfg, seed, threads):
+    from . import feynman_kac as fk
     model = _build_model(cfg)
     V = _build_potential(cfg, model)
     u0 = _arr(cfg, "u0", np.zeros(model.dim))
     k_max, n_traj = _num(cfg, "k_max", 60, int), _num(cfg, "n_traj", 4000, int, 100)
-    alphas = _arr(cfg, "alphas", None)
+    alphas = _arr(cfg, "alphas", None, ndim=1)
     recenter_k = _num(cfg, "recenter_k", 10_000, int, 0)
     if alphas is not None and alphas.size:
         curve = fk.pressure_curve(model, V, alphas, u0, k_max=k_max, n_traj=n_traj, seed=seed, recenter_k=recenter_k)
@@ -289,6 +307,7 @@ def _cmd_pressure(cfg, seed, threads):
 
 
 def _cmd_met_check(cfg, seed, threads):
+    from . import kernel_lab as kl, rds_core as rc
     kernel, potential = _load_kernel(cfg)
     k_max = _num(cfg, "k_max", 80, int, 1)
     M = kl.build_tilted_matrix(kernel, potential)
@@ -306,6 +325,7 @@ def _cmd_met_check(cfg, seed, threads):
 
 
 def _cmd_coupling_check(cfg, seed, threads):
+    from . import coupling_lab, rds_core as rc
     model = _build_map_model(cfg, "coupling-check")
     kick_dim = model.kicks.dim
     N = _num(cfg, "N", kick_dim // 2, int)
@@ -344,19 +364,21 @@ def _cmd_conditions(cfg, seed, threads):
         raise ConfigError("conditions requires a 'kernel' or 'model' section")
     result, files = {}, {}
     if "kernel" in cfg:
+        from . import kernel_lab as kl
         kernel, potential = _load_kernel(cfg)
         pc = cfg.get("params", {})
-        params = kl.VerifyParams(**{f.name: _num(pc, f.name, f.default, type(f.default))
-                                    for f in fields(kl.VerifyParams)})
+        params = kl.VerifyParams(**{k: _num(pc, k, d, type(d)) for k, d in vars(kl.VerifyParams()).items()})
     if "model" in cfg:
+        from . import rds_core as rc
+        from .dynamics_maps import BurgersMap, l1_circle_metric
         model = _build_map_model(cfg, "conditions")
         pc = cfg.get("plan", {})
         plan = rc.SamplePlan(
-            radii=tuple(_arr(pc, "radii", (model.rho, 2 * model.rho), None).tolist()),
+            radii=tuple(_arr(pc, "radii", (model.rho, 2 * model.rho), None, 1).tolist()),
             r=_num(pc, "r", 0.5),
             n_samples=_num(pc, "n_samples", 100, int, 1),
             n_iter=_num(pc, "n_iter", 8, int, 1),
-            projection_dims=tuple(_arr(pc, "projection_dims", (1, 2, 4), int).tolist()),
+            projection_dims=tuple(_arr(pc, "projection_dims", (1, 2, 4), int, 1).tolist()),
             n_pairs=_num(pc, "n_pairs", 200, int, 1),
             d_prime=l1_circle_metric(model.map) if isinstance(model.map, BurgersMap) else None,
             seed=seed,
@@ -371,9 +393,10 @@ def _cmd_conditions(cfg, seed, threads):
 
 
 def _cmd_ldp(cfg, seed, threads):
+    from . import apps
     kernel, _ = _load_kernel(cfg)
-    f_values, x_grid = _arr(cfg, "f"), _arr(cfg, "x_grid")
-    k_set = _arr(cfg, "k_set", [50, 100, 200], int).tolist()
+    f_values, x_grid = _arr(cfg, "f"), _arr(cfg, "x_grid", ndim=1)
+    k_set = _arr(cfg, "k_set", [50, 100, 200], int, 1).tolist()
     n_traj = _num(cfg, "n_traj", 100_000, int, 1)
     u0 = _arr(cfg, "u0", kernel.points[0])
     rep = apps.ldp_level1(kernel, f_values, x_grid, k_set, n_traj, u0=u0, seed=seed)
@@ -387,6 +410,7 @@ def _cmd_ldp(cfg, seed, threads):
 
 
 def _cmd_attract(cfg, seed, threads):
+    from . import rds_core as rc
     model = _build_map_model(cfg, "attract")
     eps, hit_eps = _num(cfg, "eps", 0.1, gt=0), _num(cfg, "hit_eps", model.rho / 2, gt=0)
     n_traj, horizon = _num(cfg, "n_traj", 2000, int, 1), _num(cfg, "horizon", 400, int, 1)
@@ -418,6 +442,7 @@ def _cmd_attract(cfg, seed, threads):
 
 
 def _cmd_slln(cfg, seed, threads):
+    from . import apps, rds_core as rc
     model = _build_model(cfg)
     V = _build_potential(cfg, model)
     u0 = _arr(cfg, "u0", np.zeros(model.dim))

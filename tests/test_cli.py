@@ -395,10 +395,64 @@ def fresh_python(code, *args):
     return proc.stdout
 
 
-def test_import_loads_no_scipy():
-    # scipy is imported only inside the functions that use it
-    code = "import sys, fklab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    assert fresh_python(code).strip() == "[]"
+def test_import_loads_no_computation_module():
+    # each handler imports the fklab modules it runs, scipy is imported only
+    # inside the functions that use it, and the thread pool only with a pool
+    code = ("import sys, fklab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in ('fklab', 'scipy')"
+            " or m in ('concurrent.futures', 'dataclasses')))")
+    assert fresh_python(code).strip() == "['fklab', 'fklab.cli']"
+
+
+KERNEL_3 = {"points": [[0.0], [1.0], [2.5]], "P": [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]],
+            "A": [0, 1, 2], "V": [0.0, 0.2, 0.5]}
+PLAN = {"radii": [1.0, 2.0], "r": 0.5, "n_samples": 10, "n_iter": 2, "projection_dims": [1, 2], "n_pairs": 10}
+# one small run of each subcommand, conditions on a kernel and on a map
+BASE_RUNS = {
+    "simulate": ("simulate", {"model": TOY_MODEL, "u0": [0.5] * 6, "K": 20, "stream": 1, "seed": 11}),
+    "eigen": ("eigen", {"kernel": KERNEL_3, "seed": 1}),
+    "pressure": ("pressure", {"model": TOY_MODEL, "potential": {"kind": "coordinate", "index": 0, "scale": 1.0,
+                                                                "center": 0.0, "clip": 2.0},
+                              "u0": [0] * 6, "k_max": 20, "n_traj": 200, "alphas": [-0.2, 0.2], "recenter_k": 100,
+                              "seed": 13}),
+    "met-check": ("met-check", {"kernel": KERNEL_3, "k_max": 20, "seed": 1}),
+    "coupling-check": ("coupling-check", {"model": TOY_MODEL, "N": 3, "n_samples": 10_000, "delta": 0.1,
+                                          "coordinate": 0, "seed": 4}),
+    "conditions-kernel": ("conditions", {"kernel": KERNEL_3, "params": {"r": 0.5, "c": 0.5, "k_max": 20}, "seed": 2}),
+    "conditions-map": ("conditions", {"model": TOY_MODEL, "plan": PLAN, "seed": 2}),
+    "ldp": ("ldp", {"kernel": KERNEL_3, "f": [0.1, 0.5, 0.9], "x_grid": [0.55], "k_set": [5, 10], "n_traj": 200,
+                    "u0": [1.0], "seed": 3}),
+    "attract": ("attract", {"model": TOY_MODEL, "eps": 0.3, "hit_eps": 0.5, "n_traj": 30, "horizon": 20,
+                            "cloud_k": 5, "cloud_points": 100, "u0s": [[1.0] * 6], "seed": 6}),
+    "slln": ("slln", {"model": TOY_MODEL, "potential": {"kind": "coordinate", "index": 0, "clip": 2.0},
+                      "u0": [0] * 6, "n_traj": 20, "K": 10, "mu_f": 0.0, "eps": 0.1, "C": 0.5, "seed": 8}),
+}
+BURGERS_MODEL = {"kind": "burgers", "nu": 0.5, "modes": 8, "dt": 0.05, "kick_dim": 4, "rho": 1.0}
+# the fklab modules each run loads besides fklab and fklab.cli
+LOADS = {
+    "simulate": "dynamics_maps fits measure_metrics rds_core",
+    "eigen": "fits kernel_lab measure_metrics",
+    "pressure": "dynamics_maps feynman_kac fits measure_metrics rds_core",
+    "met-check": "fits kernel_lab measure_metrics rds_core",
+    "coupling-check": "coupling_lab dynamics_maps feynman_kac fits measure_metrics rds_core",
+    "conditions-kernel": "fits kernel_lab measure_metrics",
+    "conditions-map": "dynamics_maps fits measure_metrics rds_core",
+    "conditions-burgers": "dynamics_maps fits measure_metrics rds_core",
+    "ldp": "apps feynman_kac fits kernel_lab measure_metrics rds_core",
+    "attract": "dynamics_maps fits measure_metrics rds_core",
+    "slln": "apps dynamics_maps feynman_kac fits kernel_lab measure_metrics rds_core",
+}
+
+
+@pytest.mark.parametrize("run", LOADS)
+def test_subcommand_loads_its_modules(tmp_path, run):
+    # start-up grows with the subcommand, not with the package: eigen, say,
+    # never loads the simulated dynamics
+    runs = {**BASE_RUNS, "conditions-burgers": ("conditions", {"model": BURGERS_MODEL, "plan": PLAN, "seed": 2})}
+    command, payload = runs[run]
+    code = ("import sys; from fklab.cli import main; assert main(sys.argv[1:]) == 0;"
+            " print(sorted(m for m in sys.modules if m.split('.')[0] == 'fklab'))")
+    stdout = fresh_python(code, command, "--config", write_cfg(tmp_path, payload), "--out", str(tmp_path / "out"))
+    assert stdout.splitlines()[-1] == str(sorted(["fklab", "fklab.cli", *(f"fklab.{m}" for m in LOADS[run].split())]))
 
 
 def test_coupling_check_from_1e4_samples_loads_no_scipy_stats(tmp_path):
@@ -713,10 +767,16 @@ def shipped(name, **changes):
         ("pressure", shipped("pressure_curve_toy.json", recenter=False), 2,
          "unknown key 'recenter'; did you mean 'recenter_k'?"),
         ("pressure", shipped("pressure_toy_v0.json", n_traj=10), 2, "n_traj = 10 must be at least 100"),
+        # these three raised TypeError (exit 1)
+        ("pressure", shipped("pressure_curve_toy.json", alphas=[[1.5]]), 2,
+         "alphas must be an array of numbers (1-d), not [[1.5]]"),
+        ("conditions", {"model": TOY_MODEL, "plan": {"radii": [[1.5]]}}, 2,
+         "radii must be an array of numbers (1-d), not [[1.5]]"),
+        ("ldp", {**LDP_PROBE, "x_grid": [[0.5]]}, 2, "x_grid must be an array of numbers (1-d), not [[0.5]]"),
     ],
     ids=["misspelt-K", "misspelt-kick_b0", "lowercase-V", "V-under-potential", "K-list", "model-number",
          "kernel-list", "params-kmax", "params-p_floor", "k_max-4", "radii-number", "K-negative", "no-factors",
-         "scale-1e308", "recenter", "n_traj-10"],
+         "scale-1e308", "recenter", "n_traj-10", "alphas-nested", "radii-nested", "x_grid-nested"],
 )
 def test_bad_config_exits_by_cause_and_names_the_key(tmp_path, capsys, command, cfg, code, message):
     out = tmp_path / "out"
@@ -740,12 +800,19 @@ SLLN_CFG = {"model": TOY_MODEL, "potential": {"kind": "coordinate", "index": 0, 
         ("slln", {**SLLN_CFG, "C": -1.0}, "C must be positive and finite, got -1.0"),
         ("slln", {**SLLN_CFG, "potential": {"kind": "coordinate", "clip": 0.0}}, "clip must be positive and finite"),
         ("pressure", shipped("pressure_curve_toy.json", potential__clip=-1.0), "clip must be positive and finite"),
+        ("slln", {**SLLN_CFG, "C": 10**400}, "C must be positive and finite, got 1000"),
+        ("slln", {**SLLN_CFG, "mu_f": -(10**400)}, "mu_f must be finite, got -1000"),
+        ("slln", {**SLLN_CFG, "K": 10**400}, "K must fit in 64 bits, got 1000"),
+        ("slln", {**SLLN_CFG, "seed": 2**64}, "seed must fit in 64 bits, got 18446744073709551616"),
     ],
-    ids=["nan-mu_f", "nan-C", "nan-eps", "zero-C", "negative-C", "zero-clip", "negative-clip-pressure"],
+    ids=["nan-mu_f", "nan-C", "nan-eps", "zero-C", "negative-C", "zero-clip", "negative-clip-pressure",
+         "400-digit-C", "400-digit-mu_f", "400-digit-K", "seed-2^64"],
 )
 def test_values_outside_a_keys_domain_exit_2(tmp_path, capsys, command, cfg, message):
     # slln read a NaN mu_f, C or eps as T = 1 with nothing censored and a
-    # C <= 0 as every row censored; a clip <= 0 made the potential constant
+    # C <= 0 as every row censored; a clip <= 0 made the potential constant;
+    # a float key past the float range raised OverflowError (exit 3), and
+    # an int key past 64 bits fits no numpy count (a seed is taken mod 2^64)
     out = tmp_path / "out"
     assert run_cli([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
@@ -778,37 +845,49 @@ SHIPPED_RUNS = [
 
 
 @st.composite
-def mutated_runs(draw):
-    """A shipped run with one key dropped, renamed, re-typed or set below
-    any bound it has; the key is at the top level or one section down."""
-    command, name = draw(st.sampled_from(SHIPPED_RUNS))
-    cfg = shipped(name)
+def mutated_runs(draw, runs, values):
+    """One of ``runs`` with one key dropped, renamed or set to one of
+    ``values``; the key is at the top level or one section down."""
+    command, cfg = draw(st.sampled_from(runs))
+    cfg = json.loads(json.dumps(cfg))
     paths = [(k,) for k in cfg] + [(k, sub) for k, v in cfg.items() if isinstance(v, dict) for sub in v]
     *head, key = draw(st.sampled_from(paths))
     sec = cfg[head[0]] if head else cfg
-    how = draw(st.sampled_from(["drop", "rename", "retype", "below"]))
+    how = draw(st.sampled_from(["drop", "rename", "set"]))
     if how == "drop":
         del sec[key]
     elif how == "rename":
         sec[draw(st.sampled_from([key + "x", key.swapcase(), key[:-1]]))] = sec.pop(key)
-    elif how == "retype":
-        sec[key] = draw(st.sampled_from(["x", None, True, 7, 2.5, [1.5], [[1, 2], [3]], {"a": 1}]))
     else:
-        sec[key] = draw(st.sampled_from([0, -1, -3.5, -10**9]))
+        sec[key] = draw(st.sampled_from(values))
     return command, cfg
 
 
-@settings(max_examples=40, deadline=None)
-@given(run=mutated_runs())
-def test_mutated_shipped_configs_exit_0_2_or_3(run):
-    # a bad config is a 2, a numerical failure a 3; never a traceback (1)
-    command, cfg = run
+def exit_code(command, cfg):
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w") as fh:
             json.dump(cfg, fh)
         with np.errstate(all="ignore"):
-            assert run_cli([command, "--config", path, "--out", os.path.join(tmp, "out")]) in (0, 2, 3)
+            return run_cli([command, "--config", path, "--out", os.path.join(tmp, "out")])
+
+
+@settings(max_examples=40, deadline=None)
+@given(run=mutated_runs([(command, shipped(name)) for command, name in SHIPPED_RUNS],
+                        ["x", None, True, 7, 2.5, [1.5], [[1, 2], [3]], {"a": 1}, 0, -1, -3.5, -10**9]))
+def test_mutated_shipped_configs_exit_0_2_or_3(run):
+    # a bad config is a 2, a numerical failure a 3; never a traceback (1)
+    assert exit_code(*run) in (0, 2, 3)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(run=mutated_runs(list(BASE_RUNS.values()),
+                        [float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 10**400, -(10**400), "x", "",
+                         None, True, [], [[1, 2], [3]], [[1.5]], {"a": 1}]))
+def test_mutated_configs_of_every_subcommand_exit_0_2_or_3(run):
+    # the same on one small run of each subcommand, with non-finite, huge
+    # and nested values: a handler whose own imports miss a name exits 1
+    assert exit_code(*run) in (0, 2, 3)
 
 
 def test_readme_config_sketch_keys_are_known():
