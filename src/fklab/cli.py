@@ -10,7 +10,7 @@ before any computation.  Each handler imports the fklab modules it runs,
 so ``import fklab.cli`` loads numpy and no computation module, and a run
 loads only those of its subcommand: ``eigen``, say, no simulated dynamics.
 
-Exit codes: 0 success, 2 bad config or input (ValueError, OSError),
+Exit codes: 0 success, 2 bad config or input (ValueError, OSError, MemoryError),
 3 numerical failure (ArithmeticError, RuntimeError, LinAlgError).
 """
 
@@ -252,7 +252,7 @@ def _cmd_simulate(cfg, seed, threads):
     model = _build_model(cfg)
     u0 = _arr(cfg, "u0", np.zeros(model.dim))
     K, stream = _num(cfg, "K", 100, int, 0), _num(cfg, "stream", 0, int, 0)
-    states = rc.simulate(model, u0, K, seed=seed, stream=stream).states
+    states = rc.simulate(model, u0, K, seed=seed, stream=stream)
     if isinstance(model, rc.FiniteChainModel):
         states = model.coords(states)
     states[0] = u0  # as given, even off a chain's points
@@ -519,7 +519,7 @@ def main(argv=None):
     except (np.linalg.LinAlgError, ArithmeticError, RuntimeError) as exc:
         print(f"numerical failure: {exc!r}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc!r}", file=sys.stderr)
         return 2
     return 0

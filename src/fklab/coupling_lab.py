@@ -14,7 +14,8 @@ add the same tail-kick floats, so tail coordinates that the map sends to
 equal values stay bitwise equal.  On the disagreement event the second
 component is the reflection of the first about the midpoint of the two
 means (reflection-maximal coupling, Bou-Rabee, Eberle and Zimmer 2020),
-which needs no further random draws.
+which needs no further random draws.  A batch of pairs is advanced by
+one loop, :func:`coupled_trajectories`, on one stream.
 
 ``ks_test`` checks the coupled marginals against the kick law; from
 ``KS_ASYMP_MIN_N`` samples on it loads no scipy.
@@ -38,7 +39,6 @@ __all__ = [
     "coupled_trajectories",
     "squeezing_check",
     "feller_bound_check",
-    "CoupledRun",
     "kolmogorov_sf",
     "ks_test",
 ]
@@ -160,33 +160,23 @@ def ks_test(x, cdf):
     return D, float(np.clip(kstwo.sf(D, n), 0.0, 1.0))
 
 
-@dataclass
-class CoupledRun:
-    """Coupled pair trajectories with per-step agreement flags for the
-    first N kicked coordinates; ``seed`` and ``stream`` name the generator
-    the run drew from."""
+def coupled_trajectories(model, N, pairs, K, seed=0):
+    """Run the (n, 2, dim) batch of start pairs ``pairs`` for K coupled
+    steps on stream (seed, 0), every pair at every step.
 
-    states: np.ndarray  # (K+1, 2, dim)
-    coupled: np.ndarray  # (K, N) agreement flags for the coupled block
-    N: int
-    seed: int
-    stream: int
-
-
-def coupled_trajectories(model, N, v, v_prime, K, seed=0, stream=0):
-    """Run the coupled pair for K steps."""
-    rng = rng_stream(seed, stream)
-    N = int(min(N, model.kicks.dim))
-    states = np.empty((K + 1, 2, model.dim))
-    states[0, 0] = v
-    states[0, 1] = v_prime
-    flags = np.empty((K, N), dtype=bool)
-    u, up = states[0, :1], states[0, 1:]
+    Returns ``(states, flags)``: the (K+1, n, 2, dim) states and the
+    (K, n, N) agreement flags of the first N kicked coordinates (N capped
+    at the kick dimension).
+    """
+    pairs = np.asarray(pairs, dtype=float)
+    states = np.empty((K + 1,) + pairs.shape)
+    states[0] = pairs
+    flags = np.empty((K, len(pairs), int(min(N, model.kicks.dim))), dtype=bool)
+    rng = rng_stream(seed, 0)
     for k in range(K):
-        u, up, coupled = coupled_step(model, N, u, up, rng)
-        states[k + 1] = np.vstack([u, up])
-        flags[k] = coupled[0]
-    return CoupledRun(states=states, coupled=flags, N=N, seed=seed, stream=stream)
+        u, up, flags[k] = coupled_step(model, N, states[k, :, 0], states[k, :, 1], rng)
+        states[k + 1] = np.stack([u, up], axis=1)
+    return states, flags
 
 
 @dataclass
@@ -202,36 +192,24 @@ def squeezing_check(model, N, pairs, r_max, gamma_N, seed=0, tol=1e-2):
     ||u_r - u'_r|| <= (1 + tol) gamma_N^r ||u_0 - u'_0||.
 
     ``pairs`` is an (n, 2, dim) array of initial pairs, advanced as one
-    batch; ``gamma_N`` is the empirical smoothing constant from the
-    map-condition check.  Pairs whose agreement event never occurs make the
-    report inconclusive at that r.
+    batch by :func:`coupled_trajectories`; the all-agree event is the
+    running AND of its flags.  Degenerate pairs (u_0 = u'_0) are advanced
+    but never counted.  ``gamma_N`` is the empirical smoothing constant
+    from the map-condition check.  Pairs whose agreement event never occurs
+    make the report inconclusive at that r.
     """
     pairs = np.asarray(pairs, dtype=float)
-    u = pairs[:, 0, :].copy()
-    up = pairs[:, 1, :].copy()
-    base = np.linalg.norm(u - up, axis=1)
-    alive = base > 0  # degenerate pairs skipped
-    rng = rng_stream(seed, 0)
-    ratios = {}
-    occurrences = {}
+    states, flags = coupled_trajectories(model, N, pairs, r_max, seed)
+    base = np.linalg.norm(pairs[:, 0] - pairs[:, 1], axis=1)
+    agreed = np.logical_and.accumulate(flags.all(axis=2), axis=0) & (base > 0)
+    ratios, occurrences = {}, {}
     for r in range(1, r_max + 1):
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
-            ratios[r] = np.empty(0)
-            occurrences[r] = 0
-            continue
-        u[idx], up[idx], coupled = coupled_step(model, N, u[idx], up[idx], rng)
-        agreed = coupled.all(axis=1)
-        alive[idx[~agreed]] = False
-        keep = idx[agreed]
-        d = np.linalg.norm(u[keep] - up[keep], axis=1)
+        keep = agreed[r - 1]
+        d = np.linalg.norm(states[r, keep, 0] - states[r, keep, 1], axis=1)
         ratios[r] = d / (gamma_N**r * base[keep])
-        occurrences[r] = int(keep.size)
+        occurrences[r] = int(keep.sum())
     worst = max((v.max() for v in ratios.values() if v.size), default=None)
-    if worst is None:
-        verdict = "inconclusive"
-    else:
-        verdict = "pass" if worst <= 1.0 + tol else "fail"
+    verdict = "inconclusive" if worst is None else "pass" if worst <= 1.0 + tol else "fail"
     return SqueezingReport(ratios=ratios, occurrences=occurrences, gamma_N=gamma_N, verdict=verdict)
 
 
@@ -248,8 +226,10 @@ def feller_bound_check(model, V, f_list, pairs, k_max, c, sup_mass, n_traj=4000,
     over the sampled functions, pairs, and horizons.
 
     ``sup_mass[k-1]`` must estimate the sup over the attainable cloud of
-    the weighted total mass at horizon k.  Cells whose Monte Carlo noise
-    exceeds the bound's slack are recorded as inconclusive.
+    the weighted total mass at horizon k.  Function fi from side s of pair
+    pi draws from stream ``(seed, 2 (fi len(pairs) + pi) + s)``, one stream
+    per cell.  Cells whose Monte Carlo noise exceeds the bound's slack are
+    recorded as inconclusive.
     """
     pairs = np.asarray(pairs, dtype=float)
     per_k = np.zeros(k_max)
@@ -260,10 +240,10 @@ def feller_bound_check(model, V, f_list, pairs, k_max, c, sup_mass, n_traj=4000,
             if dist == 0:
                 continue
             # every horizon from one pass per side: the horizons share the
-            # pair's two streams, so horizon k reads the prefix of length k
-            pair_seed = seed + 7919 * fi + 31 * pi
-            e1, s1 = mc_semigroup_series(model, V, f, v, k_max, n_traj, rng_stream(pair_seed, 0))
-            e2, s2 = mc_semigroup_series(model, V, f, vp, k_max, n_traj, rng_stream(pair_seed + 1, 0))
+            # side's stream, so horizon k reads the prefix of length k
+            cell = 2 * (fi * len(pairs) + pi)
+            e1, s1 = mc_semigroup_series(model, V, f, v, k_max, n_traj, rng_stream(seed, cell))
+            e2, s2 = mc_semigroup_series(model, V, f, vp, k_max, n_traj, rng_stream(seed, cell + 1))
             for k in range(1, k_max + 1):
                 lhs = abs(e1[k] - e2[k])
                 noise = 3 * np.hypot(s1[k], s2[k])

@@ -154,7 +154,8 @@ def _particle_loop(model, V, init, k, n, seed, tilts):
     lockstep from stream ``(seed, 0)``.
 
     The tilts are the leading axis of one (A, n, d) ensemble started from
-    the same n rows.  Each step draws one set of kicks for the n rows,
+    the same n rows, the start points of ``init`` in row blocks
+    (:func:`~fklab.rds_core.initial_ensemble`).  Each step draws one set of kicks for the n rows,
     shared by every tilt (common random numbers), and calls V once on the
     A n rows; each tilt keeps its own weights, ESS and collapse count, and
     resamples in tilt order on the same stream when its ESS, read off the
@@ -166,8 +167,7 @@ def _particle_loop(model, V, init, k, n, seed, tilts):
         raise ValueError("need at least 100 particles")
     tilts = np.asarray(tilts, dtype=float)
     rng = rng_stream(seed, 0)
-    X0 = initial_ensemble(model, init, n, rng)
-    X = np.repeat(X0[None], tilts.size, axis=0)
+    X = np.repeat(initial_ensemble(model, init, n)[None], tilts.size, axis=0)
     ensembles = [
         WeightedEnsemble(particles=X[a], logweights=np.zeros(n), lognorm=0.0, ess=float(n))
         for a in range(tilts.size)

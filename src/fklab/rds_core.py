@@ -6,12 +6,13 @@ deterministic time-one map (see :mod:`fklab.dynamics_maps`) and the kick
 bump density 2 Beta(3, 3) - 1, drawn exactly from three uniforms each as
 Beta(3, 3) = U1^(1/3) U2^(1/4) U3^(1/5) (Devroye 1986).
 SFC64 streams seeded by ``SeedSequence(master seed, spawn_key=(stream id,))``
-make every run bitwise reproducible; every ensemble is advanced by
-:func:`propagate`, drawing all its rows from one stream.  An ensemble is
-(n, d), or (..., n, d) for stacked copies of it (the tilts of a pressure
-curve): a step draws for the n rows once and shares the draw along the
-leading axes, so each copy sees the draws a 2-D step would take from the
-same stream state.
+make every run bitwise reproducible; every ensemble enters by
+:func:`initial_ensemble`, k start points in consecutive row blocks, and is
+advanced by :func:`propagate`, drawing all its rows from one stream.  An
+ensemble is (n, d), or (..., n, d) for stacked copies of it (the tilts of a
+pressure curve): a step draws for the n rows once and shares the draw along
+the leading axes, so each copy sees the draws a 2-D step would take from
+the same stream state.
 
 A finite Markov chain on embedded points is provided as a second model type
 so the Monte Carlo estimators can be cross-checked against the exact
@@ -34,7 +35,6 @@ __all__ = [
     "KickLaw",
     "RDSModel",
     "FiniteChainModel",
-    "Trajectory",
     "rng_stream",
     "initial_ensemble",
     "sample_kicks",
@@ -139,13 +139,6 @@ def sample_kicks(law: KickLaw, rng, n):
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    states: np.ndarray  # (K+1, dim); a chain's are (K+1, 1) indices (see its coords)
-    seed: int
-    stream: int
-
-
-@dataclass(frozen=True)
 class RDSModel:
     """Kick-forced model u_k = S(u_{k-1}) + eta_k.
 
@@ -244,21 +237,21 @@ class FiniteChainModel:
 
 
 def _start_points(model, init):
-    """``init`` as rows of finite start points with ``model.dim`` coordinates."""
+    """``init`` as one or more rows of finite start points with ``model.dim`` coordinates."""
     init = np.atleast_2d(np.asarray(init, dtype=float))
-    if init.shape[1] != model.dim or not np.isfinite(init).all():
+    if init.shape[1] != model.dim or not len(init) or not np.isfinite(init).all():
         raise ValueError(f"start points must be finite, with {model.dim} coordinates, got shape {init.shape}")
     return init
 
 
-def initial_ensemble(model, init, n, rng=None):
-    """The one way into an ensemble: n copies of the start point ``init``, or
-    n rows drawn with ``rng`` from a cloud; a chain snaps coordinates to the
-    index of the nearest point."""
+def initial_ensemble(model, init, n):
+    """The one way into an ensemble: n rows, the k start points of ``init``
+    in consecutive blocks of ceil(n / k) rows (the last block the rest); a
+    chain snaps coordinates to the index of the nearest point."""
     init = _start_points(model, init)
     if isinstance(model, FiniteChainModel):
         init = model.index_of(init)[:, None]
-    return np.repeat(init, n, axis=0) if init.shape[0] == 1 else init[rng.integers(0, init.shape[0], n)]
+    return np.repeat(init, -(-n // init.shape[0]), axis=0)[:n]
 
 
 def propagate(model, X, rng, steps, V=None, active=None):
@@ -295,12 +288,13 @@ def propagate(model, X, rng, steps, V=None, active=None):
 
 
 def simulate(model, u0, K, seed, stream=0):
-    """Trajectory of length K from u0, bitwise-deterministic per
-    (model, seed, stream, u0); its states are the model's ensemble states,
-    so a chain's are indices (its ``coords`` gives the points)."""
+    """The (K+1, d) states u_0..u_K of one trajectory from u0, a one-row
+    ensemble on stream (seed, stream), bitwise-deterministic per (model,
+    seed, stream, u0); they are the model's ensemble states, so a chain's
+    are indices (its ``coords`` gives the points)."""
     X = initial_ensemble(model, u0, 1)
     steps = [Y.copy() for _, Y, _ in propagate(model, X.copy(), rng_stream(seed, stream), K)]
-    return Trajectory(states=np.concatenate([X] + steps), seed=seed, stream=stream)
+    return np.concatenate([X] + steps)
 
 
 def _kick_mesh(law, rng, n):
@@ -365,39 +359,32 @@ def hitting_time_stats(model, u0s, eps, n_traj=1000, horizon=1000, seed=0):
     """First hitting times of the ball B_eps around the origin and the
     largest exponent with empirical exp-moment below ``EXP_MOMENT_TARGET``.
 
-    Censored trajectories (no hit within the horizon) are excluded from the
-    moment and reported as a fraction; the returned delta is then a bound
-    for the observed part only.
+    The k starts run as one ensemble of k ``n_traj`` rows on stream
+    (seed, 0), start m in block m (:func:`initial_ensemble`), whose times
+    are ``taus[m]``.  Censored trajectories (no hit within the horizon) are
+    excluded from the moment and reported as a fraction; the returned delta
+    is then a bound for the observed part only.
     """
     _require_map(model, "hitting_time_stats")
     if not 0 < eps < np.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    taus = {}
-    censored = 0
-    total = 0
-    for m, u0 in enumerate(np.atleast_2d(np.asarray(u0s, dtype=float))):
-        U = initial_ensemble(model, u0, n_traj)
-        tau = np.full(n_traj, horizon + 1, dtype=int)
-        hit0 = np.linalg.norm(U, axis=1) <= eps
-        tau[hit0] = 0
-        alive = ~hit0
-        for k, U, _ in propagate(model, U, rng_stream(seed, m), horizon, active=alive):
-            idx = np.flatnonzero(alive)
-            hit = idx[np.linalg.norm(U[idx], axis=1) <= eps]
-            tau[hit] = k
-            alive[hit] = False
-        taus[m] = tau
-        censored += int((tau > horizon).sum())
-        total += n_traj
+    k = _start_points(model, u0s).shape[0]
+    U = initial_ensemble(model, u0s, k * n_traj)
+    tau = np.full(k * n_traj, horizon + 1, dtype=int)
+    hit0 = np.linalg.norm(U, axis=1) <= eps
+    tau[hit0] = 0
+    alive = ~hit0
+    for step, U, _ in propagate(model, U, rng_stream(seed, 0), horizon, active=alive):
+        idx = np.flatnonzero(alive)
+        hit = idx[np.linalg.norm(U[idx], axis=1) <= eps]
+        tau[hit] = step
+        alive[hit] = False
+    taus = dict(enumerate(tau.reshape(k, n_traj)))
 
-    def exp_moment(delta):
-        worst = 0.0
-        for tau in taus.values():
-            obs = tau[tau <= horizon]
-            if obs.size == 0:
-                return np.inf
-            worst = max(worst, float(np.exp(delta * obs).mean()))
-        return worst
+    observed = [t[t <= horizon] for t in taus.values()]
+
+    def exp_moment(delta):  # the worst start's; infinite if a start has no hit
+        return max(float(np.exp(delta * obs).mean()) if obs.size else np.inf for obs in observed)
 
     lo, hi = 0.0, 1.0
     while exp_moment(hi) <= EXP_MOMENT_TARGET and hi < 50:
@@ -409,7 +396,7 @@ def hitting_time_stats(model, u0s, eps, n_traj=1000, horizon=1000, seed=0):
         else:
             hi = mid
     return HittingReport(
-        taus=taus, delta=lo, censored_fraction=censored / total, horizon=horizon
+        taus=taus, delta=lo, censored_fraction=np.count_nonzero(tau > horizon) / tau.size, horizon=horizon
     )
 
 
@@ -532,16 +519,13 @@ def attraction_counter(model, cloud, eps, u0s, n_traj=1000, horizon=400, seed=0)
     spacing = search.spacing()
     if eps < spacing:
         raise ValueError(f"eps={eps} below cloud resolution {spacing:.3g}")
-    u0s = _start_points(model, u0s)
-    reps = int(np.ceil(n_traj / u0s.shape[0]))
-    U = np.repeat(u0s, reps, axis=0)[:n_traj].copy()
-    n = U.shape[0]
-    counts = np.zeros(n, dtype=int)
-    settled = np.zeros(n, dtype=int)
-    active = np.ones(n, dtype=bool)
+    U = initial_ensemble(model, u0s, n_traj)
+    counts = np.zeros(n_traj, dtype=int)
+    settled = np.zeros(n_traj, dtype=int)
+    active = np.ones(n_traj, dtype=bool)
     cf = model.contraction_factor
     can_settle = cf is not None and cf < 1 and SETTLE_FRAC * cf + spacing / eps <= 0.95
-    near = np.zeros(n, dtype=np.intp)  # each row's last nearest cloud point (any point bounds)
+    near = np.zeros(n_traj, dtype=np.intp)  # each row's last nearest cloud point (any point bounds)
     cuts = (eps, SETTLE_FRAC * eps) if can_settle else (eps,)
     decided = cuts[-1] * (1.0 - 1e-9)
     for _, U, _ in propagate(model, U, rng_stream(seed, 0), horizon, active=active):
@@ -554,7 +538,7 @@ def attraction_counter(model, cloud, eps, u0s, n_traj=1000, horizon=400, seed=0)
             inside = dist <= SETTLE_FRAC * eps
             settled[idx] = np.where(inside, settled[idx] + 1, 0)
             active[idx[settled[idx] >= SETTLE_STEPS]] = False
-    censored = float(active.sum()) / n
+    censored = float(active.sum()) / n_traj
 
     ms = np.arange(1, counts.max() + 1) if counts.max() > 0 else np.array([1])
     tail = np.array([(counts >= m).mean() for m in ms])

@@ -301,19 +301,13 @@ def test_criterion_08_coupling():
     # property (b) bitwise along coupled runs: pairs equal beyond N keep
     # their tails bitwise equal (shared tail kicks), and agreement flags
     # mean bitwise-equal coupled coordinates
-    prop_b = True
-    for i in range(20):
-        v = np.full(6, 0.15) + 0.01 * i
-        v_prime = v.copy()
-        v_prime[:3] += 2e-3
-        run = cl.coupled_trajectories(model, 3, v, v_prime, K=12, seed=8, stream=i)
-        prop_b &= bool(np.array_equal(run.states[:, 0, 3:], run.states[:, 1, 3:]))
-        run = cl.coupled_trajectories(model, 3, v, v + 2e-3, K=12, seed=8, stream=i)
-        for k in range(12):
-            agree = run.coupled[k]
-            prop_b &= bool(
-                np.array_equal(run.states[k + 1, 0, :3][agree], run.states[k + 1, 1, :3][agree])
-            )
+    v = np.full(6, 0.15) + 0.01 * np.arange(20)[:, None]
+    v_prime = v.copy()
+    v_prime[:, :3] += 2e-3
+    states, _ = cl.coupled_trajectories(model, 3, np.stack([v, v_prime], axis=1), K=12, seed=8)
+    prop_b = bool(np.array_equal(states[..., 0, 3:], states[..., 1, 3:]))
+    states, flags = cl.coupled_trajectories(model, 3, np.stack([v, v + 2e-3], axis=1), K=12, seed=8)
+    prop_b &= bool(np.array_equal(states[1:, :, 0, :3][flags], states[1:, :, 1, :3][flags]))
 
     # marginals and optimality at one million draws
     rng = rc.rng_stream(88, 0)

@@ -23,7 +23,7 @@ def chain_setup():
 def test_occupation_measure_trivials(chain_setup):
     # the occupation measure of u_0..u_{k-1} is the empirical measure of those states
     _, chain = chain_setup
-    states = chain.coords(rc.simulate(chain, chain.points[0], 10, seed=1).states)
+    states = chain.coords(rc.simulate(chain, chain.points[0], 10, seed=1))
     m1 = DiscreteMeasure.from_samples(states[:1])
     assert m1.support.shape[0] == 1
     assert np.allclose(m1.support[0], states[0])
@@ -40,7 +40,7 @@ def test_occupation_converges_to_stationary(chain_setup):
     dists = []
     for k in (100, 400, 1600):
         traj = rc.simulate(chain, chain.points[0], k, seed=3)
-        dists.append(dual_lipschitz(DiscreteMeasure.from_samples(chain.coords(traj.states)[:k]), target))
+        dists.append(dual_lipschitz(DiscreteMeasure.from_samples(chain.coords(traj)[:k]), target))
     assert dists[-1] < 0.08
     assert dists[-1] <= dists[0] + 0.02
 

@@ -387,12 +387,29 @@ def test_ldp_rejects_coincident_points(tmp_path, capsys):
     assert "chain points 0 and 1 coincide" in capsys.readouterr().err
 
 
-def fresh_python(code, *args):
-    """Standard output of ``code`` run in a fresh interpreter on this checkout's ``src``."""
+def fresh_process(*args):
+    """The finished run of ``python *args`` in a fresh interpreter on this checkout's ``src``."""
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def fresh_python(code, *args):
+    """Standard output of ``code`` run in a fresh interpreter on this checkout's ``src``."""
+    proc = fresh_process("-c", code, *args)
+    proc.check_returncode()
     return proc.stdout
+
+
+def test_run_too_large_to_allocate_exits_2(tmp_path):
+    # 2^50 start rows of six coordinates ask for 48 PiB, which the allocator
+    # refuses at once: one error line, no traceback, no results
+    cfg = write_cfg(tmp_path, {"model": TOY_MODEL, "n_traj": 2**50, "seed": 1})
+    proc = fresh_process("-m", "fklab.cli", "slln", "--config", cfg, "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr and "MemoryError" in proc.stderr
+    assert not (tmp_path / "out" / "results.json").exists()
 
 
 def test_import_loads_no_computation_module():
@@ -650,7 +667,7 @@ def test_simulate_on_chain_writes_points(tmp_path):
     # then the chain started from the nearest point, 1.0
     chain = rc.FiniteChainModel(points=CHAIN_MODEL["points"], P=CHAIN_MODEL["P"])
     traj = rc.simulate(chain, [1.0], 30, seed=5)
-    assert np.array_equal(rows[1:, 1], chain.coords(traj.states)[1:, 0])
+    assert np.array_equal(rows[1:, 1], chain.coords(traj)[1:, 0])
     final = json.loads((out / "results.json").read_text())["final_norm"]
     assert final == abs(rows[-1, 1])
 

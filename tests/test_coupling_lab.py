@@ -187,22 +187,28 @@ def test_coupled_step_tail_kicks_shared_per_pair(model):
 
 
 def test_property_b_bitwise_along_runs(model):
+    # one batch mixes pairs equal beyond N (the first ten) and unequal ones:
     # shared tail kicks keep equal tail coordinates bitwise equal at every step
-    for i in range(10):
-        v = np.full(6, 0.2) + 0.01 * i
-        v_prime = v.copy()
-        v_prime[:3] += 1e-3
-        run = cl.coupled_trajectories(model, 3, v, v_prime, K=12, seed=6, stream=i)
-        assert np.array_equal(run.states[:, 0, 3:], run.states[:, 1, 3:])
-    for i in range(10):
-        v = np.full(6, 0.2) + 0.01 * i
-        run = cl.coupled_trajectories(model, 3, v, v + 1e-3, K=12, seed=6, stream=i)
-        # agreement flags imply bitwise equality of the coupled block
-        for k in range(12):
-            agree = run.coupled[k]
-            s1 = run.states[k + 1, 0, :3][agree]
-            s2 = run.states[k + 1, 1, :3][agree]
-            assert np.array_equal(s1, s2)
+    v = np.full(6, 0.2) + 0.01 * np.arange(10)[:, None]
+    v_prime = v.copy()
+    v_prime[:, :3] += 1e-3
+    pairs = np.stack([np.vstack([v, v]), np.vstack([v_prime, v + 1e-3])], axis=1)
+    states, flags = cl.coupled_trajectories(model, 3, pairs, K=12, seed=6)
+    assert states.shape == (13, 20, 2, 6) and flags.shape == (12, 20, 3)
+    assert np.array_equal(states[:, :10, 0, 3:], states[:, :10, 1, 3:])
+    assert not np.array_equal(states[:, 10:, 0, 3:], states[:, 10:, 1, 3:])
+    # agreement flags imply bitwise equality of the coupled block
+    assert np.array_equal(states[1:, :, 0, :3][flags], states[1:, :, 1, :3][flags])
+
+
+def test_coupled_trajectories_is_coupled_step_on_stream_0(model):
+    pairs = np.random.default_rng(3).uniform(-0.3, 0.3, size=(5, 2, 6))
+    states, flags = cl.coupled_trajectories(model, 3, pairs, K=4, seed=2)
+    rng, u, up = rc.rng_stream(2, 0), pairs[:, 0], pairs[:, 1]
+    for k in range(4):
+        u, up, coupled = cl.coupled_step(model, 3, u, up, rng)
+        assert np.array_equal(states[k + 1, :, 0], u) and np.array_equal(states[k + 1, :, 1], up)
+        assert np.array_equal(flags[k], coupled)
 
 
 def test_decoupling_probability_linear_in_distance(model, law):
@@ -312,6 +318,21 @@ def test_squeezing_degenerate_pairs_skipped(model):
     pairs = np.stack([np.tile(v, (5, 1)), np.tile(v, (5, 1))], axis=1)
     rep = cl.squeezing_check(model, 3, pairs, r_max=3, gamma_N=model.map.factors[3], seed=12)
     assert rep.verdict == "inconclusive"
+
+
+def test_squeezing_advances_a_degenerate_pair_but_never_counts_it(model):
+    # pair 0 has u = u': it is advanced with the batch and agrees at every
+    # step, yet no occurrence counts it
+    rng = rc.rng_stream(17, 0)
+    base = rng.uniform(-0.3, 0.3, size=(40, 6))
+    pairs = np.stack([base, base + 1e-3 * rng.normal(size=base.shape)], axis=1)
+    pairs[0, 1] = pairs[0, 0]
+    rep = cl.squeezing_check(model, 3, pairs, r_max=5, gamma_N=model.map.factors[3], seed=13)
+    states, flags = cl.coupled_trajectories(model, 3, pairs, 5, seed=13)
+    assert flags[:, 0].all() and not np.array_equal(states[5, 0, 0], pairs[0, 0])
+    agreed = np.logical_and.accumulate(flags.all(axis=2), axis=0)
+    assert [rep.occurrences[r] for r in range(1, 6)] == agreed[:, 1:].sum(axis=1).tolist()
+    assert rep.verdict == "pass"
 
 
 def test_feller_bound_check_trivial_cases(model):

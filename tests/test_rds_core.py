@@ -167,11 +167,11 @@ def test_simulate_deterministic(toy_model):
     u0 = np.full(6, 0.5)
     t1 = rc.simulate(toy_model, u0, 40, seed=9, stream=5)
     t2 = rc.simulate(toy_model, u0, 40, seed=9, stream=5)
-    assert np.array_equal(t1.states, t2.states)
+    assert np.array_equal(t1, t2)
     t3 = rc.simulate(toy_model, u0, 40, seed=9, stream=6)
-    assert not np.array_equal(t1.states, t3.states)
+    assert not np.array_equal(t1, t3)
     t4 = rc.simulate(toy_model, u0, 40, seed=10, stream=5)
-    assert not np.array_equal(t1.states, t4.states)
+    assert not np.array_equal(t1, t4)
 
 
 def test_simulate_zero_map_is_pure_noise():
@@ -179,7 +179,7 @@ def test_simulate_zero_map_is_pure_noise():
     zero_map = ToyDiagonalMap(factors=np.full(4, 1e-300))
     model = rc.RDSModel(map=zero_map, kicks=law, rho=1.0)
     traj = rc.simulate(model, np.full(4, 0.3), 30, seed=3)
-    norms = np.linalg.norm(traj.states[1:], axis=1)
+    norms = np.linalg.norm(traj[1:], axis=1)
     assert np.all(norms <= law.radius + 1e-12)
 
 
@@ -192,7 +192,7 @@ def test_deterministic_iteration_without_kicks(toy_model):
     expect = u0.copy()
     for _ in range(5):
         expect = toy_model.map.apply(expect)
-    assert np.allclose(traj.states[-1], expect, atol=1e-12)
+    assert np.allclose(traj[-1], expect, atol=1e-12)
 
 
 def test_ensemble_matches_simulate_per_stream(toy_model):
@@ -203,9 +203,9 @@ def test_ensemble_matches_simulate_per_stream(toy_model):
         solo = rc.simulate(toy_model, u0, 25, seed=21, stream=i)
         X = u0[None, :].copy()
         for k, X, _ in rc.propagate(toy_model, X, rc.rng_stream(21, i), 25):
-            assert np.array_equal(X[0], solo.states[k])
+            assert np.array_equal(X[0], solo[k])
         u = toy_model.step(u0, rc.rng_stream(21, i))
-        assert np.array_equal(u, solo.states[1])
+        assert np.array_equal(u, solo[1])
 
 
 def test_propagate_weights_and_active_rows(toy_model):
@@ -330,8 +330,33 @@ def test_hitting_time_duplicate_starts_kept_apart(toy_model):
     rep = rc.hitting_time_stats(toy_model, [u0, u0], eps=0.3, n_traj=50, horizon=100, seed=4)
     assert sorted(rep.taus) == [0, 1]
     assert all(tau.shape == (50,) for tau in rep.taus.values())
-    # each start has its own stream
+    # each start has its own rows of the one stream
     assert not np.array_equal(rep.taus[0], rep.taus[1])
+
+
+def _hand_taus(model, starts, eps, n, horizon, seed):
+    """First hitting times by a hand-written propagate loop: start m in
+    rows m n .. (m + 1) n - 1 of one ensemble on stream (seed, 0)."""
+    X = np.repeat(np.asarray(starts, dtype=float), n, axis=0)
+    tau, alive = np.full(len(X), horizon + 1), np.ones(len(X), dtype=bool)
+    for k, X, _ in rc.propagate(model, X, rc.rng_stream(seed, 0), horizon, active=alive):
+        hit = alive & (np.linalg.norm(X, axis=1) <= eps)
+        tau[hit], alive[hit] = k, False
+    return tau
+
+
+def test_hitting_times_run_every_start_on_one_stream(toy_model):
+    u0, eps, n, horizon = np.full(6, 0.9), 0.3, 200, 60
+    rep = rc.hitting_time_stats(toy_model, [u0], eps, n_traj=n, horizon=horizon, seed=5)
+    tau = _hand_taus(toy_model, [u0], eps, n, horizon, seed=5)
+    assert list(rep.taus) == [0] and np.array_equal(rep.taus[0], tau)
+    assert rep.censored_fraction == (tau > horizon).mean()
+    # two starts: one ensemble of 2 n rows, n taus per start read off its block
+    starts = [u0, np.full(6, 0.5)]
+    rep = rc.hitting_time_stats(toy_model, starts, eps, n_traj=n, horizon=horizon, seed=5)
+    tau = _hand_taus(toy_model, starts, eps, n, horizon, seed=5)
+    assert sorted(rep.taus) == [0, 1] and all(t.shape == (n,) for t in rep.taus.values())
+    assert np.array_equal(rep.taus[0], tau[:n]) and np.array_equal(rep.taus[1], tau[n:])
 
 
 def test_hitting_time_contraction_bound(toy_model):
@@ -709,18 +734,24 @@ def test_chain_ensembles_step_index_states(data):
         assert np.array_equal(logw, logw_hand)
 
 
+def test_initial_ensemble_puts_each_start_in_a_row_block(toy_model):
+    # 3 starts in 8 rows: consecutive blocks of ceil(8 / 3) = 3, 3 and 2 rows
+    u0s = np.arange(18.0).reshape(3, 6)
+    assert np.array_equal(rc.initial_ensemble(toy_model, u0s, 8), u0s[[0, 0, 0, 1, 1, 1, 2, 2]])
+    # on a chain, as the indices the starts snap to
+    chain = rc.FiniteChainModel(points=np.array([[0.0], [1.0], [2.5]]), P=np.full((3, 3), 1 / 3))
+    X = rc.initial_ensemble(chain, [[0.1], [2.4], [1.0]], 8)
+    assert X.dtype == np.intp and X[:, 0].tolist() == [0, 0, 0, 2, 2, 2, 1, 1]
+
+
 def test_initial_ensemble_enters_coordinates(toy_model):
     chain = rc.FiniteChainModel(points=np.array([[0.0], [1.0], [2.5]]), P=np.full((3, 3), 1 / 3))
     assert np.array_equal(rc.initial_ensemble(toy_model, np.full(6, 0.4), 3), np.full((3, 6), 0.4))
-    # a cloud is drawn from with the given stream, point by point as given
-    cloud = np.array([[2.4], [0.1], [1.0]])
-    X = rc.initial_ensemble(chain, cloud, 50, rc.rng_stream(1, 0))
-    assert np.array_equal(X[:, 0], np.array([2, 0, 1])[rc.rng_stream(1, 0).integers(0, 3, 50)])
     # a point of the wrong width is rejected, not broadcast or snapped on a
-    # subset of its coordinates
-    for bad in ([np.nan], [[1.0], [np.inf]], [1.0, 2.0], np.zeros((2, 0))):
+    # subset of its coordinates, and so is an empty set of start points
+    for bad in ([np.nan], [[1.0], [np.inf]], [1.0, 2.0], np.zeros((2, 0)), np.zeros((0, 1))):
         with pytest.raises(ValueError, match="start points must be finite, with 1 coordinates"):
-            rc.initial_ensemble(chain, bad, 4, rc.rng_stream(1, 0))
+            rc.initial_ensemble(chain, bad, 4)
     with pytest.raises(ValueError, match="with 6 coordinates"):
         rc.initial_ensemble(toy_model, [0.5], 4)
     with pytest.raises(ValueError, match="start points must be finite"):
