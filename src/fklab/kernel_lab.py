@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fits
-from .measure_metrics import _solve, _transport_block, distances, lipschitz_constant
+from .measure_metrics import _kantorovich, distances, lipschitz_constant
 
 __all__ = [
     "FiniteKernel",
@@ -428,9 +428,10 @@ def kantorovich_contraction_factor(M, triple, points, theta, m):
     pairs, in the Kantorovich metric for the truncated cost 1 ^ (theta d).
 
     For ``m = 0`` the factor is one by definition.  Identical point pairs
-    are degenerate (0/0) and skipped; the transport LPs of the other pairs'
-    row differences are solved as one stacked LP.
+    are degenerate (0/0) and skipped.
     """
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 0:
+        raise ValueError(f"the horizon m must be a nonnegative integer, got {m!r}")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     d = distances(points, points)
     diam = float(d.max())
@@ -448,9 +449,13 @@ def kantorovich_contraction_factor(M, triple, points, theta, m):
     K = np.linalg.matrix_power(M / triple.lam, int(m))
     rows = K * triple.h[None, :] / triple.h[:, None]
     rows /= rows.sum(axis=1, keepdims=True)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if d[u, v] != 0]
-    nums = _solve([_transport_block(points, rows[u] - rows[v], theta) for u, v in pairs], "transport")
-    return max([0.0] + [num / min(1.0, theta * d[u, v]) for num, (u, v) in zip(nums, pairs)])
+    ratios = [
+        _kantorovich(points, rows[u] - rows[v], theta, "contraction factor") / min(1.0, theta * d[u, v])
+        for u in range(n)
+        for v in range(u + 1, n)
+        if d[u, v] != 0
+    ]
+    return max([0.0] + ratios)
 
 
 CONTRACTION_M_MAX = 64  # the longest horizon contraction_search tries

@@ -1,16 +1,15 @@
-"""Exact distances between finitely supported measures via linear programs.
+"""Exact distances between finitely supported measures, by shortest paths.
 
 Two metrics are computed: the dual-Lipschitz norm (supremum of the integral
 difference over functions with sup-norm plus Lipschitz constant at most one)
 and the Kantorovich distance for the truncated cost ``1 ^ (theta d)``.  Both
 read the measures only through the signed weights c of mu1 - mu2 on their
-union support: the first is an LP in the function values, the second a plan
-moving c+ onto c-, which needs equal masses (the truncated cost is a metric,
-so shared mass stays put at no cost).  Independent LPs share no variable or
-constraint, so a batch of them (the two metrics of one sandwich check, every
-state pair of one contraction factor) is stacked as one sparse block-diagonal
-matrix and solved in one HiGHS call, through ``scipy.optimize.milp`` with no
-integer column; an optimum of the stack is optimal in each block.
+union support, and both are min-cost transports of c+ onto c-: one run of
+successive shortest paths gives the cost C(a) of moving a units.  The
+Kantorovich distance is C at the total mass, at the truncated cost (a
+metric, so shared mass stays put at no cost).  The dual-Lipschitz norm, by
+LP duality and minimax, is where C at cost d crosses the mass left unmoved.
+``linprog``, the HiGHS seam, serves LPs outside this module.
 """
 
 from __future__ import annotations
@@ -31,10 +30,11 @@ __all__ = [
 ]
 
 _MERGE_TOL = 1e-12
+# one transport of m sources and n sinks may make _AUGMENTATIONS (m + n)**2
+# augmentations; generated inputs of up to 12 points a side made 1.7 (m + n)
+_AUGMENTATIONS = 4
 # HiGHS's default 1e-7 feasibility tolerances let weights below about 1e-7
-# (rows of an ill-conditioned Doob transform) shift a value by 1e-8 or read a
-# balanced plan as infeasible; at 1e-10 the stacked values match a per-plan
-# solve to 1e-9
+# shift a value by 1e-8 or read a balanced plan as infeasible
 _HIGHS_TOLERANCES = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
@@ -42,8 +42,7 @@ _HIGHS_TOLERANCES = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_to
 class DiscreteMeasure:
     """Nonnegative measure on finitely many points of R^d.
 
-    Support points closer than 1e-12 are merged (weights summed) to avoid LP
-    degeneracy.
+    Support points closer than 1e-12 are merged (weights summed).
     """
 
     support: np.ndarray
@@ -134,79 +133,96 @@ def _union_support(mu1, mu2):
     return _merge_close(pts, np.concatenate([mu1.weights, -mu2.weights]))
 
 
-def _solve(items, kind):
-    """Values of independent problems, each a float known in closed form or
-    an LP block ``(c, rows, cols, vals, lo, hi, lb)`` of ``linprog`` whose
-    value is ``c @ x`` at an optimum.  The blocks' entries are stacked into
-    one sparse block-diagonal matrix and solved in one HiGHS call."""
-    blocks = [b for b in items if not isinstance(b, float)]
-    values = iter(())
-    if blocks:
-        c, rows, cols, vals, lo, hi, lb = zip(*blocks)
-        col0, row0 = (np.cumsum([0] + [len(v) for v in vs]) for vs in (c, lo))
-        rows = [r + r0 for r, r0 in zip(rows, row0)]
-        cols = [k + k0 for k, k0 in zip(cols, col0)]
-        res = linprog(*map(np.concatenate, (c, rows, cols, vals, lo, hi, lb)))
-        if not res.success:
-            raise RuntimeError(f"{kind} LP failed: {res.message}")
-        values = (float(ci @ res.x[k0 : k0 + len(ci)]) for ci, k0 in zip(c, col0))
-    return [b if isinstance(b, float) else next(values) for b in items]
+def _cost_curve(cost, supply, demand, kind):
+    """Successive shortest paths (Ahuja, Magnanti & Orlin 1993, *Network
+    Flows*, ch. 9) moving ``supply`` onto ``demand`` along uncapacitated
+    edges of the m x n ``cost``, until either side is spent: yields each
+    augmentation's amount and path cost, the segments of the convex
+    piecewise-linear cost C(a) of moving a units.  Bellman-Ford runs from
+    every source with supply left over the plan's residual edges and relaxes
+    only on a decrease beyond m + n ulps of the largest cost, so rounding
+    never closes a cycle of predecessors.  Each augmentation empties a
+    supply, a demand or a plan entry exactly; a walk past m + n edges or more
+    than ``_AUGMENTATIONS`` * (m + n)**2 augmentations raises RuntimeError."""
+    m, n = cost.shape
+    C, s, t = cost.tolist(), supply.tolist(), demand.tolist()
+    plan = [[0.0] * n for _ in range(m)]
+    tol = (m + n) * np.spacing(cost.max(initial=0.0))
+    for _ in range(_AUGMENTATIONS * (m + n) ** 2):
+        if not (any(s) and any(t)):
+            return
+        ds, dt = [0.0 if x > 0 else np.inf for x in s], [np.inf] * n
+        via_s, via_t = [-1] * m, [-1] * n
+        for _ in range(m + n):
+            changed = False
+            for i, (di, Ci) in enumerate(zip(ds, C)):
+                for j, cij in enumerate(Ci):
+                    if di + cij < dt[j] - tol:
+                        dt[j], via_t[j], changed = di + cij, i, True
+            for i, (Ci, Fi) in enumerate(zip(C, plan)):
+                for j, cij in enumerate(Ci):
+                    if Fi[j] > 0 and dt[j] - cij < ds[i] - tol:
+                        ds[i], via_s[i], changed = dt[j] - cij, j, True
+            if not changed:
+                break
+        j = min((k for k in range(n) if t[k] > 0), key=dt.__getitem__)
+        i = via_t[j]
+        fwd, back = [(i, j)], []
+        while via_s[i] >= 0:  # back from sink j to a source with supply left
+            k = via_s[i]
+            back.append((i, k))
+            i = via_t[k]
+            fwd.append((i, k))
+            if len(fwd) + len(back) > m + n:
+                raise RuntimeError(f"{kind}: a shortest path longer than {m + n} edges")
+        amount = min([t[j], s[i]] + [plan[a][b] for a, b in back])
+        t[j] -= amount
+        s[i] -= amount
+        for a, b in fwd:
+            plan[a][b] += amount
+        for a, b in back:
+            plan[a][b] -= amount
+        yield amount, dt[j]
+    if any(s) and any(t):
+        raise RuntimeError(f"{kind}: more than {_AUGMENTATIONS * (m + n) ** 2} augmentations")
 
 
-def _dual_lipschitz_block(pts, c):
-    """LP in the variables (f_1..f_m, s, t) minimising -<f, c> for the signed
-    weights ``c`` of mu1 - mu2 on ``pts``, in rows +F - S <= 0, then -F - S <= 0,
-    for the forms F = f_i (slack S = s) and f_i - f_j (i < j, S = t d_ij), then
-    s + t <= 1; 0.0 when the measures agree."""
-    m = pts.shape[0]
-    if np.abs(c).max() == 0:
-        return 0.0
-    iu, ju = np.triu_indices(m, k=1)
-    n = m + iu.size
-    r = np.concatenate([np.arange(n), np.arange(m, n), np.arange(n)])  # the entries of the rows +F - S
-    k = np.concatenate([np.arange(m), iu, ju, np.repeat([m, m + 1], [m, iu.size])])
-    form = np.concatenate([np.ones(n), -np.ones(iu.size)])
-    slack = -np.concatenate([np.ones(m), distances(pts, pts)[iu, ju]])
-    rows, cols = np.concatenate([r, r + n, [2 * n, 2 * n]]), np.concatenate([k, k, [m, m + 1]])
-    vals = np.concatenate([form, slack, -form, slack, [1.0, 1.0]])
-    lo, hi = np.full(2 * n + 1, -np.inf), np.concatenate([np.zeros(2 * n), [1.0]])
-    lb = np.concatenate([np.full(m, -np.inf), [0.0, 0.0]])
-    return np.concatenate([-c, [0.0, 0.0]]), rows, cols, vals, lo, hi, lb
-
-
-def _transport_block(pts, c, theta):
-    """Plan LP of ``kantorovich_theta`` for the signed weights ``c`` of
-    mu1 - mu2 on the points ``pts``: it moves c+ onto c- (row sums c+,
-    column sums c-, the redundant last equality dropped).  Its value when
-    either part is a single atom, 0.0 when a part is empty."""
+def _kantorovich(pts, c, theta, kind):
+    """K_theta for the signed weights ``c`` of mu1 - mu2 on the points
+    ``pts``: the cost of moving all of c+ onto c- at cost 1 ^ (theta d)."""
     if not 0 < theta < np.inf:
         raise ValueError("theta must be positive and finite")
     if not abs(c.sum()) <= 1e-12:  # NaN weights fail too
         raise ValueError("kantorovich_theta expects measures of equal mass")
     pos, neg = c > 0, c < 0
-    src, dst = c[pos], -c[neg]
-    m, n = src.size, dst.size
-    if m == 0 or n == 0:
-        return 0.0
     cost = np.minimum(1.0, theta * distances(pts[pos], pts[neg]))
-    if m == 1:
-        return float(cost[0] @ dst)
-    if n == 1:
-        return float(cost[:, 0] @ src)
-    k = np.arange(m * n)  # the plan entry (i, j) is variable i n + j, in rows i and m + j
-    kc = k[k % n < n - 1]  # no row m + n - 1: the last column sum is dropped
-    rows, cols = np.concatenate([k // n, m + kc % n]), np.concatenate([k, kc])
-    b = np.concatenate([src, dst[:-1]])
-    return cost.ravel(), rows, cols, np.ones(cols.size), b, b, np.zeros(m * n)
+    return sum((a * g for a, g in _cost_curve(cost, c[pos], -c[neg], kind)), 0.0)
+
+
+def _dual_lipschitz(pts, c, kind):
+    """Dual-Lipschitz value of the signed weights ``c`` on ``pts``: by LP
+    duality and minimax over (s, t), min over a in [0, min(P, N)] of
+    max(C(a), P + N - 2a), for the masses P and N of c+ and c- and C the
+    cost curve at cost d.  The first segment where C reaches the falling
+    line holds the crossing; with none, the value is P + N - 2 min(P, N)."""
+    pos, neg = c > 0, c < 0
+    P, N = c[pos].sum(), -c[neg].sum()
+    a = C = 0.0
+    for amount, g in _cost_curve(distances(pts[pos], pts[neg]), c[pos], -c[neg], kind):
+        R = P + N - 2 * a
+        if C + g * amount >= R - 2 * amount:
+            return float(C + g * (R - C) / (g + 2))
+        a, C = a + amount, C + g * amount
+    return float(P + N - 2 * a)
 
 
 def dual_lipschitz(mu1: DiscreteMeasure, mu2: DiscreteMeasure) -> float:
     """Dual-Lipschitz distance: sup { <f, mu1 - mu2> : sup|f| + Lip(f) <= 1 }.
 
-    Solved exactly as an LP in the variables (f_1..f_m, s, t) with
-    |f_i| <= s, |f_i - f_j| <= t d_ij and s + t <= 1.
+    The value of the LP in (f_1..f_m, s, t) with |f_i| <= s,
+    |f_i - f_j| <= t d_ij and s + t <= 1, read off its transport dual.
     """
-    return max(0.0, -_solve([_dual_lipschitz_block(*_union_support(mu1, mu2))], "dual-Lipschitz")[0])
+    return _dual_lipschitz(*_union_support(mu1, mu2), "dual-Lipschitz")
 
 
 def kantorovich_theta(mu1: DiscreteMeasure, mu2: DiscreteMeasure, theta: float) -> float:
@@ -216,7 +232,7 @@ def kantorovich_theta(mu1: DiscreteMeasure, mu2: DiscreteMeasure, theta: float) 
     optimal plan value depends on mu1 - mu2 only, coincides with the
     Lipschitz dual and, for probability inputs, lies in [0, 1].
     """
-    return _solve([_transport_block(*_union_support(mu1, mu2), theta)], "transport")[0]
+    return _kantorovich(*_union_support(mu1, mu2), theta, "transport")
 
 
 @dataclass(frozen=True)
@@ -235,8 +251,7 @@ def verify_metric_sandwich(mu1, mu2, theta, diam, tol=1e-9) -> SandwichReport:
     if theta < 1.0 / diam:
         raise ValueError("theta below the 1/diam threshold")
     pts, c = _union_support(mu1, mu2)
-    K, v = _solve([_transport_block(pts, c, theta), _dual_lipschitz_block(pts, c)], "metric sandwich")
-    L = max(0.0, -v)
+    K, L = _kantorovich(pts, c, theta, "metric sandwich"), _dual_lipschitz(pts, c, "metric sandwich")
     lower = K / (1.0 + theta)
     upper = diam * K
     ok = (lower <= L + tol) and (L <= upper + tol)

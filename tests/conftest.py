@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -138,17 +143,82 @@ def rng():
 
 
 @pytest.fixture
-def lp_calls(monkeypatch):
-    """Number of variables of each HiGHS call made while the test runs."""
+def path_searches(monkeypatch):
+    """The (sources, sinks) shape of each transport that
+    ``measure_metrics._cost_curve`` is asked to solve while the test runs."""
     calls = []
-    solver = measure_metrics.linprog
+    curve = measure_metrics._cost_curve
 
-    def counting(*args, **kwargs):
-        calls.append(np.size(args[0]))  # the positional c, as the benchmark's trace reads it
-        return solver(*args, **kwargs)
+    def counting(cost, *args):
+        calls.append(cost.shape)
+        return curve(cost, *args)
 
-    monkeypatch.setattr(measure_metrics, "linprog", counting)
+    monkeypatch.setattr(measure_metrics, "_cost_curve", counting)
     return calls
+
+
+def fresh_process(*args):
+    """The finished run of ``python *args`` in a fresh interpreter on this checkout's ``src``."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def fresh_python(code, *args):
+    """Standard output of ``code`` run in a fresh interpreter on this checkout's ``src``."""
+    proc = fresh_process("-c", code, *args)
+    proc.check_returncode()
+    return proc.stdout
+
+
+def lp_dual_lipschitz(pts, c):
+    """HiGHS oracle for the dual-Lipschitz value of the signed weights ``c``
+    of mu1 - mu2 on ``pts``: the LP in (f_1..f_m, s, t) minimising -<f, c>,
+    in rows +F - S <= 0, then -F - S <= 0, for the forms F = f_i (slack
+    S = s) and f_i - f_j (i < j, S = t d_ij), then s + t <= 1.  Its
+    variable is T = t dmax, so that the distance rows read d_ij / dmax and
+    HiGHS's absolute tolerances hold at every coordinate scale; below
+    dmax = 1e-9 the coefficient 1 / dmax is more than HiGHS takes, and T = t."""
+    m = pts.shape[0]
+    if np.abs(c).max() == 0:
+        return 0.0
+    iu, ju = np.triu_indices(m, k=1)
+    n = m + iu.size
+    r = np.concatenate([np.arange(n), np.arange(m, n), np.arange(n)])  # the entries of the rows +F - S
+    k = np.concatenate([np.arange(m), iu, ju, np.repeat([m, m + 1], [m, iu.size])])
+    form = np.concatenate([np.ones(n), -np.ones(iu.size)])
+    d = measure_metrics.distances(pts, pts)[iu, ju]
+    dmax = d.max(initial=0.0) if d.max(initial=0.0) > 1e-9 else 1.0
+    slack = -np.concatenate([np.ones(m), d / dmax])
+    rows, cols = np.concatenate([r, r + n, [2 * n, 2 * n]]), np.concatenate([k, k, [m, m + 1]])
+    vals = np.concatenate([form, slack, -form, slack, [1.0, 1.0 / dmax]])
+    lo, hi = np.full(2 * n + 1, -np.inf), np.concatenate([np.zeros(2 * n), [1.0]])
+    lb = np.concatenate([np.full(m, -np.inf), [0.0, 0.0]])
+    obj = np.concatenate([-c, [0.0, 0.0]])
+    res = measure_metrics.linprog(obj, rows, cols, vals, lo, hi, lb)
+    assert res.success, res.message
+    return max(0.0, -float(obj @ res.x))
+
+
+def lp_transport(pts, c, theta):
+    """HiGHS oracle for K_theta of the signed weights ``c`` of mu1 - mu2 on
+    ``pts``: the plan LP moving c+ onto c- (row sums c+, column sums c-, the
+    redundant last equality dropped).  It is solved at costs divided by the
+    largest one and scaled back (the value is homogeneous in the costs), so
+    that HiGHS's absolute tolerances hold at every coordinate scale."""
+    pos, neg = c > 0, c < 0
+    src, dst = c[pos], -c[neg]
+    m, n = src.size, dst.size
+    if m == 0 or n == 0:
+        return 0.0
+    cost = np.minimum(1.0, theta * measure_metrics.distances(pts[pos], pts[neg])).ravel()
+    k = np.arange(m * n)  # the plan entry (i, j) is variable i n + j, in rows i and m + j
+    kc = k[k % n < n - 1]  # no row m + n - 1: the last column sum is dropped
+    rows, cols = np.concatenate([k // n, m + kc % n]), np.concatenate([k, kc])
+    b = np.concatenate([src, dst[:-1]])
+    res = measure_metrics.linprog(cost / (cost.max() or 1.0), rows, cols, np.ones(cols.size), b, b, np.zeros(m * n))
+    assert res.success, res.message
+    return float(cost @ res.x)
 
 
 @st.composite

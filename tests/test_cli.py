@@ -2,8 +2,6 @@ import io
 import json
 import os
 import pathlib
-import subprocess
-import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -12,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fresh_process, fresh_python
 from fklab import rds_core as rc
 from fklab.cli import main
 
@@ -385,20 +384,6 @@ def test_ldp_rejects_coincident_points(tmp_path, capsys):
     )
     assert run_cli(["ldp", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "chain points 0 and 1 coincide" in capsys.readouterr().err
-
-
-def fresh_process(*args):
-    """The finished run of ``python *args`` in a fresh interpreter on this checkout's ``src``."""
-    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
-
-
-def fresh_python(code, *args):
-    """Standard output of ``code`` run in a fresh interpreter on this checkout's ``src``."""
-    proc = fresh_process("-c", code, *args)
-    proc.check_returncode()
-    return proc.stdout
 
 
 def test_run_too_large_to_allocate_exits_2(tmp_path):

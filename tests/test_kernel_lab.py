@@ -523,14 +523,13 @@ def test_contraction_search_halves_distance(rng):
         assert check == pytest.approx(factor, rel=1e-9)
 
 
-def test_contraction_factor_is_one_solve(rng, lp_calls):
+def test_contraction_factor_is_the_worst_pairwise_ratio(rng):
     K, V = random_kernel_potential(rng, 6, v_scale=0.5)
     M = kl.build_tilted_matrix(K, V)
     t = kl.perron_triple(M, K.A)
     theta = 4.0 / K.diam
     factor = kl.kantorovich_contraction_factor(M, t, K.points, theta, 2)
-    assert len(lp_calls) == 1
-    # the pair-by-pair definition, one transport LP per pair of distinct states
+    # the pair-by-pair definition, one transport per pair of distinct states
     rows = np.linalg.matrix_power(M / t.lam, 2) * t.h[None, :] / t.h[:, None]
     mus = [measure_metrics.DiscreteMeasure(K.points, row) for row in rows]
     pairwise = max(
@@ -539,41 +538,59 @@ def test_contraction_factor_is_one_solve(rng, lp_calls):
         for v in range(u + 1, 6)
     )
     assert factor == pytest.approx(pairwise, abs=1e-12)
-    assert len(lp_calls) == 1 + 15
 
 
-def test_contraction_search_is_one_solve_per_factor(rng, lp_calls, monkeypatch):
-    factor_calls = []
-    factor = kl.kantorovich_contraction_factor
-    monkeypatch.setattr(kl, "kantorovich_contraction_factor", lambda *a: factor_calls.append(1) or factor(*a))
-    K, V = random_kernel_potential(rng, 5, v_scale=0.5)
-    M = kl.build_tilted_matrix(K, V)
-    kl.contraction_search(M, kl.perron_triple(M, K.A), K.points)
-    assert len(lp_calls) == len(factor_calls) >= 1
-
-
-def test_contraction_factor_skips_coincident_pairs(lp_calls):
+def test_contraction_factor_skips_coincident_pairs(path_searches):
     # states 0 and 1 share a point, so their pair is skipped: the other five
-    # pairs, each row difference moving two atoms onto two, stack 5 x 4 plan
-    # variables (the skipped pair would add 4 more)
+    # pairs, each row difference moving two atoms onto two, make five
+    # transports of 2 x 2 (the skipped pair would make a sixth)
     P = [[0.4, 0.3, 0.2, 0.1], [0.3, 0.4, 0.1, 0.2], [0.2, 0.1, 0.4, 0.3], [0.1, 0.2, 0.3, 0.4]]
     K = kl.FiniteKernel(points=[[0.0], [0.0], [1.0], [3.0]], P=P, A=[0, 1, 2, 3])
     M = kl.build_tilted_matrix(K, kl.PotentialVector.from_values(K, np.zeros(4)))
     t = kl.perron_triple(M, K.A)
     assert kl.kantorovich_contraction_factor(M, t, K.points, 1.0, 1) == pytest.approx(0.4, abs=1e-12)
-    assert lp_calls == [5 * 4]
+    assert path_searches == [(2, 2)] * 5
     same = kl.FiniteKernel(points=np.zeros((2, 1)), P=np.full((2, 2), 0.5), A=[0, 1])
     M = kl.build_tilted_matrix(same, kl.PotentialVector.from_values(same, [0.0, 0.0]))
     assert kl.kantorovich_contraction_factor(M, kl.perron_triple(M, same.A), same.points, 1.0, 1) == 0.0
-    assert lp_calls == [5 * 4]  # every pair degenerate: no solve
+    assert path_searches == [(2, 2)] * 5  # every pair degenerate: no search
 
 
-def test_contraction_factor_rejects_non_finite_theta(rng, lp_calls):
+def test_contraction_factor_rejects_non_finite_theta(rng, path_searches):
     K, V = random_kernel_potential(rng, 4)
     M = kl.build_tilted_matrix(K, V)
     with pytest.raises(ValueError, match="theta"):
         kl.kantorovich_contraction_factor(M, kl.perron_triple(M, K.A), K.points, np.nan, 1)
-    assert lp_calls == []
+    assert path_searches == []
+
+
+@pytest.mark.parametrize("m", [-1, 2.7, 2.0, True, "2", None])
+def test_contraction_factor_rejects_a_horizon_that_is_not_a_count(rng, path_searches, m):
+    # a negative m once read (M/lam)^-1 and a fractional one ran as its floor
+    K, V = random_kernel_potential(rng, 4)
+    M = kl.build_tilted_matrix(K, V)
+    with pytest.raises(ValueError, match="horizon m"):
+        kl.kantorovich_contraction_factor(M, kl.perron_triple(M, K.A), K.points, 1.0 / K.diam, m)
+    assert path_searches == []
+
+
+def test_contraction_factor_takes_numpy_integer_horizons(rng):
+    K, V = random_kernel_potential(rng, 4)
+    M = kl.build_tilted_matrix(K, V)
+    t = kl.perron_triple(M, K.A)
+    theta = 1.0 / K.diam
+    assert kl.kantorovich_contraction_factor(M, t, K.points, theta, np.int64(2)) == kl.kantorovich_contraction_factor(
+        M, t, K.points, theta, 2
+    )
+    assert kl.kantorovich_contraction_factor(M, t, K.points, theta, np.int32(0)) == 1.0
+
+
+def test_augmentation_bound_names_the_contraction_factor(rng, monkeypatch):
+    K, V = random_kernel_potential(rng, 4)
+    M = kl.build_tilted_matrix(K, V)
+    monkeypatch.setattr(measure_metrics, "_AUGMENTATIONS", 0)
+    with pytest.raises(RuntimeError, match="^contraction factor: more than 0 augmentations"):
+        kl.kantorovich_contraction_factor(M, kl.perron_triple(M, K.A), K.points, 1.0 / K.diam, 1)
 
 
 def test_contraction_theta_threshold(rng):

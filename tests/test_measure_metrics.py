@@ -1,19 +1,14 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fklab import kernel_lab as kl
 from fklab import measure_metrics
-from conftest import random_kernel_potential
+from conftest import fresh_python, generated_kernels, lp_dual_lipschitz, lp_transport, random_kernel_potential
 from fklab.measure_metrics import (
     DiscreteMeasure,
-    _dual_lipschitz_block,
-    _solve,
-    _transport_block,
     _union_support,
     distances,
     dual_lipschitz,
@@ -89,11 +84,12 @@ def test_kantorovich_two_atom_brute_force(rng):
         assert kantorovich_theta(mu1, mu2, theta) == pytest.approx(vals.min(), abs=1e-6)
 
 
-def test_kantorovich_requires_probability(rng):
+def test_kantorovich_requires_probability(rng, path_searches):
     bad = DiscreteMeasure(rng.normal(size=(3, 1)), [0.2, 0.2, 0.2])
     good = random_measure(rng, m=3, d=1)
     with pytest.raises(ValueError):
         kantorovich_theta(bad, good, 1.0)
+    assert path_searches == []
 
 
 def test_kantorovich_monotone_in_theta(rng):
@@ -208,9 +204,10 @@ def test_sandwich_random_pairs(rng):
         assert rep.ok
 
 
-def test_sandwich_rejects_small_theta():
+def test_sandwich_rejects_small_theta(path_searches):
     with pytest.raises(ValueError):
         verify_metric_sandwich(dirac(0.0), dirac(1.0), theta=0.01, diam=2.0)
+    assert path_searches == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -249,25 +246,71 @@ def _plan_lp(mu1, mu2, theta):
     return linprog(cost, A_eq=A_eq, b_eq=b_eq, method="highs", options=options).fun
 
 
-@settings(max_examples=40, deadline=None)
+def _oracle_measure(data, d, scale, mass=1.0):
+    # 1-12 points: on a coarse grid (costs tie) or a fine one, each
+    # coordinate maybe shifted by about the 1e-12 merge tolerance; one-atom
+    # sides come up by draw or by merging
+    m = data.draw(st.integers(1, 12))
+    step = data.draw(st.sampled_from([2, 1000]))
+    base = data.draw(arrays(float, (m, d), elements=st.integers(-step, step).map(lambda k: k / step)))
+    shift = data.draw(arrays(float, (m, d), elements=st.sampled_from([0.0, 0.5e-12, 1e-12, 1.5e-12])))
+    w = data.draw(arrays(float, m, elements=st.floats(0.05, 1.0)))
+    return DiscreteMeasure(scale * base + shift, mass * w / w.sum())
+
+
+@settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_stacked_values_equal_one_solve_per_problem(data):
+def test_metrics_match_the_highs_oracle(data):
+    # K_theta and the dual-Lipschitz value against their LPs solved by HiGHS,
+    # at coordinate scales from 1e-6 to 1e6 and, for the dual-Lipschitz
+    # value, unequal masses.  HiGHS stops within its 1e-10 tolerances, so it
+    # misses cost differences of about 1e-12 (points 1.5e-12 apart, where
+    # the paths are exact: the test below); hence K's 1e-11 floor.  Its
+    # dual-Lipschitz LP is off by up to 4.1e-10 where 1e-12 shifts sit on a
+    # 1e-6 grid (a transport-form LP with scaled rows gave the paths' value
+    # to the last bit there); hence that value's 1e-9 floor
     d = data.draw(st.integers(1, 3))
-    items, alone = [], []
-    for _ in range(data.draw(st.integers(1, 5))):
-        mu1, mu2 = _measure(data, d), _measure(data, d)
-        pts, c = _union_support(mu1, mu2)
-        if data.draw(st.booleans()):
-            theta = data.draw(st.floats(0.25, 8.0))
-            items.append(_transport_block(pts, c, theta))
-            alone.append(kantorovich_theta(mu1, mu2, theta))
-            if isinstance(items[-1], float):  # a closed-form shortcut
-                assert alone[-1] == pytest.approx(_plan_lp(mu1, mu2, theta), abs=1e-12)
-        else:
-            items.append(_dual_lipschitz_block(pts, c))
-            alone.append(-dual_lipschitz(mu1, mu2))
-    stacked = _solve(items, "mixed")
-    assert np.allclose(stacked, alone, rtol=0, atol=1e-12)
+    scale = 10.0 ** data.draw(st.integers(-6, 6))
+    mu1, mu2 = _oracle_measure(data, d, scale), _oracle_measure(data, d, scale)
+    pts, c = _union_support(mu1, mu2)
+    theta = data.draw(st.floats(0.25, 8.0)) / scale
+    assert kantorovich_theta(mu1, mu2, theta) == pytest.approx(lp_transport(pts, c, theta), rel=1e-12, abs=1e-11)
+    heavier = _oracle_measure(data, d, scale, mass=data.draw(st.floats(0.25, 4.0)))
+    pts, c = _union_support(mu1, heavier)
+    assert dual_lipschitz(mu1, heavier) == pytest.approx(lp_dual_lipschitz(pts, c), rel=1e-12, abs=1e-9)
+
+
+def test_metrics_resolve_what_highs_misses_near_the_merge_tolerance():
+    # two Diracs 1.5e-12 apart: the closed form 2x / (x + 2), where HiGHS
+    # read 0; two plans 3.1e-13 apart in cost: the cheaper, where HiGHS
+    # stopped at the dearer
+    for x in (1.5e-12, 1e-10):
+        assert dual_lipschitz(dirac(0.0), dirac(x)) == pytest.approx(2 * x / (x + 2), rel=1e-12, abs=0)
+    x = 1.5e-12
+    mu1 = DiscreteMeasure([[0.0, 0.0], [0.0, 0.5]], [0.5, 0.5])
+    mu2 = DiscreteMeasure([[0.0, x], [x, x]], [0.5, 0.5])
+    best = 0.5 * x + 0.5 * np.hypot(x, 0.5 - x)  # (0, 0) to (0, x) and (0, 0.5) to (x, x)
+    assert kantorovich_theta(mu1, mu2, 1.0) == pytest.approx(best, rel=1e-15, abs=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel=generated_kernels(), m=st.integers(1, 3), theta=st.floats(1.0, 16.0))
+def test_contraction_factor_matches_the_highs_oracle(kernel, m, theta):
+    # states on the integers, so many pairs tie in cost; every pair's plan
+    # against its HiGHS LP
+    K, V = kernel
+    M = kl.build_tilted_matrix(K, V)
+    t = kl.perron_triple(M, K.A)
+    assume(t.extension_ok)
+    theta /= K.diam
+    rows = np.linalg.matrix_power(M / t.lam, m) * t.h[None, :] / t.h[:, None]
+    rows /= rows.sum(axis=1, keepdims=True)  # the factor's unit-mass rows
+    oracle = max(
+        lp_transport(K.points, rows[u] - rows[v], theta) / min(1.0, theta * K.dists[u, v])
+        for u in range(K.n)
+        for v in range(u + 1, K.n)
+    )
+    assert kl.kantorovich_contraction_factor(M, t, K.points, theta, m) == pytest.approx(oracle, rel=1e-12, abs=0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -350,18 +393,27 @@ def test_contraction_factor_equals_pairwise_plan_lps(data):
     assert factor == pytest.approx(max([0.0] + pairwise), rel=1e-9, abs=1e-12)
 
 
-def test_sandwich_is_one_solve(rng, lp_calls):
-    for k in range(1, 6):
-        a, b = random_measure(rng, m=5), random_measure(rng, m=5)
-        verify_metric_sandwich(a, b, theta=2.0, diam=2 * np.sqrt(2) + 0.1)
-        assert len(lp_calls) == k
-    assert lp_calls[0] == 25 + 12  # the plan's 5 x 5 variables, then (f, s, t) on 10 points
+def test_metric_paths_load_no_scipy():
+    # the sandwich, the dual-Lipschitz value and a contraction search run on
+    # shortest paths alone, with no LP solver behind them
+    code = (
+        "import sys, numpy as np\n"
+        "from fklab import kernel_lab as kl\n"
+        "from fklab.measure_metrics import DiscreteMeasure, dual_lipschitz, verify_metric_sandwich\n"
+        "rng = np.random.default_rng(1)\n"
+        "a, b = (DiscreteMeasure(rng.uniform(-1, 1, (5, 2)), rng.dirichlet(np.ones(5))) for _ in range(2))\n"
+        "assert verify_metric_sandwich(a, b, theta=2.0, diam=3.0).ok and dual_lipschitz(a, b) > 0\n"
+        "K = kl.FiniteKernel(points=[[0.0], [1.0], [2.0]], P=np.full((3, 3), 1 / 3), A=[0, 1, 2])\n"
+        "M = kl.build_tilted_matrix(K, kl.PotentialVector.from_values(K, [0.0, 0.1, 0.2]))\n"
+        "kl.contraction_search(M, kl.perron_triple(M, K.A), K.points)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert fresh_python(code).splitlines()[-1] == "[]"
 
 
-def test_stack_past_the_old_dense_limit_is_one_solve(lp_calls):
-    # a contraction factor on 14 states stacks 91 plan LPs, whose dense
-    # block-diagonal matrix would hold more than 2**20 entries; the sparse
-    # stack is still one solve, equal pair by pair to the full plan LP
+def test_contraction_factor_on_14_states_equals_the_pairwise_oracle():
+    # 91 pairs of rows, each moving up to 14 atoms: past the sizes the
+    # benchmark uses, every pair's plan equals its HiGHS LP
     K, V = random_kernel_potential(np.random.default_rng(3), 14, v_scale=0.5)
     M = kl.build_tilted_matrix(K, V)
     t = kl.perron_triple(M, K.A)
@@ -369,22 +421,22 @@ def test_stack_past_the_old_dense_limit_is_one_solve(lp_calls):
     rows = M / t.lam * t.h[None, :] / t.h[:, None]
     rows /= rows.sum(axis=1, keepdims=True)  # the factor's unit-mass rows
     pairs = [(u, v) for u in range(14) for v in range(u + 1, 14)]
-    items = [_transport_block(K.points, rows[u] - rows[v], theta) for u, v in pairs]
-    blocks = [b for b in items if not isinstance(b, float)]
-    assert sum(len(b[4]) for b in blocks) * sum(len(b[0]) for b in blocks) > 2**20
-    nums = _solve(items, "transport")
-    assert len(lp_calls) == 1
-    mus = [DiscreteMeasure(K.points, row) for row in rows]
-    assert nums == pytest.approx([_plan_lp(mus[u], mus[v], theta) for u, v in pairs], abs=1e-12)
-    factor = kl.kantorovich_contraction_factor(M, t, K.points, theta, 1)
-    assert factor == max(num / min(1.0, theta * K.dists[u, v]) for num, (u, v) in zip(nums, pairs))
-    assert len(lp_calls) == 2
+    oracle = max(lp_transport(K.points, rows[u] - rows[v], theta) / min(1.0, theta * K.dists[u, v]) for u, v in pairs)
+    assert kl.kantorovich_contraction_factor(M, t, K.points, theta, 1) == pytest.approx(oracle, rel=1e-12)
 
 
-def test_failed_stack_names_the_kind(rng, monkeypatch):
-    monkeypatch.setattr(measure_metrics, "linprog", lambda *a, **k: SimpleNamespace(success=False, message="stub"))
-    with pytest.raises(RuntimeError, match="metric sandwich LP failed: stub"):
-        verify_metric_sandwich(random_measure(rng), random_measure(rng), theta=1.0, diam=4.0)
+METRIC_CALLS = {
+    "transport": lambda a, b: kantorovich_theta(a, b, 1.0),
+    "dual-Lipschitz": dual_lipschitz,
+    "metric sandwich": lambda a, b: verify_metric_sandwich(a, b, theta=1.0, diam=4.0),
+}
+
+
+@pytest.mark.parametrize("kind", list(METRIC_CALLS))
+def test_augmentation_bound_names_the_kind(rng, monkeypatch, kind):
+    monkeypatch.setattr(measure_metrics, "_AUGMENTATIONS", 0)
+    with pytest.raises(RuntimeError, match=f"^{kind}: more than 0 augmentations"):
+        METRIC_CALLS[kind](random_measure(rng), random_measure(rng))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -396,10 +448,10 @@ def test_measure_rejects_non_finite_input(bad):
 
 
 @pytest.mark.parametrize("theta", [np.nan, np.inf])
-def test_non_finite_theta_is_rejected_before_any_solve(rng, lp_calls, theta):
+def test_non_finite_theta_is_rejected_before_any_solve(rng, path_searches, theta):
     a, b = random_measure(rng), random_measure(rng)
     with pytest.raises(ValueError, match="theta"):
         kantorovich_theta(a, b, theta)
     with pytest.raises(ValueError, match="theta"):
         verify_metric_sandwich(a, b, theta=theta, diam=4.0)
-    assert lp_calls == []
+    assert path_searches == []
