@@ -10,7 +10,8 @@ from query points the eigenfunction.  One particle loop serves every
 resampled estimator: it advances the tilts alpha V of one potential in
 lockstep on shared kicks, a single tilt for ``particle_fk`` and every
 nonzero alpha of ``pressure_curve`` at once, normalizing each tilt's
-weights once per step.
+weights once per step; tilts that have not resampled share one state
+block, which a step maps, kicks and scores once.
 """
 
 from __future__ import annotations
@@ -153,53 +154,64 @@ def _particle_loop(model, V, init, k, n, seed, tilts):
     multinomial resampling for each tilt alpha V of ``tilts``, advanced in
     lockstep from stream ``(seed, 0)``.
 
-    The tilts are the leading axis of one (A, n, d) ensemble started from
-    the same n rows, the start points of ``init`` in row blocks
-    (:func:`~fklab.rds_core.initial_ensemble`).  Each step draws one set of kicks for the n rows,
-    shared by every tilt (common random numbers), and calls V once on the
-    A n rows; each tilt keeps its own weights, ESS and collapse count, and
-    resamples in tilt order on the same stream when its ESS, read off the
-    step's one weight normalization, is below ``ESS_THRESHOLD`` n.  Returns
-    the (A, k) log-mass series, each tilt's :class:`WeightedEnsemble` and
-    the generator, positioned after the last resampling draw.
+    Every tilt starts from the same n rows (:func:`~fklab.rds_core.initial_ensemble`)
+    and each step draws one set of kicks for the n rows (common random
+    numbers), so tilts that have not resampled share one block of an
+    (A, n, d) store; a tilt copies its block at its first resampling.  A
+    step advances the live blocks and calls V once on them; each tilt keeps
+    its own weights, ESS and collapse count, and resamples in tilt order on
+    the same stream when its ESS is below ``ESS_THRESHOLD`` n.  Returns the
+    (A, k) log-mass series, each tilt's :class:`WeightedEnsemble` (whose
+    ``particles`` view its block, one buffer for the tilts that never
+    resampled) and the generator, positioned after the last resampling
+    draw.  A non-finite state names the lowest tilt on its block.
     """
     if n < 100:
         raise ValueError("need at least 100 particles")
     tilts = np.asarray(tilts, dtype=float)
     rng = rng_stream(seed, 0)
-    X = np.repeat(initial_ensemble(model, init, n)[None], tilts.size, axis=0)
-    ensembles = [
-        WeightedEnsemble(particles=X[a], logweights=np.zeros(n), lognorm=0.0, ess=float(n))
-        for a in range(tilts.size)
-    ]
-
-    def tilted(Y):
-        return tilts[:, None] * V(Y.reshape(-1, Y.shape[-1])).reshape(Y.shape[:-1])
-
+    start = initial_ensemble(model, init, n)
+    X = np.empty((tilts.size,) + start.shape, dtype=start.dtype)
+    X[0] = start
+    G, live = 1, np.arange(tilts.size) == 0  # the G live blocks, a prefix of the store
+    owner = np.zeros(tilts.size, dtype=int)  # tilt a's particles are block owner[a]
+    ensembles = [WeightedEnsemble(X[0], np.zeros(n), lognorm=0.0, ess=float(n)) for _ in tilts]
     series = np.empty((tilts.size, k))
     collapses = np.zeros(tilts.size, dtype=int)
-    for step, X, logws in propagate(model, X, rng, k, tilted):
-        for a, (ens, logw) in enumerate(zip(ensembles, logws)):
-            if not np.isfinite(logw.max()):  # the normalized weights would be NaN
-                raise FloatingPointError(f"non-finite log-weights at step {step} for tilt {tilts[a]:g}")
-            ens.logweights = logw
-            log_mean, w = _normalized(logw)
-            ens.ess = float(1.0 / np.sum(w**2))
-            series[a, step - 1] = ens.lognorm + log_mean
-            resampled = ens.ess < ESS_THRESHOLD * n
-            if resampled:
-                if ens.ess <= 1.5:
-                    collapses[a] += 1
-                    if collapses[a] >= 3:
-                        raise EnsembleCollapse(
-                            "effective sample size collapsed repeatedly; increase "
-                            "n_particles or reduce the potential's oscillation"
-                        )
-                ens.lognorm += log_mean
-                idx = rng.choice(n, size=n, p=w)
-                ens.particles[:] = ens.particles[idx]
-                logw[:] = 0.0
-            ens.history.append((step, ens.ess, resampled))
+    try:
+        for step, X, _ in propagate(model, X, rng, k, active=live):
+            v = V(X[:G].reshape(-1, X.shape[-1])).reshape(G, n)
+            for a, ens in enumerate(ensembles):
+                logw = ens.logweights
+                logw += tilts[a] * v[owner[a]]
+                if not np.isfinite(logw.max()):  # the normalized weights would be NaN
+                    raise FloatingPointError(f"non-finite log-weights at step {step} for tilt {tilts[a]:g}")
+                log_mean, w = _normalized(logw)
+                ens.ess = float(1.0 / np.sum(w**2))
+                series[a, step - 1] = ens.lognorm + log_mean
+                resampled = ens.ess < ESS_THRESHOLD * n
+                if resampled:
+                    if ens.ess <= 1.5:
+                        collapses[a] += 1
+                        if collapses[a] >= 3:
+                            raise EnsembleCollapse(
+                                "effective sample size collapsed repeatedly; increase "
+                                "n_particles or reduce the potential's oscillation"
+                            )
+                    ens.lognorm += log_mean
+                    idx = rng.choice(n, size=n, p=w)
+                    b = owner[a]
+                    if np.count_nonzero(owner == b) > 1:  # copy on resample
+                        owner[a], live[G], G = G, True, G + 1
+                    X[owner[a]] = X[b][idx]
+                    ens.particles = X[owner[a]]
+                    logw[:] = 0.0
+                ens.history.append((step, ens.ess, resampled))
+    except FloatingPointError as err:
+        if not hasattr(err, "index"):
+            raise
+        a = int(np.argmax(owner == err.index[0]))
+        raise FloatingPointError(str(err).replace(f"in tilt {err.index[0]}, ", f"in tilt {a}, ")) from None
     return series, ensembles, rng
 
 

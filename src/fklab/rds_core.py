@@ -261,12 +261,15 @@ def propagate(model, X, rng, steps, V=None, active=None):
     Yields ``(k, X, logw)`` after step k = 1..steps, where ``logw`` (shape
     ``X.shape[:-1]``) holds each row's running sum V(u_1) + ... + V(u_k)
     (zeros without ``V``, which maps states to values of that shape).
-    Consumers may modify ``X``, ``logw`` and the boolean mask ``active`` (of
-    an (n, d) ensemble) in place between steps (resampling, freezing rows);
-    only rows active at a step are advanced and weighted, and the loop ends
-    early once no row is active.  A non-finite state raises
-    :class:`FloatingPointError` naming the step, the tilt (the index along
-    the leading axis of a stacked ensemble) and the row.
+    Consumers may modify ``X``, ``logw`` and the boolean mask ``active`` in
+    place between steps (resampling, freezing rows, opening blocks).
+    ``active`` runs over the leading axis: the rows of an (n, d) ensemble,
+    the blocks of an (A, n, d) one.  Only entries active at a step are
+    advanced and weighted, a contiguous run of them as a slice (a view, not
+    a gathered copy), and the loop ends early once none is active.  A
+    non-finite state raises :class:`FloatingPointError` naming the step,
+    the tilt (the index along the leading axis of a stacked ensemble) and
+    the row; its ``index`` attribute holds the same indices, row last.
     """
     rows = slice(None)
     logw = np.zeros(X.shape[:-1])
@@ -275,12 +278,17 @@ def propagate(model, X, rng, steps, V=None, active=None):
             rows = np.flatnonzero(active)
             if rows.size == 0:
                 return
+            if rows[-1] - rows[0] == rows.size - 1:
+                rows = slice(rows[0], rows[-1] + 1)
         Y = model.step_many(X[rows], rng)
         if not np.isfinite(Y).all():
             ok = np.isfinite(Y).all(axis=-1)
-            *tilt, row = np.unravel_index(np.argmin(ok), ok.shape)
+            lead, *rest = np.unravel_index(np.argmin(ok), ok.shape)
+            *tilt, row = index = (int(np.arange(X.shape[0])[rows][lead]), *map(int, rest))
             at = "".join(f"tilt {t}, " for t in tilt)
-            raise FloatingPointError(f"non-finite state at step {k} in {at}row {np.arange(X.shape[-2])[rows][row]}")
+            err = FloatingPointError(f"non-finite state at step {k} in {at}row {row}")
+            err.index = index
+            raise err
         X[rows] = Y
         if V is not None:
             logw[rows] += V(Y)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fklab import feynman_kac as fk
 from fklab import fits
 from fklab import kernel_lab as kl
 from fklab import measure_metrics
@@ -135,6 +136,46 @@ def brute_force_attraction_counter(model, cloud, eps, u0s, n_traj, horizon, seed
         "settling_shortcut": bool(can_settle),
         "queried_rows": queried,
     }
+
+
+def reference_particle_loop(model, V, init, k, n, seed, tilts):
+    """``feynman_kac._particle_loop`` with one (n, d) copy of the state per
+    tilt: all A copies are stepped, checked and scored every step, and each
+    tilt resamples its own copy in place.  The oracle of the block-sharing
+    loop, whose outputs and stream must equal these bitwise."""
+    tilts = np.asarray(tilts, dtype=float)
+    rng = rc.rng_stream(seed, 0)
+    X = np.repeat(rc.initial_ensemble(model, init, n)[None], tilts.size, axis=0)
+    ensembles = [
+        fk.WeightedEnsemble(particles=X[a], logweights=np.zeros(n), lognorm=0.0, ess=float(n))
+        for a in range(tilts.size)
+    ]
+
+    def tilted(Y):
+        return tilts[:, None] * V(Y.reshape(-1, Y.shape[-1])).reshape(Y.shape[:-1])
+
+    series = np.empty((tilts.size, k))
+    collapses = np.zeros(tilts.size, dtype=int)
+    for step, X, logws in rc.propagate(model, X, rng, k, tilted):
+        for a, (ens, logw) in enumerate(zip(ensembles, logws)):
+            if not np.isfinite(logw.max()):
+                raise FloatingPointError(f"non-finite log-weights at step {step} for tilt {tilts[a]:g}")
+            ens.logweights = logw
+            log_mean, w = fk._normalized(logw)
+            ens.ess = float(1.0 / np.sum(w**2))
+            series[a, step - 1] = ens.lognorm + log_mean
+            resampled = ens.ess < fk.ESS_THRESHOLD * n
+            if resampled:
+                if ens.ess <= 1.5:
+                    collapses[a] += 1
+                    if collapses[a] >= 3:
+                        raise fk.EnsembleCollapse("effective sample size collapsed repeatedly")
+                ens.lognorm += log_mean
+                idx = rng.choice(n, size=n, p=w)
+                ens.particles[:] = ens.particles[idx]
+                logw[:] = 0.0
+            ens.history.append((step, ens.ess, resampled))
+    return series, ensembles, rng
 
 
 @pytest.fixture

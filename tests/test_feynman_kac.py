@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import reference_particle_loop
 from fklab import feynman_kac as fk
 from fklab import kernel_lab as kl
 from fklab import rds_core as rc
@@ -256,6 +259,62 @@ def test_one_tilt_of_the_loop_is_particle_fk_on_the_scaled_potential(chain_setup
         assert np.array_equal(series, ref.log_mass_series)
         assert np.array_equal(ens.particles, ref.ensemble.particles)
         assert ens.history == ref.ensemble.history
+
+
+def _collapses(ens):
+    return sum(1 for _, ess, resampled in ens.history if resampled and ess <= 1.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["toy", "chain"]),
+    base=st.lists(st.sampled_from([-3.0, -1.5, -0.5, -0.1, 0.0, 0.1, 0.5, 1.5, 3.0]), min_size=1, max_size=6),
+    mirrored=st.booleans(),
+    n=st.integers(100, 400),
+    k=st.integers(5, 30),
+    seed=st.integers(0, 2**32),
+)
+def test_block_sharing_loop_is_the_copy_per_tilt_loop(chain_setup, toy_model, kind, base, mirrored, n, k, seed):
+    # tilts share a state block until they resample apart; every output and
+    # the stream equal those of stepping one copy per tilt, bitwise
+    tilts = (base + [-a for a in base])[:6] if mirrored else base
+    chain, Vfn = chain_setup[3], chain_setup[4]
+    if kind == "toy":
+        model, V, init = toy_model, fk.PotentialFn.coordinate(0, clip=2.0), np.zeros(6)
+    else:
+        model, V, init = chain, Vfn, chain.points[[0, 3]]
+    series, ensembles, rng = fk._particle_loop(model, V, init, k, n, seed, tilts)
+    ref_series, ref_ensembles, ref_rng = reference_particle_loop(model, V, init, k, n, seed, tilts)
+    assert np.array_equal(series, ref_series)
+    for ens, ref in zip(ensembles, ref_ensembles, strict=True):
+        assert np.array_equal(ens.particles, ref.particles)
+        assert np.array_equal(ens.logweights, ref.logweights)
+        assert ens.lognorm == ref.lognorm and ens.ess == ref.ess
+        assert ens.history == ref.history and _collapses(ens) == _collapses(ref)
+    assert rng.random() == ref_rng.random()
+
+
+def test_tilts_share_a_block_until_they_resample(toy_model):
+    # the zero tilts and the small one never resample and view one buffer;
+    # each resampling tilt, the duplicates included, has a block of its own
+    V = fk.PotentialFn.coordinate(0, clip=2.0)
+    _, ensembles, _ = fk._particle_loop(toy_model, V, np.zeros(6), 20, 300, 5, (0.0, 3.0, 0.0, 0.1, 3.0))
+    resamples = [sum(r for _, _, r in ens.history) for ens in ensembles]
+    assert resamples[0] == resamples[2] == resamples[3] == 0 and resamples[1] > 0 and resamples[4] > 0
+    P = [ens.particles for ens in ensembles]
+    assert P[0] is not P[2] and np.shares_memory(P[0], P[2]) and np.shares_memory(P[0], P[3])
+    for a, b in ((1, 0), (4, 0), (1, 4)):
+        assert not np.shares_memory(P[a], P[b])
+
+
+def test_loop_names_the_lowest_tilt_on_a_non_finite_block():
+    # tilt 0 resamples onto a block of its own; tilts 1 and 2 stay on block
+    # 0, where the state overflows first, so tilt 1 is named
+    law = rc.KickLaw.from_decay(2, b0=0.3)
+    model = rc.RDSModel(map=ToyDiagonalMap(factors=np.full(2, 1e100)), kicks=law, rho=1.0)
+    V = fk.PotentialFn.coordinate(0, clip=2.0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError, match=r"in tilt 1, row \d+$"):
+        fk._particle_loop(model, V, np.zeros(2), 10, 200, 1, (5.0, 0.0, 0.0))
 
 
 def test_pressure_curve_rejects_a_recentring_run_of_no_step(toy_model):

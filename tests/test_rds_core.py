@@ -267,8 +267,48 @@ def test_stacked_step_shares_its_draws_along_the_tilt_axis(toy_model, kind):
 def test_propagate_names_the_tilt_and_row_of_a_non_finite_state(toy_model):
     X = np.zeros((3, 5, 6))
     X[1, 3, 2] = np.nan
-    with pytest.raises(FloatingPointError, match="non-finite state at step 1 in tilt 1, row 3"):
+    with pytest.raises(FloatingPointError, match="non-finite state at step 1 in tilt 1, row 3") as err:
         next(rc.propagate(toy_model, X, rc.rng_stream(0, 0), 5))
+    assert err.value.index == (1, 3)
+    # a mask over the blocks: the tilt index goes through the active blocks, the row stays
+    X = np.zeros((3, 5, 6))
+    X[2, 4, 0] = np.nan
+    with pytest.raises(FloatingPointError, match="non-finite state at step 1 in tilt 2, row 4") as err:
+        next(rc.propagate(toy_model, X, rc.rng_stream(0, 0), 5, active=np.array([False, True, True])))
+    assert err.value.index == (2, 4)
+    # a mask with gaps over the rows of an (n, d) ensemble
+    X = np.zeros((6, 6))
+    X[4, 5] = np.inf
+    gaps = np.array([True, False, True, False, True, True])
+    with pytest.raises(FloatingPointError, match="non-finite state at step 1 in row 4") as err:
+        next(rc.propagate(toy_model, X, rc.rng_stream(0, 0), 5, active=gaps))
+    assert err.value.index == (4,)
+
+
+@pytest.mark.parametrize(
+    "shape, active, view",
+    [((8, 6), None, True), ((8, 6), [True] * 8, True), ((8, 6), [False, True, True, True] + [False] * 4, True),
+     ((8, 6), [True, False] * 4, False), ((4, 8, 6), [True, True, False, False], True),
+     ((4, 8, 6), [True, False, True, False], False)],
+)
+def test_propagate_steps_a_run_of_active_entries_as_a_view(toy_model, monkeypatch, shape, active, view):
+    # a contiguous run of active rows or blocks reaches the map as a view of
+    # X; a mask with gaps gathers a copy.  Either way the step is the same
+    X = np.random.default_rng(2).uniform(-1, 1, size=shape)
+    ref = X.copy()
+    seen = []
+    step_many = rc.RDSModel.step_many
+
+    def spy(self, U, r):
+        seen.append(np.shares_memory(U, X))
+        return step_many(self, U, r)
+
+    monkeypatch.setattr(rc.RDSModel, "step_many", spy)
+    next(rc.propagate(toy_model, X, rc.rng_stream(4, 0), 1, active=None if active is None else np.array(active)))
+    assert seen == [view]
+    on = np.ones(shape[0], dtype=bool) if active is None else np.array(active)
+    assert np.array_equal(X[on], step_many(toy_model, ref[on], rc.rng_stream(4, 0)))
+    assert np.array_equal(X[~on], ref[~on])
 
 
 def test_attainability_cloud_trivials(toy_model):

@@ -400,6 +400,22 @@ def toy_estimators():
     return out + [rep]
 
 
+def toy_curve_split_tilts():
+    """``toy_fk``'s pressure curve at 4,000 particles with alphas +-0.1,
+    +-0.25 and +-0.5, whose tilts resample apart at different steps (-0.5
+    first at step 24, 0.5 at 25, -0.25 at 80, the others never), and the
+    particle loop behind it: every tilt's ensemble and the stream after it."""
+    model, u0, alphas = toy_model(), np.zeros(6), [-0.5, -0.25, -0.1, 0.1, 0.25, 0.5]
+    curve = fk.pressure_curve(model, TOY_V, alphas, u0, k_max=80, n_traj=4000, seed=30, recenter_k=20_000)
+    out = [curve.alphas, curve.Q, curve.stderr, curve.sigma_V, curve.sigma_V_stderr, curve.convex, curve.mean_shift,
+           curve.accepted]
+    series, ensembles, rng = fk._particle_loop(model, TOY_V.shifted(-curve.mean_shift), u0, 80, 4000, 30, alphas)
+    out.append(series)
+    for ens in ensembles:
+        out += [ens.particles, ens.logweights, ens.lognorm, ens.ess, ens.history]
+    return out + [rng.random()]
+
+
 def burgers_estimators():
     model = burgers_model()
     u0 = np.zeros(model.dim)
@@ -536,6 +552,7 @@ CASES = {
     "exact_pressure_derivatives": exact_pressure_derivatives,
     "exact_rate_function": exact_rate_function,
     "toy_estimators": toy_estimators,
+    "toy_curve_split_tilts": toy_curve_split_tilts,
     "burgers_estimators": burgers_estimators,
     "burgers_attract": burgers_attract,
     "burgers64_simulate": burgers64_simulate,
