@@ -1,32 +1,36 @@
-"""Concrete time-one maps: spectral Galerkin Burgers flow and a diagonal toy.
+"""Concrete time-one maps: the exact viscous Burgers flow and a diagonal toy.
 
-The Burgers map integrates the unforced viscous Burgers equation on the
-circle over one time unit in a zero-mean Fourier truncation.  The state
-vector interleaves cosine/sine coefficients in the orthonormal basis
-``cos(jx)/sqrt(pi), sin(jx)/sqrt(pi)`` so that the Euclidean norm of the
-vector equals the L2 norm of the field; kicks from :mod:`fklab.rds_core`
-act directly on these coordinates.
+The Burgers map is the time-one flow of the unforced viscous Burgers
+equation u_t = nu u_xx - u u_x on the circle, projected onto M zero-mean
+Fourier modes.  The state vector interleaves cosine/sine coefficients in
+the orthonormal basis ``cos(jx)/sqrt(pi), sin(jx)/sqrt(pi)`` so that the
+Euclidean norm of the vector equals the L2 norm of the field; kicks from
+:mod:`fklab.rds_core` act directly on these coordinates.
 
-``apply_batch`` integrates the stack ``[alpha; beta]`` of cosine and sine
-coefficients in real arithmetic, with no FFT: diffusion exactly through the
-ETDRK2 factors, the quadratic term on the odd grid G = 3M+1 (3M+2 for odd
-M), alias-free since G > 3M.  With [c; s] = X @ F, one stacked product
-against F = [C; S], u is c_g + s_g at x_g and c_g - s_g at x_{G-g}, so
-N = h(X) @ [Da; Db] with h(X) = [c s; c^2 + s^2] over the half grid
-g = 0..(G-1)/2.  The backward transform is linear, so the diagonal factors
-phi_1 dt and phi_2 dt live in its tables, B1 = [Da; Db] diag(phi_1 dt) and
-B2 = [Da; Db] diag(phi_2 dt), and a step is four stacked products.
-``physical()`` and the L1 norm use the 4M grid, part of the metric, as one
-synthesis product.  Chunks of ``8 * max(1, min(2**17 // (64M + 24H),
-10**6 // (8MH)))`` rows (H = (G+1)/2) and zero padding of every batch to a
-multiple of 8 rows let BLAS see only multiples of 8 rows, and no product
-passes 10^6 multiply-adds, above which OpenBLAS on AVX-512 rounded a full
-chunk unlike an 8-row call (most likely the size limit of its small-matrix
-kernel); every table is C-contiguous, as an F-ordered one gave the same
-fault.  So every row of a batch equals the one-row result bitwise (tested
-across a chunk boundary for M = 16 to 128).  Each chunk reads E tiled to
-(2, chunk, M), sliced to the chunk's rows, so that it multiplies the state
-in one contiguous pass.
+``apply_batch`` solves the flow exactly, with no time step, by the
+Cole-Hopf substitution u = -2 nu (log phi)_x (Hopf 1950, Cole 1951) into
+the heat equation phi_t = nu phi_xx.  On the grid x_g = 2 pi g / N a chunk
+of rows takes four real products: Y = -U0/(2 nu), U0 the zero-mean
+antiderivative of u (table F), minus its row maximum; the modes k <= K of
+phi0 - 1 = expm1(Y) times the heat factors exp(-nu k^2) (H; the constant 1
+enters mode 0 alone, so 0 maps to 0 exactly); phi(1) and phi'(1) on the
+grid (S); u(1) = -2 nu phi'/phi projected onto the M modes (B).
+N = max(128, 8M), never state-dependent; it agrees with 4N to 1e-12 on
+states of norm up to 2 and on smooth ones up to the domain limit (tested),
+where N = 4M does not.  K is the largest k with exp(-nu k^2) >= machine
+epsilon, capped below N/2.  A row whose osc(Y) = osc(U0)/(2 nu) on the grid
+exceeds ``OSC_LIMIT`` = 25, or is not finite, raises FloatingPointError
+naming the first such row: phi(1) loses digits as osc(Y) grows, and past
+about 26 a 64-mode ETDRK2 at dt = 1e-3 is more accurate.
+
+Chunks of ``8 * max(1, 10**6 // (16 N max(M, 2K + 1)))`` rows and zero
+padding of every batch to a multiple of 8 rows let BLAS see only multiples
+of 8 rows, and no product passes 10^6 multiply-adds unless a chunk is
+already the 8 rows of a one-row call; above that size OpenBLAS on AVX-512
+rounded a full chunk unlike an 8-row call, as it did with an F-ordered
+table, so every table is C-contiguous.  So every row of a batch equals the
+one-row result bitwise (tested across a chunk boundary for M = 16 to 128).
+``physical()`` and the L1 norm use the 4M grid as one synthesis product.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import numpy as np
 __all__ = ["BurgersMap", "ToyDiagonalMap", "l1_circle_metric"]
 
 ROOT_PI = np.sqrt(np.pi)
-BLOWUP_SQ = (2.0 * ROOT_PI * 1e6) ** 2  # alpha^2 + beta^2 bound: |zeta_j| <= 1e6
+OSC_LIMIT = 25.0  # largest osc(U0) / (2 nu) on the grid that apply_batch maps
 
 
 def _trig(j, g, n):
@@ -48,9 +52,22 @@ def _trig(j, g, n):
     return np.cos(x), np.sin(x)
 
 
+def _grid(modes):
+    """The Cole-Hopf grid size N for M modes."""
+    return max(128, 8 * modes)
+
+
+def _interleave(a, b):
+    """Rows a_1, b_1, a_2, b_2, ... of two (M, ...) arrays."""
+    return np.stack([a, b], axis=1).reshape((-1,) + a.shape[1:])
+
+
 @dataclass(frozen=True)
 class BurgersMap:
-    """Time-one flow of du/dt = nu u_xx - u u_x on zero-mean circle modes."""
+    """Time-one flow of du/dt = nu u_xx - u u_x on zero-mean circle modes.
+
+    ``dt`` is validated (dt > 0) but not read: the flow is exact in time.
+    """
 
     nu: float
     modes: int = 64
@@ -60,23 +77,21 @@ class BurgersMap:
     def __post_init__(self):
         if self.nu <= 0 or self.modes < 1 or self.dt <= 0:
             raise ValueError("need nu > 0, modes >= 1, dt > 0")
-        M = self.modes
-        j = np.arange(1, M + 1)
-        z = -self.nu * j**2.0 * self.dt
-        G = 3 * M + 1 + M % 2
-        H = (G + 1) // 2
-        cos, sin = _trig(j, np.arange(H), G)
-        w = np.r_[1.0, np.full(H - 1, 2.0)]
-        jG = j * ROOT_PI / G
-        chunk = 8 * max(1, min(2**17 // (64 * M + 24 * H), 10**6 // (8 * M * H)))
-        # [Da; Db] as C-ordered (H, M) slabs; the row contract needs C order
-        D = np.stack([-4.0 * jG[:, None] * sin, jG[:, None] * w * cos]).transpose(0, 2, 1).copy()
+        M, nu = self.modes, self.nu
+        N = _grid(M)
+        K = min(N // 2 - 1, int(np.sqrt(-np.log(np.finfo(float).eps) / nu)))
+        j, k, g = np.arange(1, M + 1), np.arange(1, K + 1), np.arange(N)
+        cj, sj = _trig(j, g, N)
+        ck, sk = _trig(k, g, N)
+        anti = 1.0 / ((2.0 * nu * ROOT_PI) * j[:, None])
+        heat = (2.0 / N) * np.exp(-nu * k**2.0)[:, None]
+        chunk = 8 * max(1, 10**6 // (16 * N * max(M, 2 * K + 1)))
         tables = {
-            "E": np.tile(np.exp(z), (2, chunk, 1)),
-            "F": np.stack([cos, sin]) / ROOT_PI,
-            "B1": D * (self.dt * np.expm1(z) / z),
-            "B2": D * (self.dt * (np.expm1(z) - z) / z**2),
-            "G": G,
+            "F": _interleave(-anti * sj, anti * cj),
+            "H": np.concatenate([np.full((1, N), 1.0 / N), heat * ck, heat * sk]).T.copy(),
+            "S": np.block([[np.ones((1, N)), np.zeros((1, N))], [ck, -k[:, None] * sk], [sk, k[:, None] * ck]]),
+            "B": (_interleave(cj, sj) * (-4.0 * np.pi * nu / (N * ROOT_PI))).T.copy(),
+            "G": N,  # the grid size; perfbench/spans._burgers_sizes reads it
             "chunk": chunk,
             "synth": np.stack(_trig(j, np.arange(4 * M), 4 * M), axis=1).reshape(2 * M, 4 * M) / ROOT_PI,
         }
@@ -88,37 +103,7 @@ class BurgersMap:
 
     @property
     def steps_per_unit(self):
-        return int(round(1.0 / self.dt))
-
-    def _etdrk2(self, X, first_row):
-        """ETDRK2 over one time unit, in place, for the ``[alpha; beta]``
-        stack of one chunk.  With h(X) = [c s; c^2 + s^2] for [c; s] = X @ F,
-        a step is Xa = E X + h(X) @ B1, X' = Xa + (h(Xa) - h(X)) @ B2.  The
-        buffers are allocated once per chunk."""
-        t = self._tables
-        E, F, B1, B2 = t["E"][:, : X.shape[1]], t["F"], t["B1"], t["B2"]
-        Y, h0, h1 = np.empty((3, 2, X.shape[1], F.shape[2]))
-        Xa, P = np.empty((2,) + X.shape)
-        c, s = Y
-
-        def h(X, out):
-            np.matmul(X, F, out=Y)
-            np.multiply(c, s, out=out[0])
-            np.square(Y, out=Y)
-            np.add(c, s, out=out[1])
-            return out
-
-        for step in range(self.steps_per_unit):
-            np.multiply(E, X, out=Xa)
-            Xa += np.matmul(h(X, h0), B1, out=P)
-            h(Xa, h1)
-            h1 -= h0
-            np.add(Xa, np.matmul(h1, B2, out=P), out=X)
-            if step % 100 == 0:
-                ok = (X[0] ** 2 + X[1] ** 2).max(axis=1) <= BLOWUP_SQ  # NaN fails
-                if not ok.all():
-                    row = first_row + int(np.argmin(ok))
-                    raise FloatingPointError(f"Burgers blow-up at inner step {step} in row {row}")
+        return 1  # one exact solve per unit; perfbench/spans._burgers_sizes reads it
 
     # -- public surface -----------------------------------------------------
 
@@ -129,13 +114,27 @@ class BurgersMap:
         U = np.asarray(U, dtype=float)
         if U.shape[-1] != self.dim:
             raise ValueError(f"state must have dimension {self.dim}")
+        t = self._tables
         rows = U.reshape(-1, self.dim)
-        n, M, chunk = rows.shape[0], self.modes, self._tables["chunk"]
-        X = np.zeros((2, -(-n // 8) * 8, M))
-        X[:, :n] = rows.reshape(n, M, 2).transpose(2, 0, 1)
-        for lo in range(0, n, chunk):
-            self._etdrk2(X[:, lo : lo + chunk], lo)
-        return X[:, :n].transpose(1, 2, 0).reshape(U.shape)
+        n, N = rows.shape[0], t["G"]
+        X = np.zeros((-(-n // 8) * 8, self.dim))
+        X[:n] = rows
+        for lo in range(0, n, t["chunk"]):
+            Y = X[lo : lo + t["chunk"]] @ t["F"]
+            Y -= Y.max(axis=1, keepdims=True)
+            ok = Y.min(axis=1) >= -OSC_LIMIT  # NaN fails
+            if not ok.all():
+                row = lo + int(np.argmin(ok))
+                raise FloatingPointError(
+                    f"Burgers state in row {row} outside the Cole-Hopf domain: "
+                    f"osc(U0)/(2 nu) = {-Y[row - lo].min():.6g} > {OSC_LIMIT:g}"
+                )
+            C = np.expm1(Y, out=Y) @ t["H"]
+            C[:, 0] += 1.0
+            P = C @ t["S"]
+            np.divide(P[:, N:], P[:, :N], out=Y)
+            X[lo : lo + t["chunk"]] = Y @ t["B"]
+        return X[:n].reshape(U.shape)
 
     def physical(self, u):
         """Field values on the 4M grid (x_g = 2 pi g / (4M))."""

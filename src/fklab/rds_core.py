@@ -260,7 +260,7 @@ def propagate(model, X, rng, steps, V=None, active=None):
 
     Yields ``(k, X, logw)`` after step k = 1..steps, where ``logw`` (shape
     ``X.shape[:-1]``) holds each row's running sum V(u_1) + ... + V(u_k)
-    (zeros without ``V``, which maps states to values of that shape).
+    (``V`` maps states to values of that shape; without it ``logw`` is None).
     Consumers may modify ``X``, ``logw`` and the boolean mask ``active`` in
     place between steps (resampling, freezing rows, opening blocks).
     ``active`` runs over the leading axis: the rows of an (n, d) ensemble,
@@ -272,7 +272,7 @@ def propagate(model, X, rng, steps, V=None, active=None):
     the row; its ``index`` attribute holds the same indices, row last.
     """
     rows = slice(None)
-    logw = np.zeros(X.shape[:-1])
+    logw = None if V is None else np.zeros(X.shape[:-1])
     for k in range(1, int(steps) + 1):
         if active is not None:
             rows = np.flatnonzero(active)

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import etdrk2_burgers
+from fklab import dynamics_maps
 from fklab.dynamics_maps import BurgersMap, ToyDiagonalMap, l1_circle_metric
 
 
@@ -71,16 +73,14 @@ def test_spectral_convergence_under_mode_doubling(rng):
 
 
 def test_time_step_order_two(rng):
-    # Richardson slopes against a fine reference; ETDRK2 is second order
-    ref = BurgersMap(nu=0.3, modes=24, dt=1.25e-4)
-    v = smooth_state(rng, ref.dim, 0.8)
-    target = ref.apply(v)
-    errs = []
-    dts = [2e-3, 1e-3, 5e-4]
-    for dt in dts:
-        errs.append(np.linalg.norm(BurgersMap(nu=0.3, modes=24, dt=dt).apply(v) - target))
-    slopes = np.diff(np.log(errs)) / np.diff(np.log(dts))
-    assert np.all(np.abs(slopes - 2.0) < 0.2)
+    # ETDRK2 converges onto the exact Cole-Hopf flow at second order: its
+    # distance to the map shrinks about 4x per halving of dt
+    for modes, dts in ((16, (2e-2, 1e-2, 5e-3)), (64, (2e-3, 1e-3, 5e-4))):
+        bm = BurgersMap(nu=1.0, modes=modes)
+        U = np.stack([smooth_state(rng, bm.dim, norm, decay=0.25) for norm in (0.3, 0.6, 1.0)])
+        exact = bm.apply_batch(U)
+        errs = np.array([np.abs(etdrk2_burgers(1.0, modes, dt, U) - exact).max() for dt in dts])
+        assert np.all((errs[:-1] / errs[1:] >= 3.5) & (errs[:-1] / errs[1:] <= 4.5)), errs
 
 
 def test_l1_subcontraction_sampled(burgers, rng):
@@ -95,44 +95,22 @@ def test_l1_subcontraction_sampled(burgers, rng):
 
 
 def test_burgers_blowup_detection():
-    bm = BurgersMap(nu=1e-4, modes=16, dt=0.25)
-    huge = np.full(bm.dim, 2e3)
-    with pytest.raises(FloatingPointError):
-        bm.apply(huge)
+    bm = BurgersMap(nu=1e-4, modes=16)
+    with pytest.raises(FloatingPointError, match=r"row 0 outside the Cole-Hopf domain"):
+        bm.apply(np.full(bm.dim, 2e3))
+    with pytest.raises(FloatingPointError, match=r"row 0 outside .* = nan > 25$"):
+        bm.apply(np.full(bm.dim, np.nan))
 
 
 def test_burgers_blowup_names_the_row_in_the_batch(rng):
-    # the bad row sits in the second chunk; its index counts from the batch
-    bm = BurgersMap(nu=1e-4, modes=16, dt=0.25)
+    # the bad rows sit in the second chunk; the first of them is named, counted from the batch
+    bm = BurgersMap(nu=1e-4, modes=16)
     bad = bm._tables["chunk"] + 5
-    U = 1e-3 * rng.normal(size=(bad + 10, bm.dim))
+    U = 1e-6 * rng.normal(size=(bad + 10, bm.dim))
     U[bad] = 2e3
-    with pytest.raises(FloatingPointError, match=rf"inner step 0 in row {bad}\b"):
+    U[bad + 3] = np.inf
+    with pytest.raises(FloatingPointError, match=rf"in row {bad} outside the Cole-Hopf domain"):
         bm.apply_batch(U)
-
-
-def reference_etdrk2(bm, U):
-    """ETDRK2 with the nonlinear term on the 4M grid, all rows at once."""
-    M, G = bm.modes, 4 * bm.modes
-    j = np.arange(1, M + 1)
-    z = -bm.nu * j**2 * bm.dt
-    E, phi1, phi2 = np.exp(z), np.expm1(z) / z, (np.expm1(z) - z) / z**2
-    Z = (U[:, 0::2] - 1j * U[:, 1::2]) / (2 * np.sqrt(np.pi))
-
-    def nonlinear(Z):
-        spec = np.zeros((Z.shape[0], G // 2 + 1), dtype=complex)
-        spec[:, 1 : M + 1] = G * Z
-        u = np.fft.irfft(spec, n=G, axis=-1)
-        return -0.5j * j * (np.fft.rfft(u * u, axis=-1) / G)[:, 1 : M + 1]
-
-    for _ in range(bm.steps_per_unit):
-        N0 = nonlinear(Z)
-        Za = E * Z + bm.dt * phi1 * N0
-        Z = Za + bm.dt * phi2 * (nonlinear(Za) - N0)
-    out = np.empty_like(U)
-    out[:, 0::2] = 2 * np.sqrt(np.pi) * Z.real
-    out[:, 1::2] = -2 * np.sqrt(np.pi) * Z.imag
-    return out
 
 
 def fft_grid_values(bm, U):
@@ -143,61 +121,90 @@ def fft_grid_values(bm, U):
     return np.fft.irfft(spec, n=4 * M, axis=-1, norm="forward")
 
 
+def map_on_4x_grid(bm):
+    """The map ``bm`` with the Cole-Hopf grid four times as fine."""
+    grid = dynamics_maps._grid
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics_maps, "_grid", lambda modes: 4 * grid(modes))
+        fine = BurgersMap(nu=bm.nu, modes=bm.modes)
+    assert fine._tables["G"] == 4 * bm._tables["G"]
+    return fine
+
+
+def oscillation(bm, U):
+    """osc(U0) / (2 nu) on the map's grid, the quantity its domain guard bounds."""
+    return np.ptp(np.atleast_2d(U) @ bm._tables["F"], axis=-1)
+
+
 @st.composite
-def burgers_batches(draw):
-    modes = draw(st.integers(1, 40))
-    bm = BurgersMap(nu=draw(st.floats(0.3, 1.0)), modes=modes, dt=0.05)
-    rows = draw(st.integers(1, 12))
-    coef = draw(arrays(np.float64, (rows, bm.dim), elements=st.floats(-1.0, 1.0)))
-    return bm, coef * np.exp(-0.2 * np.arange(bm.dim))
+def burgers_states(draw, max_rows=6, norm=None):
+    """A map with M in 1..128 and nu in 0.3..1, and a batch of states.
+    With ``norm``, each state has L2 norm at most ``norm`` and any
+    spectrum; otherwise mode 1 has unit size, the other coordinates are at
+    most exp(-0.3 i), and the batch is scaled to an oscillation up to 99% of
+    the guard's limit (the 4x grid sees a slightly larger one)."""
+    bm = BurgersMap(nu=draw(st.floats(0.3, 1.0)), modes=draw(st.integers(1, 128)))
+    rows = draw(st.integers(1, max_rows))
+    U = draw(arrays(np.float64, (rows, bm.dim), elements=st.floats(-1.0, 1.0)))
+    if norm is not None:
+        scale = draw(arrays(np.float64, (rows, 1), elements=st.floats(0.0, 1.0)))
+        U /= np.maximum(np.abs(U).max(axis=1, keepdims=True), 1e-300)  # no underflow in the norm
+        return bm, norm * scale * U / np.maximum(np.linalg.norm(U, axis=1, keepdims=True), 1.0)
+    theta = draw(arrays(np.float64, rows, elements=st.floats(0.0, 2 * np.pi)))
+    U[:, 0], U[:, 1] = np.cos(theta), np.sin(theta)
+    U *= np.exp(-0.3 * np.arange(bm.dim))
+    reach = draw(arrays(np.float64, (rows, 1), elements=st.floats(1e-3, 0.99)))
+    return bm, U * (reach * dynamics_maps.OSC_LIMIT / oscillation(bm, U)[:, None])
 
 
-@settings(max_examples=40, deadline=None)
-@given(case=burgers_batches())
-def test_half_grid_products_match_4m_fft_reference(case):
+@settings(max_examples=30, deadline=None)
+@given(case=st.one_of(burgers_states(norm=2.0), burgers_states()))
+def test_burgers_map_matches_its_4n_grid_reference(case):
     bm, U = case
     out = bm.apply_batch(U)
-    assert np.abs(out - reference_etdrk2(bm, U)).max() < 1e-12
+    ref = map_on_4x_grid(bm).apply_batch(U)
+    # relative to the input as well: the flow damps high modes far below the scale it rounds at
+    assert np.abs(out - ref).max() <= 1e-12 * max(np.abs(ref).max(), np.abs(U).max())
     assert np.array_equal(bm.apply(U[-1]), out[-1])
     l1 = (2 * np.pi / (4 * bm.modes)) * np.abs(fft_grid_values(bm, U)).sum(axis=-1)
     assert np.abs(bm.l1_norm(U) - l1).max() < 1e-12 * max(1.0, l1.max())
 
 
-@pytest.mark.parametrize("modes, G, chunk", [(16, 49, 640), (64, 193, 160)])
-def test_burgers_chunks_and_grid_match_4m_reference(rng, modes, G, chunk):
-    # the odd 3M+1 (3M+2) grid is alias-free like 4M, so only roundoff separates them;
-    # a coarse dt keeps the reference loop cheap without changing that
-    bm = BurgersMap(nu=0.5, modes=modes, dt=5e-3)
-    assert (bm._tables["G"], bm._tables["chunk"]) == (G, chunk)
-    U = 0.8 * rng.normal(size=(2 * chunk + 3, bm.dim)) * np.exp(-0.2 * np.arange(bm.dim))
-    ref = reference_etdrk2(bm, U)
-    for n in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
-        assert np.abs(bm.apply_batch(U[:n]) - ref[:n]).max() < 1e-12
-    out = bm.apply_batch(U)
-    for i in (0, chunk - 1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 2):
-        assert np.array_equal(bm.apply(U[i]), out[i])
-    assert bm.physical(U[0]).shape[-1] == 4 * modes
+@settings(max_examples=40, deadline=None)
+@given(case=st.one_of(burgers_states(norm=2.0), burgers_states()))
+def test_burgers_map_decays_the_l2_norm_at_rate_nu(case):
+    # the nonlinear term does no work and Poincare's constant is one on
+    # zero-mean fields, so the exact flow decays by e^-nu; projecting only lowers it
+    bm, U = case
+    gain = np.linalg.norm(bm.apply_batch(U), axis=1) - np.exp(-bm.nu) * np.linalg.norm(U, axis=1)
+    assert gain.max() <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=burgers_states(), dt=st.floats(1e-6, 1.0))
+def test_burgers_map_ignores_dt(case, dt):
+    bm, U = case
+    assert np.array_equal(BurgersMap(nu=bm.nu, modes=bm.modes, dt=dt).apply_batch(U), bm.apply_batch(U))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=burgers_states(max_rows=1))
+def test_burgers_guard_fires_just_past_its_limit(case):
+    bm, U = case
+    edge = U * (dynamics_maps.OSC_LIMIT / oscillation(bm, U)[:, None])
+    assert np.isfinite(bm.apply_batch(edge * (1 - 1e-9))).all()
+    with pytest.raises(FloatingPointError, match="row 0 outside the Cole-Hopf domain"):
+        bm.apply_batch(edge * (1 + 1e-9))
 
 
 @pytest.mark.parametrize("modes", [16, 48, 60, 64, 66, 72, 80, 96, 128])
 def test_burgers_rows_equal_one_row_calls_across_a_chunk_boundary(rng, modes):
-    # one full chunk and an 8-row tail; a coarse dt keeps chunk + 8 one-row calls cheap
-    bm = BurgersMap(nu=0.5, modes=modes, dt=0.05)
+    # one full chunk and an 8-row tail, at the smallest nu (the widest heat table)
+    bm = BurgersMap(nu=0.3, modes=modes)
     chunk = bm._tables["chunk"]
     U = 0.8 * rng.normal(size=(chunk + 8, bm.dim)) * np.exp(-0.2 * np.arange(bm.dim))
     out = bm.apply_batch(U)
     assert [i for i in range(chunk + 8) if not np.array_equal(bm.apply(U[i]), out[i])] == []
-
-
-def test_burgers_short_tail_chunk_reads_the_first_rows_of_the_factor_tables(rng):
-    # two full chunks of 640 rows and a 46-row tail, padded to 48: the tail
-    # multiplies by the first 48 rows of the tiled E table
-    bm = BurgersMap(nu=0.5, modes=16, dt=0.05)
-    chunk = bm._tables["chunk"]
-    assert chunk == 640 and bm._tables["E"].shape == (2, chunk, bm.modes)
-    U = 0.8 * rng.normal(size=(2 * chunk + 46, bm.dim)) * np.exp(-0.2 * np.arange(bm.dim))
-    out = bm.apply_batch(U)
-    assert [i for i in range(U.shape[0]) if not np.array_equal(bm.apply(U[i]), out[i])] == []
 
 
 def test_burgers_product_tables_are_c_contiguous():
@@ -205,48 +212,7 @@ def test_burgers_product_tables_are_c_contiguous():
     # than for an 8-row call, and the rows then stop matching one-row calls
     for modes in (1, 16, 64):
         t = BurgersMap(nu=0.5, modes=modes)._tables
-        assert all(t[k].flags.c_contiguous for k in ("F", "B1", "B2"))
-
-
-def unfolded_etdrk2(bm, U):
-    """ETDRK2 on the half grid with the [alpha | beta] rows side by side and
-    phi_1 dt, phi_2 dt applied to the nonlinear term after each product."""
-    M, G = bm.modes, bm._tables["G"]
-    H = (G + 1) // 2
-    j = np.arange(1, M + 1)
-    z = -bm.nu * j**2.0 * bm.dt
-    x = (2.0 * np.pi / G) * (np.outer(j, np.arange(H)) % G)
-    cos, sin = np.cos(x), np.sin(x)
-    jG = j * np.sqrt(np.pi) / G
-    w = np.r_[1.0, np.full(H - 1, 2.0)]
-    C, S = cos / np.sqrt(np.pi), sin / np.sqrt(np.pi)
-    Da, Db = (-4.0 * jG[:, None] * sin).T, (jG[:, None] * w * cos).T
-    E = np.tile(np.exp(z), 2)
-    p1, p2 = np.tile(bm.dt * np.expm1(z) / z, 2), np.tile(bm.dt * (np.expm1(z) - z) / z**2, 2)
-
-    def nonlinear(X):
-        c, s = X[:, :M] @ C, X[:, M:] @ S
-        return np.hstack([(c * s) @ Da, (c**2 + s**2) @ Db])
-
-    X = np.hstack([U[:, 0::2], U[:, 1::2]])
-    for _ in range(bm.steps_per_unit):
-        N0 = nonlinear(X)
-        Xa = E * X + p1 * N0
-        X = Xa + p2 * (nonlinear(Xa) - N0)
-    out = np.empty_like(U)
-    out[:, 0::2], out[:, 1::2] = X[:, :M], X[:, M:]
-    return out
-
-
-@settings(max_examples=40, deadline=None)
-@given(case=burgers_batches())
-def test_folded_factors_match_the_unfolded_step(case):
-    # folding phi_1 dt and phi_2 dt into the backward tables only reorders
-    # the rounding of a linear map; the flow damps the state, so its
-    # roundoff is measured against the input
-    bm, U = case
-    err = np.abs(bm.apply_batch(U) - unfolded_etdrk2(bm, U)).max()
-    assert err <= 4 * np.finfo(float).eps * np.abs(U).max()
+        assert all(t[k].flags.c_contiguous for k in ("F", "H", "S", "B"))
 
 
 def test_toy_map_zero_and_linearity(rng):

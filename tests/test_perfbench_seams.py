@@ -35,7 +35,7 @@ def test_trace_seams_install_and_uninstall():
 def test_burgers_span_sizes_read_the_map():
     # the benchmark sizes each Burgers span from _tables["G"] and
     # steps_per_unit; a traced run must find them on the map, and G is the
-    # length of the grid the quadratic term is evaluated on
+    # size of the grid the Cole-Hopf solve is evaluated on
     from fklab.dynamics_maps import BurgersMap
 
     spans = load_spans()
@@ -45,6 +45,6 @@ def test_burgers_span_sizes_read_the_map():
     bm.apply_batch(U)
     sizes = spans._burgers_sizes(bm, U)
     assert sizes["rows"] == U.shape[0]
-    assert bm._tables["G"] == 3 * 64 + 1
-    assert bm._tables["F"].shape[1:] == (64, (bm._tables["G"] + 1) // 2)
+    assert (bm._tables["G"], bm.steps_per_unit) == (8 * 64, 1)
+    assert bm._tables["F"].shape == (bm.dim, bm._tables["G"])
     assert bm._tables["chunk"] % 8 == 0

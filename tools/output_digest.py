@@ -428,8 +428,8 @@ def burgers_estimators():
 
 
 def burgers64_simulate():
-    """A one-row M = 64 trajectory at dt = 1e-3: the map on its padded
-    8-row block, one call per step."""
+    """A one-row M = 64 trajectory: the map on its padded 8-row block, one
+    call per step."""
     model = rc.RDSModel(map=BurgersMap(nu=1.0, modes=64, dt=1e-3), kicks=rc.KickLaw.from_decay(8), rho=0.7)
     u0 = np.random.default_rng(41).normal(size=model.dim) * np.exp(-0.25 * np.arange(model.dim))
     return trajectory(rc.simulate(model, 0.8 * u0 / np.linalg.norm(u0), 20, seed=42))
