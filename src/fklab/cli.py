@@ -4,11 +4,14 @@ Every run loads a JSON config, executes one subcommand, and writes
 ``results.json`` plus a ``manifest.json`` (config, its hash, the effective
 seed, library versions) into the output directory.  Outputs are written
 atomically, only on success, and contain nothing time- or thread-dependent,
-so rerunning a manifest reproduces every file byte for byte.  A config key
-no subcommand reads, a wrong type or a value below its bound is rejected
-before any computation.  Each handler imports the fklab modules it runs,
-so ``import fklab.cli`` loads numpy and no computation module, and a run
-loads only those of its subcommand: ``eigen``, say, no simulated dynamics.
+so rerunning a manifest reproduces every file byte for byte.  Every key is
+declared once, with its type, default and domain, in a section's table or a
+subcommand's (``_COMMANDS``), and read through it: a key no table holds, a
+wrong type or a value outside its domain exits 2 before any computation, and
+``manifest.json`` lists the keys a run did not read (``unread_keys``).  Each
+handler imports the fklab modules it runs, so ``import fklab.cli`` loads
+numpy and no computation module, and a run loads only those of its
+subcommand: ``eigen``, say, no simulated dynamics.
 
 Exit codes: 0 success, 2 bad config or input (ValueError, OSError, MemoryError),
 3 numerical failure (ArithmeticError, RuntimeError, LinAlgError).
@@ -23,45 +26,73 @@ import numbers
 import os
 import sys
 import tempfile
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 
-# every key some subcommand reads, per config section ("" is the top level)
-_KEYS = {
-    "": set(
-        "seed model potential kernel params plan u0 u0s K stream k_max n_traj alphas recenter_k"
-        " N n_samples delta coordinate f x_grid k_set eps horizon cloud_k cloud_points hit_eps mu_f C".split()
-    ),
-    "model": set(
-        "kind factors dim base ratio q cutoff_radius nu modes dt contraction_factor points P"
-        " kick_dim kick_b0 kick_s rho".split()
-    ),
-    "potential": {"kind", "values", "index", "scale", "center", "clip"},
-    "kernel": {"points", "P", "A", "V"},
-    "params": None,  # the fields of kernel_lab.VerifyParams, read by _all_keys
-    "plan": {"radii", "r", "n_samples", "n_iter", "projection_dims", "n_pairs"},
+_REQUIRED, _FILLED = object(), object()  # no default; a default the handler derives from the model or kernel
+_TYPES = {float: (numbers.Real, "a number"), int: (numbers.Integral, "an integer"), str: (str, "a string")}
+
+
+class Key(NamedTuple):
+    """One config key: its type (float, int or str; an array's entry type, None keeping JSON's ints
+    and floats), its default (None: null reads as None) and its domain: finite, at least ``lo``, above
+    ``gt``, with ``ndim`` axes (0 a scalar, None an array of any rank)."""
+
+    typ: type | None
+    default: object = _REQUIRED
+    lo: float | None = None
+    gt: float | None = None
+    ndim: int | None = 0
+
+
+# The sections, each declared once; a subcommand's table (in _COMMANDS) holds its top-level keys and
+# sections.  The params section (None) is the fields of kernel_lab.VerifyParams, loaded by _table.
+_ARRAY, _ARRAY_FILLED = Key(float, ndim=None), Key(float, _FILLED, ndim=None)
+_MODEL = {
+    "kind": Key(str), "factors": Key(float, None, ndim=None), "q": Key(float, 0.0), "dim": Key(int, lo=1),
+    "base": Key(float, 0.7), "ratio": Key(float, 0.8), "cutoff_radius": Key(float, 1.0), "nu": Key(float),
+    "modes": Key(int, 64, lo=1), "dt": Key(float, 1e-3), "contraction_factor": Key(float, None),
+    "points": _ARRAY, "P": _ARRAY, "kick_dim": Key(int, _FILLED, lo=1), "kick_b0": Key(float, 0.3),
+    "kick_s": Key(float, 1.0), "rho": Key(float, 1.0, gt=0),
 }
-_REQUIRED = object()
-_TYPES = {float: (numbers.Real, "a number"), int: (numbers.Integral, "an integer"), bool: (bool, "a boolean")}
+_POTENTIAL = {
+    "kind": Key(str, "zero"), "values": _ARRAY, "index": Key(int, 0), "scale": Key(float, 1.0),
+    "center": Key(float, 0.0), "clip": Key(float, None, gt=0),
+}
+_KERNEL = {"points": _ARRAY, "P": _ARRAY, "A": Key(int, _FILLED, ndim=None), "V": _ARRAY_FILLED}
+_PLAN = {
+    "radii": Key(None, _FILLED, ndim=1), "r": Key(float, 0.5), "n_samples": Key(int, 100, lo=1),
+    "n_iter": Key(int, 8, lo=1), "projection_dims": Key(int, (1, 2, 4), ndim=1), "n_pairs": Key(int, 200, lo=1),
+}
+_SEED = Key(int, 0)
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _all_keys():
-    """``_KEYS`` with the ``params`` keys, which load kernel_lab."""
+def _table(table, name):
+    """The table of section ``name``; the params one loads kernel_lab."""
+    if name != "params":
+        return table[name]
     from . import kernel_lab as kl
-    return dict(_KEYS, params=set(vars(kl.VerifyParams())))
+    return {k: Key(type(d), d) for k, d in vars(kl.VerifyParams()).items()}
+
+
+def _known(params):
+    """Every key some subcommand reads, per section ("" is the top level); the params section if ``params``."""
+    sections = [k for k, v in _ALL.items() if not isinstance(v, Key) and (params or k != "params")]
+    return {"": set(_ALL), **{k: set(_table(_ALL, k)) for k in sections}}
 
 
 def _check_keys(cfg):
     """Reject a section that is not a JSON object, and any key no subcommand reads."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"the config must be a JSON object, not {type(cfg).__name__}")
-    for section, known in (_all_keys() if "params" in cfg else _KEYS).items():
+    for section, known in _known("params" in cfg).items():
         sec = cfg.get(section, {}) if section else cfg
         if not isinstance(sec, dict):
             raise ConfigError(f"section {section!r} must be a JSON object, not {sec!r}")
@@ -71,59 +102,65 @@ def _check_keys(cfg):
 
                 lower = {k.lower(): k for k in known}
                 near = difflib.get_close_matches(key.lower(), lower, n=1)
-                home = [f"in {s!r}" if s else "at the top level" for s, keys in _all_keys().items() if key in keys]
+                home = [f"in {s!r}" if s else "at the top level" for s, keys in _known(True).items() if key in keys]
                 hint = f"; did you mean {lower[near[0]]!r}?" if near else f"; it belongs {home[0]}" if home else ""
                 raise ConfigError(f"unknown key {key!r}{f' in {section!r}' if section else ''}{hint}")
 
 
-def _section(cfg, name):
-    if name not in cfg:
-        raise ConfigError(f"config requires a {name!r} section")
-    return cfg[name]
-
-
-def _num(sec, key, default=_REQUIRED, typ=float, lo=None, gt=None):
-    """``sec[key]`` as a ``typ`` (float, int or bool) of at least ``lo`` and
-    above ``gt``; a float must be finite, as no key takes ±inf, and an int
-    must fit in 64 bits.  ``default`` when absent, and None for null when
-    the default is None."""
-    v = sec.get(key, default)
+def _check(key, spec, v):
+    """``v`` as a value of ``spec``: a float finite (no key takes ±inf), an int within 64 bits, each at
+    least ``lo`` and above ``gt``; an array rectangular with ``ndim`` axes.  None for null when the
+    default is None."""
+    if v is None and spec.default is None:
+        return None
     if v is _REQUIRED:
         raise ConfigError(f"missing key {key!r}")
-    if v is None and default is None:
-        return None
-    kind, name = _TYPES[typ]
-    if not isinstance(v, kind) or (isinstance(v, bool) and typ is not bool):
+    if spec.ndim != 0:
+        try:
+            a = np.asarray(v)
+        except ValueError:  # ragged nesting
+            a = np.empty(())
+        if a.ndim == 0 or spec.ndim not in (None, a.ndim) or a.dtype.kind not in ("iu" if spec.typ is int else "iuf"):
+            what, shape = "integers" if spec.typ is int else "numbers", f" ({spec.ndim}-d)" if spec.ndim else ""
+            raise ConfigError(f"{key} must be an array of {what}{shape}, not {v!r}")
+        return a if spec.typ is None else a.astype(spec.typ)
+    kind, name = _TYPES[spec.typ]
+    if not isinstance(v, kind) or isinstance(v, bool):
         raise ConfigError(f"{key} must be {name}, not {v!r}")
-    if typ is int and not -(2**63) <= v < 2**64:  # no numpy count holds it; a seed is taken mod 2^64
+    if spec.typ is int and not -(2**63) <= v < 2**64:  # no numpy count holds it; a seed is taken mod 2^64
         raise ConfigError(f"{key} must fit in 64 bits, got {v}")
     # finite, as a float: no NaN or ±inf, and no integer literal past the float range
-    if typ is float and not abs(v) <= sys.float_info.max or gt is not None and not v > gt:
+    gt = spec.gt
+    if spec.typ is float and not abs(v) <= sys.float_info.max or gt is not None and not v > gt:
         bound = "" if gt is None else "positive and " if gt == 0 else f"above {gt} and "
         raise ConfigError(f"{key} must be {bound}finite, got {v}")
-    if lo is not None and v < lo:
-        raise ConfigError(f"{key} = {v} must be at least {lo}")
-    return typ(v)
+    if spec.lo is not None and v < spec.lo:
+        raise ConfigError(f"{key} = {v} must be at least {spec.lo}")
+    return spec.typ(v)
 
 
-def _arr(sec, key, default=_REQUIRED, dtype=float, ndim=None):
-    """``sec[key]`` as a rectangular array of numbers (of integers when
-    ``dtype`` is int; ``dtype=None`` keeps JSON's ints and floats) with
-    ``ndim`` axes if given; ``default`` when absent, and None for null when
-    the default is None."""
-    v = sec.get(key, default)
-    if v is _REQUIRED:
-        raise ConfigError(f"missing key {key!r}")
-    if v is None and default is None:
-        return None
-    try:
-        a = np.asarray(v)
-    except ValueError:  # ragged nesting
-        a = np.empty(())
-    if a.ndim == 0 or ndim not in (None, a.ndim) or a.dtype.kind not in ("iu" if dtype is int else "iuf"):
-        shape = f" ({ndim}-d)" if ndim else ""
-        raise ConfigError(f"{key} must be an array of {'integers' if dtype is int else 'numbers'}{shape}, not {v!r}")
-    return a if dtype is None else a.astype(dtype)
+class _Config(dict):
+    """A config as one subcommand reads it: ``cfg("K")`` or ``cfg("model.rho")`` is the value checked
+    against its table entry, the default when absent (``fill`` for a derived one); ``read`` collects
+    each path read."""
+
+    def __init__(self, cfg, command):
+        super().__init__(cfg)
+        self.table, self.read = _COMMANDS[command][1], set()
+
+    def __call__(self, path, fill=None):
+        self.read.add(path)
+        *sec, key = path.split(".")
+        spec = _table(self.table, sec[0])[key] if sec else self.table[key]
+        if sec and sec[0] not in self and spec.default is _REQUIRED:
+            raise ConfigError(f"config requires a {sec[0]!r} section")
+        v = (self.get(sec[0], {}) if sec else self).get(key, spec.default)
+        return _check(key, spec, fill if v is _FILLED else v)
+
+    def unread(self):
+        """The sorted paths of the keys this run did not read."""
+        keys = {k for k in self if isinstance(_ALL[k], Key)}
+        return sorted((keys | {f"{k}.{s}" for k in self.keys() - keys for s in self[k]}) - self.read)
 
 
 def _env_threads():
@@ -175,66 +212,56 @@ def _csv_text(header, array, sha, seed):
     return "\n".join(lines) + "\n"
 
 
-def _build_model(cfg):
+def _build_model(cfg, command=None):
+    """The ``model`` section's model; a chain is refused when ``command`` needs a map."""
     from . import rds_core as rc
     from .dynamics_maps import BurgersMap, ToyDiagonalMap
-    mc = _section(cfg, "model")
-    kind = mc.get("kind")
+    kind = cfg("model.kind")
     if kind == "toy":
-        factors, q = _arr(mc, "factors", None), _num(mc, "q", 0.0)
+        factors, q = cfg("model.factors"), cfg("model.q")
         if factors is None:
             m = ToyDiagonalMap.geometric(
-                _num(mc, "dim", typ=int, lo=1), base=_num(mc, "base", 0.7), ratio=_num(mc, "ratio", 0.8),
-                q=q, cutoff_radius=_num(mc, "cutoff_radius", 1.0),
+                cfg("model.dim"), base=cfg("model.base"), ratio=cfg("model.ratio"), q=q,
+                cutoff_radius=cfg("model.cutoff_radius"),
             )
         else:
             m = ToyDiagonalMap(factors, q=q)
         contraction = float(m.factors[0]) if m.q == 0 and m.factors[0] < 1 else None
     elif kind == "burgers":
-        m = BurgersMap(nu=_num(mc, "nu"), modes=_num(mc, "modes", 64, int, 1), dt=_num(mc, "dt", 1e-3))
-        contraction = _num(mc, "contraction_factor", None)  # assumed, not measured
+        m = BurgersMap(nu=cfg("model.nu"), modes=cfg("model.modes"), dt=cfg("model.dt"))
+        contraction = cfg("model.contraction_factor")  # assumed, not measured
     elif kind == "chain":
-        return rc.FiniteChainModel(points=_arr(mc, "points"), P=_arr(mc, "P"))
+        if command:
+            raise ConfigError(f"{command} needs a continuous map model (kind 'toy' or 'burgers'), not a chain")
+        return rc.FiniteChainModel(points=cfg("model.points"), P=cfg("model.P"))
     else:
         raise ConfigError(f"unknown model kind {kind!r}")
-    law = rc.KickLaw.from_decay(
-        _num(mc, "kick_dim", min(8, m.dim), int, 1), b0=_num(mc, "kick_b0", 0.3), s=_num(mc, "kick_s", 1.0)
-    )
-    return rc.RDSModel(map=m, kicks=law, rho=_num(mc, "rho", 1.0, gt=0), contraction_factor=contraction)
-
-
-def _build_map_model(cfg, command):
-    from . import rds_core as rc
-    model = _build_model(cfg)
-    if isinstance(model, rc.FiniteChainModel):
-        raise ConfigError(f"{command} needs a continuous map model (kind 'toy' or 'burgers'), not a chain")
-    return model
+    law = rc.KickLaw.from_decay(cfg("model.kick_dim", min(8, m.dim)), b0=cfg("model.kick_b0"), s=cfg("model.kick_s"))
+    return rc.RDSModel(map=m, kicks=law, rho=cfg("model.rho"), contraction_factor=contraction)
 
 
 def _load_kernel(cfg):
     """The ``kernel`` section: ``points``, ``P``, ``A`` (default: every
     state) and the potential ``V`` (default: zero)."""
     from . import kernel_lab as kl
-    kc = _section(cfg, "kernel")
-    P = _arr(kc, "P")
-    kernel = kl.FiniteKernel(points=_arr(kc, "points"), P=P, A=_arr(kc, "A", range(len(P)), int))
-    return kernel, kl.PotentialVector.from_values(kernel, _arr(kc, "V", np.zeros(kernel.n)))
+    P = cfg("kernel.P")
+    kernel = kl.FiniteKernel(points=cfg("kernel.points"), P=P, A=cfg("kernel.A", range(len(P))))
+    return kernel, kl.PotentialVector.from_values(kernel, cfg("kernel.V", np.zeros(kernel.n)))
 
 
 def _build_potential(cfg, model):
     from . import feynman_kac as fk, rds_core as rc
-    pc = cfg.get("potential", {})
-    kind = pc.get("kind", "zero")
+    kind = cfg("potential.kind")
     if kind == "chain_values":
-        return fk.PotentialFn.from_chain(model, _arr(pc, "values"))
+        return fk.PotentialFn.from_chain(model, cfg("potential.values"))
     if kind == "zero":
         V = fk.PotentialFn.zero()
     elif kind == "coordinate":
-        index = _num(pc, "index", 0, int)
+        index = cfg("potential.index")
         if not 0 <= index < model.dim:
             raise ConfigError(f"potential index = {index} must lie in 0..{model.dim - 1} (model dim)")
         V = fk.PotentialFn.coordinate(
-            index, scale=_num(pc, "scale", 1.0), center=_num(pc, "center", 0.0), clip=_num(pc, "clip", None, gt=0),
+            index, scale=cfg("potential.scale"), center=cfg("potential.center"), clip=cfg("potential.clip"),
         )
     else:
         raise ConfigError(f"unknown potential kind {kind!r}")
@@ -250,8 +277,7 @@ def _build_potential(cfg, model):
 def _cmd_simulate(cfg, seed, threads):
     from . import rds_core as rc
     model = _build_model(cfg)
-    u0 = _arr(cfg, "u0", np.zeros(model.dim))
-    K, stream = _num(cfg, "K", 100, int, 0), _num(cfg, "stream", 0, int, 0)
+    u0, K, stream = cfg("u0", np.zeros(model.dim)), cfg("K"), cfg("stream")
     states = rc.simulate(model, u0, K, seed=seed, stream=stream)
     if isinstance(model, rc.FiniteChainModel):
         states = model.coords(states)
@@ -267,32 +293,21 @@ def _cmd_eigen(cfg, seed, threads):
     M = kl.build_tilted_matrix(kernel, potential)
     triple = kl.perron_triple(M, kernel.A)
     print(f"lambda = {triple.lam:.12g}")
-    return {
-        "lambda": triple.lam,
-        "h": triple.h,
-        "mu": triple.mu,
-        "extension_ok": triple.extension_ok,
-    }, {}
+    return {"lambda": triple.lam, "h": triple.h, "mu": triple.mu, "extension_ok": triple.extension_ok}, {}
 
 
 def _cmd_pressure(cfg, seed, threads):
     from . import feynman_kac as fk
     model = _build_model(cfg)
     V = _build_potential(cfg, model)
-    u0 = _arr(cfg, "u0", np.zeros(model.dim))
-    k_max, n_traj = _num(cfg, "k_max", 60, int), _num(cfg, "n_traj", 4000, int, 100)
-    alphas = _arr(cfg, "alphas", None, ndim=1)
-    recenter_k = _num(cfg, "recenter_k", 10_000, int, 0)
+    u0 = cfg("u0", np.zeros(model.dim))
+    k_max, n_traj, alphas = cfg("k_max"), cfg("n_traj"), cfg("alphas")
     if alphas is not None and alphas.size:
+        recenter_k = cfg("recenter_k")  # read by a curve alone: without one it is listed as unread
         curve = fk.pressure_curve(model, V, alphas, u0, k_max=k_max, n_traj=n_traj, seed=seed, recenter_k=recenter_k)
         result = {
-            "alphas": curve.alphas,
-            "Q": curve.Q,
-            "stderr": curve.stderr,
-            "sigma_V": curve.sigma_V,
-            "sigma_V_stderr": curve.sigma_V_stderr,
-            "convex": curve.convex,
-            "mean_shift": curve.mean_shift,
+            "alphas": curve.alphas, "Q": curve.Q, "stderr": curve.stderr, "sigma_V": curve.sigma_V,
+            "sigma_V_stderr": curve.sigma_V_stderr, "convex": curve.convex, "mean_shift": curve.mean_shift,
             "accepted": curve.accepted,
         }
         print(f"sigma_V = {curve.sigma_V:.6g}")
@@ -309,29 +324,22 @@ def _cmd_pressure(cfg, seed, threads):
 def _cmd_met_check(cfg, seed, threads):
     from . import kernel_lab as kl, rds_core as rc
     kernel, potential = _load_kernel(cfg)
-    k_max = _num(cfg, "k_max", 80, int, 1)
+    k_max = cfg("k_max")
     M = kl.build_tilted_matrix(kernel, potential)
     triple = kl.perron_triple(M, kernel.A)
     f = rc.rng_stream(seed, 0).uniform(-1, 1, kernel.n)
     C, gamma, residuals = kl.met_residuals(kernel, potential, triple, f, k_max=k_max)
     rate, info = kl.met_rate_estimate(kernel, potential, triple)
     return {
-        "lambda": triple.lam,
-        "C": C,
-        "gamma_window_fit": gamma,
-        "gamma_rate_estimate": rate,
-        "rate_info": info,
+        "lambda": triple.lam, "C": C, "gamma_window_fit": gamma, "gamma_rate_estimate": rate, "rate_info": info,
     }, {"residuals.csv": ("k,residual", np.column_stack([np.arange(1, k_max + 1), residuals]))}
 
 
 def _cmd_coupling_check(cfg, seed, threads):
     from . import coupling_lab, rds_core as rc
-    model = _build_map_model(cfg, "coupling-check")
+    model = _build_model(cfg, "coupling-check")
     kick_dim = model.kicks.dim
-    N = _num(cfg, "N", kick_dim // 2, int)
-    n_samples = _num(cfg, "n_samples", 100_000, int, 1)
-    delta = _num(cfg, "delta", 0.1)
-    j = _num(cfg, "coordinate", 0, int)
+    N, n_samples, delta, j = cfg("N", kick_dim // 2), cfg("n_samples"), cfg("delta"), cfg("coordinate")
     if not 0 <= N <= kick_dim:
         raise ConfigError(f"N = {N} must lie in 0..kick_dim = {kick_dim}")
     if not 0 <= j < kick_dim:
@@ -349,12 +357,8 @@ def _cmd_coupling_check(cfg, seed, threads):
     _, p1 = coupling_lab.ks_test((x1 - delta) / b, model.kicks.density.cdf)
     _, p2 = coupling_lab.ks_test(x2 / b, model.kicks.density.cdf)
     return {
-        "N": N,
-        "delta": delta,
-        "coupling_probability": p_emp,
-        "oracle_probability": p_oracle,
-        "z_score": (p_emp - p_oracle) / sigma if sigma > 0 else 0.0,
-        "ks_pvalues": [p1, p2],
+        "N": N, "delta": delta, "coupling_probability": p_emp, "oracle_probability": p_oracle,
+        "z_score": (p_emp - p_oracle) / sigma if sigma > 0 else 0.0, "ks_pvalues": [p1, p2],
         "decoupling_constant": coupling_lab.decoupling_constant(model.kicks, N),
     }, {}
 
@@ -366,22 +370,16 @@ def _cmd_conditions(cfg, seed, threads):
     if "kernel" in cfg:
         from . import kernel_lab as kl
         kernel, potential = _load_kernel(cfg)
-        pc = cfg.get("params", {})
-        params = kl.VerifyParams(**{k: _num(pc, k, d, type(d)) for k, d in vars(kl.VerifyParams()).items()})
+        params = kl.VerifyParams(**{k: cfg(f"params.{k}") for k in cfg.get("params", {})})
     if "model" in cfg:
         from . import rds_core as rc
         from .dynamics_maps import BurgersMap, l1_circle_metric
-        model = _build_map_model(cfg, "conditions")
-        pc = cfg.get("plan", {})
+        model = _build_model(cfg, "conditions")
         plan = rc.SamplePlan(
-            radii=tuple(_arr(pc, "radii", (model.rho, 2 * model.rho), None, 1).tolist()),
-            r=_num(pc, "r", 0.5),
-            n_samples=_num(pc, "n_samples", 100, int, 1),
-            n_iter=_num(pc, "n_iter", 8, int, 1),
-            projection_dims=tuple(_arr(pc, "projection_dims", (1, 2, 4), int, 1).tolist()),
-            n_pairs=_num(pc, "n_pairs", 200, int, 1),
-            d_prime=l1_circle_metric(model.map) if isinstance(model.map, BurgersMap) else None,
-            seed=seed,
+            radii=tuple(cfg("plan.radii", (model.rho, 2 * model.rho)).tolist()), r=cfg("plan.r"),
+            n_samples=cfg("plan.n_samples"), n_iter=cfg("plan.n_iter"), n_pairs=cfg("plan.n_pairs"),
+            projection_dims=tuple(cfg("plan.projection_dims").tolist()),
+            d_prime=l1_circle_metric(model.map) if isinstance(model.map, BurgersMap) else None, seed=seed,
         )
     if "kernel" in cfg:
         rep = kl.verify_theorem21(kernel, potential, params)
@@ -395,27 +393,21 @@ def _cmd_conditions(cfg, seed, threads):
 def _cmd_ldp(cfg, seed, threads):
     from . import apps
     kernel, _ = _load_kernel(cfg)
-    f_values, x_grid = _arr(cfg, "f"), _arr(cfg, "x_grid", ndim=1)
-    k_set = _arr(cfg, "k_set", [50, 100, 200], int, 1).tolist()
-    n_traj = _num(cfg, "n_traj", 100_000, int, 1)
-    u0 = _arr(cfg, "u0", kernel.points[0])
+    f_values, x_grid, k_set, n_traj = cfg("f"), cfg("x_grid"), cfg("k_set").tolist(), cfg("n_traj")
+    u0 = cfg("u0", kernel.points[0])
     rep = apps.ldp_level1(kernel, f_values, x_grid, k_set, n_traj, u0=u0, seed=seed)
     return {
-        "x_grid": rep.x_grid,
-        "legendre": rep.legendre,
+        "x_grid": rep.x_grid, "legendre": rep.legendre, "mean_f": rep.mean_f,
         "cells": {f"x={x:.6g},k={k}": v for (x, k), v in rep.cells.items()},
         "slope_rates": {f"{x:.6g}": r for x, r in rep.slope_rates.items()},
-        "mean_f": rep.mean_f,
     }, {}
 
 
 def _cmd_attract(cfg, seed, threads):
     from . import rds_core as rc
-    model = _build_map_model(cfg, "attract")
-    eps, hit_eps = _num(cfg, "eps", 0.1, gt=0), _num(cfg, "hit_eps", model.rho / 2, gt=0)
-    n_traj, horizon = _num(cfg, "n_traj", 2000, int, 1), _num(cfg, "horizon", 400, int, 1)
-    cloud_k, cloud_points = _num(cfg, "cloud_k", 40, int, 0), _num(cfg, "cloud_points", 4000, int, 1)
-    u0s = _arr(cfg, "u0s", [list(np.full(model.dim, model.rho))])
+    model = _build_model(cfg, "attract")
+    eps, hit_eps, n_traj, horizon = cfg("eps"), cfg("hit_eps", model.rho / 2), cfg("n_traj"), cfg("horizon")
+    cloud_k, cloud_points, u0s = cfg("cloud_k"), cfg("cloud_points"), cfg("u0s", [np.full(model.dim, model.rho)])
     cloud = rc.attainability_cloud(model, np.zeros((1, model.dim)), cloud_k, seed=seed, max_points=cloud_points)
     jobs = [
         lambda: rc.attraction_counter(model, cloud, eps, u0s, n_traj=n_traj, horizon=horizon, seed=seed),
@@ -424,18 +416,13 @@ def _cmd_attract(cfg, seed, threads):
     att, hit = _fanout(lambda f: f(), jobs, threads)
     return {
         "attraction": {
-            "delta": att.delta,
-            "Lambda": att.Lambda,
-            "alpha_moment": att.alpha_moment,
-            "censored_fraction": att.censored_fraction,
-            "resolution": att.resolution,
-            "max_count": int(att.counts.max()),
-            "contraction_factor": model.contraction_factor,
+            "delta": att.delta, "Lambda": att.Lambda, "alpha_moment": att.alpha_moment,
+            "censored_fraction": att.censored_fraction, "resolution": att.resolution,
+            "max_count": int(att.counts.max()), "contraction_factor": model.contraction_factor,
             "settling_shortcut": att.settling_shortcut,
         },
         "hitting": {
-            "delta": hit.delta,
-            "censored_fraction": hit.censored_fraction,
+            "delta": hit.delta, "censored_fraction": hit.censored_fraction,
             "max_tau": int(max(t.max() for t in hit.taus.values())),
         },
     }, {"attractor_cloud.csv": (",".join(f"x{i}" for i in range(model.dim)), cloud)}
@@ -445,9 +432,8 @@ def _cmd_slln(cfg, seed, threads):
     from . import apps, rds_core as rc
     model = _build_model(cfg)
     V = _build_potential(cfg, model)
-    u0 = _arr(cfg, "u0", np.zeros(model.dim))
-    n_traj, K = _num(cfg, "n_traj", 2000, int, 1), _num(cfg, "K", 1000, int, 1)
-    mu_f, eps, C = _num(cfg, "mu_f", None), _num(cfg, "eps", 0.1, gt=0), _num(cfg, "C", 1.0, gt=0)
+    u0, n_traj, K = cfg("u0", np.zeros(model.dim)), cfg("n_traj"), cfg("K")
+    mu_f, eps, C = cfg("mu_f"), cfg("eps"), cfg("C")
     U = rc.initial_ensemble(model, u0, n_traj)
     vals = np.empty((n_traj, K))
     for k, U, _ in rc.propagate(model, U, rc.rng_stream(seed, 0), K):
@@ -456,39 +442,52 @@ def _cmd_slln(cfg, seed, threads):
         mu_f = float(vals[:, K // 2 :].mean())
     rep = apps.slln_time(vals, mu_f, eps=eps, C=C)
     return {
-        "censored_fraction": rep.censored_fraction,
-        "exp_r2": rep.exp_r2,
-        "poly_r2": rep.poly_r2,
-        "exp_slopes": rep.exp_slopes,
-        "verdict": rep.verdict,
-        "T_mean": float(rep.T.mean()),
-        "T_max": int(rep.T.max()),
+        "censored_fraction": rep.censored_fraction, "exp_r2": rep.exp_r2, "poly_r2": rep.poly_r2,
+        "exp_slopes": rep.exp_slopes, "verdict": rep.verdict, "T_mean": float(rep.T.mean()), "T_max": int(rep.T.max()),
     }, {}
 
 
-_HANDLERS = {
-    "simulate": _cmd_simulate,
-    "eigen": _cmd_eigen,
-    "pressure": _cmd_pressure,
-    "met-check": _cmd_met_check,
-    "coupling-check": _cmd_coupling_check,
-    "conditions": _cmd_conditions,
-    "ldp": _cmd_ldp,
-    "attract": _cmd_attract,
-    "slln": _cmd_slln,
+# each subcommand: its handler and the table of its top-level keys and sections
+_COMMANDS = {
+    "simulate": (_cmd_simulate, {
+        "seed": _SEED, "model": _MODEL, "u0": _ARRAY_FILLED, "K": Key(int, 100, lo=0), "stream": Key(int, 0, lo=0),
+    }),
+    "eigen": (_cmd_eigen, {"seed": _SEED, "kernel": _KERNEL}),
+    "pressure": (_cmd_pressure, {
+        "seed": _SEED, "model": _MODEL, "potential": _POTENTIAL, "u0": _ARRAY_FILLED, "k_max": Key(int, 60),
+        "n_traj": Key(int, 4000, lo=100), "alphas": Key(float, None, ndim=1), "recenter_k": Key(int, 10_000, lo=0),
+    }),
+    "met-check": (_cmd_met_check, {"seed": _SEED, "kernel": _KERNEL, "k_max": Key(int, 80, lo=1)}),
+    "coupling-check": (_cmd_coupling_check, {
+        "seed": _SEED, "model": _MODEL, "N": Key(int, _FILLED), "n_samples": Key(int, 100_000, lo=1),
+        "delta": Key(float, 0.1), "coordinate": Key(int, 0),
+    }),
+    "conditions": (_cmd_conditions, {"seed": _SEED, "kernel": _KERNEL, "params": None, "model": _MODEL, "plan": _PLAN}),
+    "ldp": (_cmd_ldp, {
+        "seed": _SEED, "kernel": _KERNEL, "f": _ARRAY, "x_grid": Key(float, ndim=1),
+        "k_set": Key(int, (50, 100, 200), ndim=1), "n_traj": Key(int, 100_000, lo=1), "u0": _ARRAY_FILLED,
+    }),
+    "attract": (_cmd_attract, {
+        "seed": _SEED, "model": _MODEL, "eps": Key(float, 0.1, gt=0), "hit_eps": Key(float, _FILLED, gt=0),
+        "n_traj": Key(int, 2000, lo=1), "horizon": Key(int, 400, lo=1), "cloud_k": Key(int, 40, lo=0),
+        "cloud_points": Key(int, 4000, lo=1), "u0s": _ARRAY_FILLED,
+    }),
+    "slln": (_cmd_slln, {
+        "seed": _SEED, "model": _MODEL, "potential": _POTENTIAL, "u0": _ARRAY_FILLED, "n_traj": Key(int, 2000, lo=1),
+        "K": Key(int, 1000, lo=1), "mu_f": Key(float, None), "eps": Key(float, 0.1, gt=0), "C": Key(float, 1.0, gt=0),
+    }),
 }
+_ALL = {k: v for _, table in _COMMANDS.values() for k, v in table.items()}  # every top-level key
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="fklab", description=__doc__)
-    parser.add_argument("command", choices=_HANDLERS)
+    parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", required=True, help="path to the run config JSON")
     parser.add_argument("--seed", type=int, default=None, help="overrides the config seed")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
+        "--threads", type=int, default=None,
         help="independent-job parallelism (results are thread-count invariant); default FK_LAB_THREADS, else 1",
     )
     args = parser.parse_args(argv)
@@ -498,20 +497,21 @@ def main(argv=None):
         with open(args.config) as fh:
             cfg = json.load(fh)
         _check_keys(cfg)
-        seed = args.seed if args.seed is not None else _num(cfg, "seed", 0, int)
+        cfg = _Config(cfg, args.command)
+        seed = cfg("seed") if args.seed is None else _check("seed", _SEED, args.seed)
         sha = hashlib.sha256(json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
         os.makedirs(args.out, exist_ok=True)
-        result, files = _HANDLERS[args.command](cfg, seed, max(threads, 1))
+        result, files = _COMMANDS[args.command][0](cfg, seed, max(threads, 1))
         for name, body in files.items():
             text = body if isinstance(body, str) else _csv_text(*body, sha, seed)
             _atomic_write(os.path.join(args.out, name), text)
+        unread = cfg.unread()
         manifest = {
+            **({"unread_keys": unread} if unread else {}),
             "command": args.command,
             "config": cfg,
             "versions": {
-                "fklab": __version__,
-                "numpy": np.__version__,
-                "python": ".".join(map(str, sys.version_info[:3])),
+                "fklab": __version__, "numpy": np.__version__, "python": ".".join(map(str, sys.version_info[:3])),
             },
         }
         _atomic_write(os.path.join(args.out, "results.json"), _json_text(result, sha, seed))

@@ -1,7 +1,9 @@
 import io
 import json
+import numbers
 import os
 import pathlib
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -187,6 +189,7 @@ def test_seed_override_changes_manifest(tmp_path):
     m1 = json.loads((out1 / "manifest.json").read_text())
     m2 = json.loads((out2 / "manifest.json").read_text())
     assert m1["seed"] == 5 and m2["seed"] == 99
+    assert "unread_keys" not in m1 and m2["unread_keys"] == ["seed"]  # --seed replaces the config's
     assert (out1 / "trajectory.csv").read_bytes() != (out2 / "trajectory.csv").read_bytes()
 
 
@@ -710,15 +713,15 @@ def test_kernel_json_roundtrip(rng):
     # P, A (default: every state) and V survive the one kernel parser
     from conftest import random_kernel_potential
 
-    from fklab.cli import _load_kernel
+    from fklab.cli import _Config, _load_kernel
 
     K, V = random_kernel_potential(rng, 6, strict_subset=True)
     section = {"points": K.points.tolist(), "P": K.P.tolist(), "A": K.A.tolist(), "V": V.V.tolist()}
-    K2, V2 = _load_kernel(json.loads(json.dumps({"kernel": section})))
+    K2, V2 = _load_kernel(_Config(json.loads(json.dumps({"kernel": section})), "eigen"))
     assert np.array_equal(K2.points, K.points) and np.array_equal(K2.P, K.P)
     assert np.array_equal(K2.A, K.A)
     assert np.array_equal(V2.V, V.V)
-    K3, V3 = _load_kernel({"kernel": {k: section[k] for k in ("points", "P")}})
+    K3, V3 = _load_kernel(_Config({"kernel": {k: section[k] for k in ("points", "P")}}, "eigen"))
     assert np.array_equal(K3.A, np.arange(6))
     assert np.array_equal(V3.V, np.zeros(6))
 
@@ -821,12 +824,23 @@ def test_values_outside_a_keys_domain_exit_2(tmp_path, capsys, command, cfg, mes
     assert not (out / "results.json").exists()
 
 
+@pytest.mark.parametrize("seed", [2**64, -(2**63) - 1], ids=["2^64", "below-int64"])
+def test_seed_flag_outside_the_seed_domain_exits_2(tmp_path, capsys, seed):
+    # --seed is read through the config seed's entry: 2^64 ran seed 0's
+    # trajectory while results.json recorded 2^64
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", str(CONFIGS / "simulate_toy.json"), f"--seed={seed}", "--out", str(out)]
+    assert run_cli(argv) == 2
+    assert f"seed must fit in 64 bits, got {seed}" in capsys.readouterr().err
+    assert not (out / "results.json").exists()
+
+
 def test_float_key_takes_an_integer_beyond_int64():
     # JSON reads an integer literal past int64 as a Python int; the
     # finiteness test must not route it through a numpy cast that rejects it
-    from fklab.cli import _num
+    from fklab.cli import _Config
 
-    assert _num({"C": 10**30}, "C", 1.0, gt=0) == 1e30
+    assert _Config({"C": 10**30}, "slln")("C") == 1e30
 
 
 def test_non_integer_thread_variable_exits_2(tmp_path, capsys, monkeypatch):
@@ -849,29 +863,49 @@ SHIPPED_RUNS = [
 @st.composite
 def mutated_runs(draw, runs, values):
     """One of ``runs`` with one key dropped, renamed or set to one of
-    ``values``; the key is at the top level or one section down."""
+    ``values``; the key is at the top level or one section down.  Returns
+    the command, the config, the key's path and the value set (DROP if
+    none was)."""
     command, cfg = draw(st.sampled_from(runs))
     cfg = json.loads(json.dumps(cfg))
     paths = [(k,) for k in cfg] + [(k, sub) for k, v in cfg.items() if isinstance(v, dict) for sub in v]
     *head, key = draw(st.sampled_from(paths))
     sec = cfg[head[0]] if head else cfg
-    how = draw(st.sampled_from(["drop", "rename", "set"]))
+    how, value = draw(st.sampled_from(["drop", "rename", "set"])), DROP
     if how == "drop":
         del sec[key]
     elif how == "rename":
         sec[draw(st.sampled_from([key + "x", key.swapcase(), key[:-1]]))] = sec.pop(key)
     else:
-        sec[key] = draw(st.sampled_from(values))
-    return command, cfg
+        value = sec[key] = draw(st.sampled_from(values))
+    return command, cfg, (*head, key), value
 
 
 def exit_code(command, cfg):
+    """The exit code of one run and the manifest it wrote ({} if none)."""
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        path = os.path.join(tmp, "cfg.json")
+        path, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "out")
         with open(path, "w") as fh:
             json.dump(cfg, fh)
         with np.errstate(all="ignore"):
-            return run_cli([command, "--config", path, "--out", os.path.join(tmp, "out")])
+            code = run_cli([command, "--config", path, "--out", out])
+        manifest = pathlib.Path(out, "manifest.json")
+        return code, json.loads(manifest.read_text()) if manifest.exists() else {}
+
+
+def in_domain(command, path, value):
+    """Whether the number ``value`` lies in the domain that ``command``'s
+    table gives the key at ``path``: a finite scalar of the key's type, an
+    int within 64 bits, at least ``lo`` and above ``gt``."""
+    from fklab.cli import _COMMANDS, _table
+
+    table = _COMMANDS[command][1]
+    entry = (_table(table, path[0]) if len(path) == 2 else table)[path[-1]]
+    if entry.ndim != 0 or not abs(value) <= sys.float_info.max:  # NaN fails too
+        return False
+    if not (entry.typ is float or (entry.typ is int and isinstance(value, int) and -(2**63) <= value < 2**64)):
+        return False
+    return (entry.lo is None or value >= entry.lo) and (entry.gt is None or value > entry.gt)
 
 
 @settings(max_examples=40, deadline=None)
@@ -879,34 +913,72 @@ def exit_code(command, cfg):
                         ["x", None, True, 7, 2.5, [1.5], [[1, 2], [3]], {"a": 1}, 0, -1, -3.5, -10**9]))
 def test_mutated_shipped_configs_exit_0_2_or_3(run):
     # a bad config is a 2, a numerical failure a 3; never a traceback (1)
-    assert exit_code(*run) in (0, 2, 3)
+    assert exit_code(*run[:2])[0] in (0, 2, 3)
 
 
 @settings(max_examples=1000, deadline=None)
 @given(run=mutated_runs(list(BASE_RUNS.values()),
                         [float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 10**400, -(10**400), "x", "",
-                         None, True, [], [[1, 2], [3]], [[1.5]], {"a": 1}]))
+                         None, True, [], [[1, 2], [3]], [[1.5]], {"a": 1}, 0, -1]))
 def test_mutated_configs_of_every_subcommand_exit_0_2_or_3(run):
     # the same on one small run of each subcommand, with non-finite, huge
-    # and nested values: a handler whose own imports miss a name exits 1
-    assert exit_code(*run) in (0, 2, 3)
+    # and nested values: a handler whose own imports miss a name exits 1.
+    # A number set on a key and run to exit 0 was read, and lies in the
+    # domain the subcommand's table gives that key
+    command, cfg, path, value = run
+    code, manifest = exit_code(command, cfg)
+    assert code in (0, 2, 3)
+    if code == 0 and isinstance(value, numbers.Real) and not isinstance(value, bool):
+        assert ".".join(path) not in manifest.get("unread_keys", [])
+        assert in_domain(command, path, value)
+
+
+@pytest.mark.parametrize(
+    "command, cfg, unread",
+    [
+        ("ldp", {**LDP_PROBE, "x_grid": [0.6], "alphas": [0, 1]}, ["alphas"]),
+        ("simulate", {"model": {**TOY_MODEL, "nu": 0.5}, "K": 5, "seed": 1}, ["model.nu"]),
+        ("simulate", {"model": {"kind": "toy", "factors": [0.5, 0.4], "dim": 2, "base": 0.6}, "K": 5},
+         ["model.base", "model.dim"]),
+        ("simulate", {"model": CHAIN_MODEL, "potential": {"kind": "zero"}, "u0": [1.0], "K": 5},
+         ["potential.kind"]),
+        ("pressure", shipped("pressure_toy_v0.json", recenter_k=2000), ["recenter_k"]),  # only a curve recentres
+        # the shipped configs under the subcommands tools/cli_walls.py runs them with
+        ("eigen", shipped("eigen_2state.json"), None),
+        ("met-check", shipped("eigen_2state.json"), None),
+        ("conditions", shipped("eigen_2state.json"), None),
+        ("simulate", shipped("simulate_toy.json"), None),
+        ("coupling-check", shipped("simulate_toy.json"), ["K", "stream", "u0"]),
+        ("pressure", shipped("pressure_toy_v0.json"), None),
+        ("pressure", shipped("pressure_curve_toy.json"), None),
+    ],
+    ids=["ldp-alphas", "toy-nu", "toy-factors", "chain-potential", "no-curve-recenter_k", "eigen", "met-check",
+         "conditions", "simulate", "coupling-check", "pressure-v0", "pressure-curve"],
+)
+def test_manifest_lists_the_keys_a_run_did_not_read(tmp_path, command, cfg, unread):
+    # sorted, and written only when some key went unread, so a fully read
+    # config's manifest is byte for byte what it was before the list existed
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text()).get("unread_keys") == unread
 
 
 def test_readme_config_sketch_keys_are_known():
     # every key the README shows is one the config reader accepts
     import re
 
-    from fklab.cli import _KEYS
+    from fklab.cli import _known
 
+    known = _known(params=False)
     readme = (CONFIGS.parent / "README.md").read_text()
     sketch = re.search(r"### Config sketch\n\n```jsonc\n(.*?)```", readme, re.S).group(1)
     cfg = json.loads(re.sub(r"//[^\n]*", "", sketch))
     for key, value in cfg.items():
-        assert key in _KEYS[""]
+        assert key in known[""]
         if isinstance(value, dict):
-            assert set(value) <= _KEYS[key]
+            assert set(value) <= known[key]
     kernel = re.search(r"`kernel` section\n`(\{.*?\})`", readme, re.S).group(1)
-    assert set(re.findall(r'"(\w+)":', kernel)) == _KEYS["kernel"]
+    assert set(re.findall(r'"(\w+)":', kernel)) == known["kernel"]
 
 
 def test_csv_text_bytes_match_per_value_repr():

@@ -756,7 +756,7 @@ def test_chain_ensembles_step_index_states(data):
     coord = {"kind": "coordinate", "index": i, "scale": data.draw(st.floats(-3, 3)),
              "center": data.draw(st.floats(-3, 3)), "clip": data.draw(st.none() | st.floats(0.1, 5))}
     V_coord = fk.PotentialFn.coordinate(i, scale=coord["scale"], center=coord["center"], clip=coord["clip"])
-    V = cli._build_potential({"potential": coord}, chain)  # tabulated on the points once
+    V = cli._build_potential(cli._Config({"potential": coord}, "pressure"), chain)  # tabulated on the points once
 
     # the ensemble starts at the nearest point, as an index column
     X = rc.initial_ensemble(chain, u0, rows)
