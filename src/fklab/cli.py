@@ -67,7 +67,7 @@ _PLAN = {
     "radii": Key(None, _FILLED, ndim=1), "r": Key(float, 0.5), "n_samples": Key(int, 100, lo=1),
     "n_iter": Key(int, 8, lo=1), "projection_dims": Key(int, (1, 2, 4), ndim=1), "n_pairs": Key(int, 200, lo=1),
 }
-_SEED = Key(int, 0)
+_SEED = Key(int, 0, lo=0)  # 0 .. 2^64 - 1, which rng_stream maps one to one onto its streams
 
 
 class ConfigError(ValueError):
@@ -127,7 +127,7 @@ def _check(key, spec, v):
     kind, name = _TYPES[spec.typ]
     if not isinstance(v, kind) or isinstance(v, bool):
         raise ConfigError(f"{key} must be {name}, not {v!r}")
-    if spec.typ is int and not -(2**63) <= v < 2**64:  # no numpy count holds it; a seed is taken mod 2^64
+    if spec.typ is int and not -(2**63) <= v < 2**64:  # no numpy count holds it; rng_stream takes a seed mod 2^64
         raise ConfigError(f"{key} must fit in 64 bits, got {v}")
     # finite, as a float: no NaN or ±inf, and no integer literal past the float range
     gt = spec.gt
@@ -161,23 +161,6 @@ class _Config(dict):
         """The sorted paths of the keys this run did not read."""
         keys = {k for k in self if isinstance(_ALL[k], Key)}
         return sorted((keys | {f"{k}.{s}" for k in self.keys() - keys for s in self[k]}) - self.read)
-
-
-def _env_threads():
-    text = os.environ.get("FK_LAB_THREADS", "1")
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"FK_LAB_THREADS = {text!r} must be an integer") from None
-
-
-def _fanout(fn, items, threads):
-    """Order-preserving map over independent jobs."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _atomic_write(path, text):
@@ -241,11 +224,16 @@ def _build_model(cfg, command=None):
 
 
 def _load_kernel(cfg):
-    """The ``kernel`` section: ``points``, ``P``, ``A`` (default: every
-    state) and the potential ``V`` (default: zero)."""
+    """The ``kernel`` section's ``points``, ``P`` and ``A`` (default: every state)."""
     from . import kernel_lab as kl
     P = cfg("kernel.P")
-    kernel = kl.FiniteKernel(points=cfg("kernel.points"), P=P, A=cfg("kernel.A", range(len(P))))
+    return kl.FiniteKernel(points=cfg("kernel.points"), P=P, A=cfg("kernel.A", range(len(P))))
+
+
+def _load_tilt(cfg):
+    """The kernel and its potential ``V`` (default: zero); ``ldp`` reads no ``V``."""
+    from . import kernel_lab as kl
+    kernel = _load_kernel(cfg)
     return kernel, kl.PotentialVector.from_values(kernel, cfg("kernel.V", np.zeros(kernel.n)))
 
 
@@ -274,7 +262,7 @@ def _build_potential(cfg, model):
 # (header, rows) pair that main writes as a stamped CSV.
 
 
-def _cmd_simulate(cfg, seed, threads):
+def _cmd_simulate(cfg, seed):
     from . import rds_core as rc
     model = _build_model(cfg)
     u0, K, stream = cfg("u0", np.zeros(model.dim)), cfg("K"), cfg("stream")
@@ -287,16 +275,16 @@ def _cmd_simulate(cfg, seed, threads):
     return result, {"trajectory.csv": (header, np.column_stack([np.arange(K + 1), states]))}
 
 
-def _cmd_eigen(cfg, seed, threads):
+def _cmd_eigen(cfg, seed):
     from . import kernel_lab as kl
-    kernel, potential = _load_kernel(cfg)
+    kernel, potential = _load_tilt(cfg)
     M = kl.build_tilted_matrix(kernel, potential)
     triple = kl.perron_triple(M, kernel.A)
     print(f"lambda = {triple.lam:.12g}")
     return {"lambda": triple.lam, "h": triple.h, "mu": triple.mu, "extension_ok": triple.extension_ok}, {}
 
 
-def _cmd_pressure(cfg, seed, threads):
+def _cmd_pressure(cfg, seed):
     from . import feynman_kac as fk
     model = _build_model(cfg)
     V = _build_potential(cfg, model)
@@ -321,9 +309,9 @@ def _cmd_pressure(cfg, seed, threads):
     return result, {"log_mass.csv": ("k,log_mass", np.column_stack([np.arange(1, k_max + 1), fit.series]))}
 
 
-def _cmd_met_check(cfg, seed, threads):
+def _cmd_met_check(cfg, seed):
     from . import kernel_lab as kl, rds_core as rc
-    kernel, potential = _load_kernel(cfg)
+    kernel, potential = _load_tilt(cfg)
     k_max = cfg("k_max")
     M = kl.build_tilted_matrix(kernel, potential)
     triple = kl.perron_triple(M, kernel.A)
@@ -335,7 +323,7 @@ def _cmd_met_check(cfg, seed, threads):
     }, {"residuals.csv": ("k,residual", np.column_stack([np.arange(1, k_max + 1), residuals]))}
 
 
-def _cmd_coupling_check(cfg, seed, threads):
+def _cmd_coupling_check(cfg, seed):
     from . import coupling_lab, rds_core as rc
     model = _build_model(cfg, "coupling-check")
     kick_dim = model.kicks.dim
@@ -363,13 +351,13 @@ def _cmd_coupling_check(cfg, seed, threads):
     }, {}
 
 
-def _cmd_conditions(cfg, seed, threads):
+def _cmd_conditions(cfg, seed):
     if "kernel" not in cfg and "model" not in cfg:
         raise ConfigError("conditions requires a 'kernel' or 'model' section")
     result, files = {}, {}
     if "kernel" in cfg:
         from . import kernel_lab as kl
-        kernel, potential = _load_kernel(cfg)
+        kernel, potential = _load_tilt(cfg)
         params = kl.VerifyParams(**{k: cfg(f"params.{k}") for k in cfg.get("params", {})})
     if "model" in cfg:
         from . import rds_core as rc
@@ -390,9 +378,9 @@ def _cmd_conditions(cfg, seed, threads):
     return result, files
 
 
-def _cmd_ldp(cfg, seed, threads):
+def _cmd_ldp(cfg, seed):
     from . import apps
-    kernel, _ = _load_kernel(cfg)
+    kernel = _load_kernel(cfg)
     f_values, x_grid, k_set, n_traj = cfg("f"), cfg("x_grid"), cfg("k_set").tolist(), cfg("n_traj")
     u0 = cfg("u0", kernel.points[0])
     rep = apps.ldp_level1(kernel, f_values, x_grid, k_set, n_traj, u0=u0, seed=seed)
@@ -403,17 +391,14 @@ def _cmd_ldp(cfg, seed, threads):
     }, {}
 
 
-def _cmd_attract(cfg, seed, threads):
+def _cmd_attract(cfg, seed):
     from . import rds_core as rc
     model = _build_model(cfg, "attract")
     eps, hit_eps, n_traj, horizon = cfg("eps"), cfg("hit_eps", model.rho / 2), cfg("n_traj"), cfg("horizon")
     cloud_k, cloud_points, u0s = cfg("cloud_k"), cfg("cloud_points"), cfg("u0s", [np.full(model.dim, model.rho)])
     cloud = rc.attainability_cloud(model, np.zeros((1, model.dim)), cloud_k, seed=seed, max_points=cloud_points)
-    jobs = [
-        lambda: rc.attraction_counter(model, cloud, eps, u0s, n_traj=n_traj, horizon=horizon, seed=seed),
-        lambda: rc.hitting_time_stats(model, u0s, hit_eps, n_traj=n_traj, horizon=horizon, seed=seed + 1),
-    ]
-    att, hit = _fanout(lambda f: f(), jobs, threads)
+    att = rc.attraction_counter(model, cloud, eps, u0s, n_traj=n_traj, horizon=horizon, seed=seed)
+    hit = rc.hitting_time_stats(model, u0s, hit_eps, n_traj=n_traj, horizon=horizon, seed=seed + 1)
     return {
         "attraction": {
             "delta": att.delta, "Lambda": att.Lambda, "alpha_moment": att.alpha_moment,
@@ -428,7 +413,7 @@ def _cmd_attract(cfg, seed, threads):
     }, {"attractor_cloud.csv": (",".join(f"x{i}" for i in range(model.dim)), cloud)}
 
 
-def _cmd_slln(cfg, seed, threads):
+def _cmd_slln(cfg, seed):
     from . import apps, rds_core as rc
     model = _build_model(cfg)
     V = _build_potential(cfg, model)
@@ -486,14 +471,11 @@ def main(argv=None):
     parser.add_argument("--config", required=True, help="path to the run config JSON")
     parser.add_argument("--seed", type=int, default=None, help="overrides the config seed")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument(
-        "--threads", type=int, default=None,
-        help="independent-job parallelism (results are thread-count invariant); default FK_LAB_THREADS, else 1",
-    )
+    # read by nothing: fklab runs on one thread; the flag goes once the benchmark stops passing it
+    parser.add_argument("--threads", type=int, help="accepted and ignored (fklab runs on one thread)")
     args = parser.parse_args(argv)
 
     try:
-        threads = args.threads if args.threads is not None else _env_threads()
         with open(args.config) as fh:
             cfg = json.load(fh)
         _check_keys(cfg)
@@ -501,7 +483,7 @@ def main(argv=None):
         seed = cfg("seed") if args.seed is None else _check("seed", _SEED, args.seed)
         sha = hashlib.sha256(json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
         os.makedirs(args.out, exist_ok=True)
-        result, files = _COMMANDS[args.command][0](cfg, seed, max(threads, 1))
+        result, files = _COMMANDS[args.command][0](cfg, seed)
         for name, body in files.items():
             text = body if isinstance(body, str) else _csv_text(*body, sha, seed)
             _atomic_write(os.path.join(args.out, name), text)

@@ -239,54 +239,95 @@ def fresh_python(code, *args):
     return proc.stdout
 
 
-def lp_dual_lipschitz(pts, c):
-    """HiGHS oracle for the dual-Lipschitz value of the signed weights ``c``
-    of mu1 - mu2 on ``pts``: the LP in (f_1..f_m, s, t) minimising -<f, c>,
-    in rows +F - S <= 0, then -F - S <= 0, for the forms F = f_i (slack
-    S = s) and f_i - f_j (i < j, S = t d_ij), then s + t <= 1.  Its
-    variable is T = t dmax, so that the distance rows read d_ij / dmax and
-    HiGHS's absolute tolerances hold at every coordinate scale; below
-    dmax = 1e-9 the coefficient 1 / dmax is more than HiGHS takes, and T = t."""
-    m = pts.shape[0]
-    if np.abs(c).max() == 0:
-        return 0.0
-    iu, ju = np.triu_indices(m, k=1)
-    n = m + iu.size
-    r = np.concatenate([np.arange(n), np.arange(m, n), np.arange(n)])  # the entries of the rows +F - S
-    k = np.concatenate([np.arange(m), iu, ju, np.repeat([m, m + 1], [m, iu.size])])
-    form = np.concatenate([np.ones(n), -np.ones(iu.size)])
-    d = measure_metrics.distances(pts, pts)[iu, ju]
-    dmax = d.max(initial=0.0) if d.max(initial=0.0) > 1e-9 else 1.0
-    slack = -np.concatenate([np.ones(m), d / dmax])
-    rows, cols = np.concatenate([r, r + n, [2 * n, 2 * n]]), np.concatenate([k, k, [m, m + 1]])
-    vals = np.concatenate([form, slack, -form, slack, [1.0, 1.0 / dmax]])
-    lo, hi = np.full(2 * n + 1, -np.inf), np.concatenate([np.zeros(2 * n), [1.0]])
-    lb = np.concatenate([np.full(m, -np.inf), [0.0, 0.0]])
-    obj = np.concatenate([-c, [0.0, 0.0]])
-    res = measure_metrics.linprog(obj, rows, cols, vals, lo, hi, lb)
-    assert res.success, res.message
-    return max(0.0, -float(obj @ res.x))
+def _exact(a):
+    """The floats of ``a`` as exact fractions, in an object array of its shape."""
+    from fractions import Fraction
+
+    return np.array([Fraction(x) for x in np.ravel(a)], dtype=object).reshape(np.shape(a))
 
 
-def lp_transport(pts, c, theta):
-    """HiGHS oracle for K_theta of the signed weights ``c`` of mu1 - mu2 on
-    ``pts``: the plan LP moving c+ onto c- (row sums c+, column sums c-, the
-    redundant last equality dropped).  It is solved at costs divided by the
-    largest one and scaled back (the value is homogeneous in the costs), so
-    that HiGHS's absolute tolerances hold at every coordinate scale."""
+def _highs(obj, **lp):
+    """``scipy.optimize.linprog`` by HiGHS at the tolerances the library passes it, duals included."""
+    from scipy.optimize import linprog
+
+    res = linprog(obj, method="highs", options=dict(measure_metrics._HIGHS_TOLERANCES), **lp)
+    assert res.status == 0, res.message
+    return res
+
+
+def _marginals(m, n):
+    """The rows summing an m x n plan, raveled row-major: its m row sums, then its n column sums."""
+    return np.vstack([np.kron(np.eye(m), np.ones(n)), np.kron(np.ones(m), np.eye(n))])
+
+
+def transport_bounds(pts, c, theta):
+    """Bounds lo <= K_theta <= hi for the signed weights ``c`` of mu1 - mu2 on
+    ``pts``, certified in exact arithmetic from HiGHS's solution of the plan
+    LP moving c+ onto c- (its last column sum dropped, its costs divided by
+    the largest, so that its absolute tolerances hold at every coordinate
+    scale), whatever its tolerances.  hi: its plan x clipped at 0 costs
+    cost @ x, and evening out x's marginal errors e costs at most
+    max(cost) sum |e| more.  lo: any plan of the marginals costs
+    u @ c+ + v @ c- for its potentials (u, v), plus its mass times its
+    reduced costs cost - u - v, so at least the least of them (if negative)
+    times c+'s mass."""
     pos, neg = c > 0, c < 0
-    src, dst = c[pos], -c[neg]
-    m, n = src.size, dst.size
+    m, n = pos.sum(), neg.sum()
     if m == 0 or n == 0:
-        return 0.0
-    cost = np.minimum(1.0, theta * measure_metrics.distances(pts[pos], pts[neg])).ravel()
-    k = np.arange(m * n)  # the plan entry (i, j) is variable i n + j, in rows i and m + j
-    kc = k[k % n < n - 1]  # no row m + n - 1: the last column sum is dropped
-    rows, cols = np.concatenate([k // n, m + kc % n]), np.concatenate([k, kc])
-    b = np.concatenate([src, dst[:-1]])
-    res = measure_metrics.linprog(cost / (cost.max() or 1.0), rows, cols, np.ones(cols.size), b, b, np.zeros(m * n))
-    assert res.success, res.message
-    return float(cost @ res.x)
+        return 0.0, 0.0
+    cost = np.minimum(1.0, theta * measure_metrics.distances(pts[pos], pts[neg]))
+    top = cost.max()
+    res = _highs((cost / top).ravel(), A_eq=_marginals(m, n)[:-1], b_eq=np.concatenate([c[pos], -c[neg][:-1]]))
+    C, a, b = _exact(cost), _exact(c[pos]), _exact(-c[neg])
+    x = _exact(np.maximum(res.x, 0.0).reshape(m, n))
+    hi = (C * x).sum() + C.max() * sum(abs(np.concatenate([x.sum(axis=1) - a, x.sum(axis=0) - b])))
+    u, v = _exact(res.eqlin.marginals[:m] * top), _exact(np.append(res.eqlin.marginals[m:] * top, 0.0))
+    lo = u @ a + v @ b + min(0, (C - u[:, None] - v[None, :]).min()) * a.sum()
+    return float(max(lo, 0)), float(hi)
+
+
+def dual_lipschitz_bounds(pts, c):
+    """Bounds lo <= value <= hi on the dual-Lipschitz value of the signed
+    weights ``c`` of mu1 - mu2 on ``pts``, certified in exact arithmetic from
+    HiGHS's solution of its transport form: min z over plans x moving part of
+    c+ onto c-, with z >= sum x d and z >= P + N - 2 sum x for the masses P, N.
+    hi: a plan moving the mass S at cost A leaves P + N - 2 S unmoved, and for
+    any f, s, t with |f_i| <= s and |f_i - f_j| <= t d_ij bounds <f, c> by
+    s (P + N - 2 S) + t A; x is clipped at 0, each entry scaled into its
+    marginals and the whole by the alpha <= 1 at which the two terms meet.
+    lo: the duals (t, s and f = s - alpha on c+, beta - s on c-) made feasible
+    exactly, f replaced by its t-Lipschitz minorant min_j f_j + t delta_ij for
+    the path metric delta of d (whose t-Lipschitz functions are those of the
+    LP's rows: rounded distances need not be a metric) and clipped to [-s, s];
+    then <f, c> / (sup |f| + Lip f).  The distance row is divided by the
+    largest distance, so HiGHS's absolute tolerances hold at every scale."""
+    pos, neg = c > 0, c < 0
+    C = _exact(c)
+    P, N = C[pos].sum(), -C[neg].sum()
+    m, n = pos.sum(), neg.sum()
+    if m == 0 or n == 0:
+        return float(P + N), float(P + N)  # f = sign(c) attains P + N
+    d = measure_metrics.distances(pts[pos], pts[neg])
+    top = d.max()
+    A_ub = np.vstack([np.append(d.ravel() / top, -1.0 / top), np.append(np.full(m * n, -2.0), -1.0),
+                      np.hstack([_marginals(m, n), np.zeros((m + n, 1))])])
+    b_ub = np.concatenate([[0.0, -float(P + N)], c[pos], -c[neg]])
+    res = _highs(np.append(np.zeros(m * n), 1.0), A_ub=A_ub, b_ub=b_ub)
+    x, a, b = _exact(np.maximum(res.x[:-1], 0.0).reshape(m, n)), C[pos], -C[neg]
+    x = x * np.minimum.outer(a / np.maximum(x.sum(axis=1), a), b / np.maximum(x.sum(axis=0), b))
+    A, S = (x * _exact(d)).sum(), x.sum()
+    hi = (P + N) * A / (A + 2 * S) if A + 2 * S >= P + N else P + N - 2 * S
+    dual = -res.ineqlin.marginals
+    t, s, f = _exact(dual[0] / top), _exact(dual[1]), np.zeros(c.size, dtype=object)
+    f[pos], f[neg] = s - _exact(dual[2:2 + m]), _exact(dual[2 + m:]) - s
+    D = _exact(measure_metrics.distances(pts, pts))
+    delta = D.copy()
+    for k in range(c.size):  # Floyd-Warshall
+        delta = np.minimum(delta, delta[:, k:k + 1] + delta[k:k + 1, :])
+    f = np.clip((f[pos | neg] + t * delta[:, pos | neg]).min(axis=1), -s, s)
+    iu, ju = np.triu_indices(c.size, k=1)
+    norm = max(abs(f)) + max((abs(f[iu] - f[ju]) / D[iu, ju]).tolist(), default=0)
+    return float(max(0, f @ C / norm) if norm else 0), float(hi)
 
 
 @st.composite

@@ -128,7 +128,7 @@ THREAD_RUNS = {
          "u0": [0] * 6, "k_max": 30, "n_traj": 400, "alphas": [-0.4, -0.2, 0.2, 0.4], "recenter_k": 1000, "seed": 13},
         "4", "pressure_curve.csv",
     ),
-    # attract is the one handler whose execution --threads changes (its two jobs run side by side)
+    # --threads is accepted and read by nothing: passing it changes no byte (the benchmark passes it)
     "attract": (
         {"model": TOY_MODEL, "eps": 0.3, "n_traj": 200, "horizon": 100, "cloud_k": 20, "cloud_points": 1000,
          "hit_eps": 0.5, "seed": 9},
@@ -424,8 +424,8 @@ BASE_RUNS = {
                                           "coordinate": 0, "seed": 4}),
     "conditions-kernel": ("conditions", {"kernel": KERNEL_3, "params": {"r": 0.5, "c": 0.5, "k_max": 20}, "seed": 2}),
     "conditions-map": ("conditions", {"model": TOY_MODEL, "plan": PLAN, "seed": 2}),
-    "ldp": ("ldp", {"kernel": KERNEL_3, "f": [0.1, 0.5, 0.9], "x_grid": [0.55], "k_set": [5, 10], "n_traj": 200,
-                    "u0": [1.0], "seed": 3}),
+    "ldp": ("ldp", {"kernel": {k: v for k, v in KERNEL_3.items() if k != "V"}, "f": [0.1, 0.5, 0.9],  # ldp reads no V
+                    "x_grid": [0.55], "k_set": [5, 10], "n_traj": 200, "u0": [1.0], "seed": 3}),
     "attract": ("attract", {"model": TOY_MODEL, "eps": 0.3, "hit_eps": 0.5, "n_traj": 30, "horizon": 20,
                             "cloud_k": 5, "cloud_points": 100, "u0s": [[1.0] * 6], "seed": 6}),
     "slln": ("slln", {"model": TOY_MODEL, "potential": {"kind": "coordinate", "index": 0, "clip": 2.0},
@@ -713,15 +713,15 @@ def test_kernel_json_roundtrip(rng):
     # P, A (default: every state) and V survive the one kernel parser
     from conftest import random_kernel_potential
 
-    from fklab.cli import _Config, _load_kernel
+    from fklab.cli import _Config, _load_tilt
 
     K, V = random_kernel_potential(rng, 6, strict_subset=True)
     section = {"points": K.points.tolist(), "P": K.P.tolist(), "A": K.A.tolist(), "V": V.V.tolist()}
-    K2, V2 = _load_kernel(_Config(json.loads(json.dumps({"kernel": section})), "eigen"))
+    K2, V2 = _load_tilt(_Config(json.loads(json.dumps({"kernel": section})), "eigen"))
     assert np.array_equal(K2.points, K.points) and np.array_equal(K2.P, K.P)
     assert np.array_equal(K2.A, K.A)
     assert np.array_equal(V2.V, V.V)
-    K3, V3 = _load_kernel(_Config({"kernel": {k: section[k] for k in ("points", "P")}}, "eigen"))
+    K3, V3 = _load_tilt(_Config({"kernel": {k: section[k] for k in ("points", "P")}}, "eigen"))
     assert np.array_equal(K3.A, np.arange(6))
     assert np.array_equal(V3.V, np.zeros(6))
 
@@ -809,29 +809,38 @@ SLLN_CFG = {"model": TOY_MODEL, "potential": {"kind": "coordinate", "index": 0, 
         ("slln", {**SLLN_CFG, "mu_f": -(10**400)}, "mu_f must be finite, got -1000"),
         ("slln", {**SLLN_CFG, "K": 10**400}, "K must fit in 64 bits, got 1000"),
         ("slln", {**SLLN_CFG, "seed": 2**64}, "seed must fit in 64 bits, got 18446744073709551616"),
+        ("slln", {**SLLN_CFG, "seed": -1}, "seed = -1 must be at least 0"),
     ],
     ids=["nan-mu_f", "nan-C", "nan-eps", "zero-C", "negative-C", "zero-clip", "negative-clip-pressure",
-         "400-digit-C", "400-digit-mu_f", "400-digit-K", "seed-2^64"],
+         "400-digit-C", "400-digit-mu_f", "400-digit-K", "seed-2^64", "seed-negative"],
 )
 def test_values_outside_a_keys_domain_exit_2(tmp_path, capsys, command, cfg, message):
     # slln read a NaN mu_f, C or eps as T = 1 with nothing censored and a
     # C <= 0 as every row censored; a clip <= 0 made the potential constant;
     # a float key past the float range raised OverflowError (exit 3), and
-    # an int key past 64 bits fits no numpy count (a seed is taken mod 2^64)
+    # an int key past 64 bits fits no numpy count; rng_stream takes a seed
+    # mod 2^64, so -1 ran seed 2^64 - 1's stream
     out = tmp_path / "out"
     assert run_cli([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not (out / "results.json").exists()
 
 
-@pytest.mark.parametrize("seed", [2**64, -(2**63) - 1], ids=["2^64", "below-int64"])
-def test_seed_flag_outside_the_seed_domain_exits_2(tmp_path, capsys, seed):
+@pytest.mark.parametrize(
+    "seed, message",
+    [(2**64, "seed must fit in 64 bits, got 18446744073709551616"),
+     (-(2**63) - 1, "seed must fit in 64 bits, got -9223372036854775809"),
+     (-1, "seed = -1 must be at least 0")],
+    ids=["2^64", "below-int64", "negative"],
+)
+def test_seed_flag_outside_the_seed_domain_exits_2(tmp_path, capsys, seed, message):
     # --seed is read through the config seed's entry: 2^64 ran seed 0's
-    # trajectory while results.json recorded 2^64
+    # trajectory while results.json recorded 2^64, and -1 the trajectory
+    # of 2^64 - 1
     out = tmp_path / "out"
     argv = ["simulate", "--config", str(CONFIGS / "simulate_toy.json"), f"--seed={seed}", "--out", str(out)]
     assert run_cli(argv) == 2
-    assert f"seed must fit in 64 bits, got {seed}" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (out / "results.json").exists()
 
 
@@ -841,15 +850,6 @@ def test_float_key_takes_an_integer_beyond_int64():
     from fklab.cli import _Config
 
     assert _Config({"C": 10**30}, "slln")("C") == 1e30
-
-
-def test_non_integer_thread_variable_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("FK_LAB_THREADS", "abc")
-    cfg = write_cfg(tmp_path, shipped("eigen_2state.json"))
-    assert run_cli(["eigen", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-    assert "FK_LAB_THREADS = 'abc' must be an integer" in capsys.readouterr().err
-    monkeypatch.setenv("FK_LAB_THREADS", "2")
-    assert run_cli(["eigen", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
 SHIPPED_RUNS = [
@@ -933,10 +933,19 @@ def test_mutated_configs_of_every_subcommand_exit_0_2_or_3(run):
         assert in_domain(command, path, value)
 
 
+@pytest.mark.parametrize("run", BASE_RUNS)
+def test_base_runs_read_every_key(run):
+    # the property above rests on it: a key it sets on a base run is one
+    # the run reads
+    code, manifest = exit_code(*BASE_RUNS[run])
+    assert code == 0 and "unread_keys" not in manifest
+
+
 @pytest.mark.parametrize(
     "command, cfg, unread",
     [
         ("ldp", {**LDP_PROBE, "x_grid": [0.6], "alphas": [0, 1]}, ["alphas"]),
+        ("ldp", {**LDP_PROBE, "kernel": KERNEL_3, "x_grid": [0.55]}, ["kernel.V"]),  # ldp's rates take no potential
         ("simulate", {"model": {**TOY_MODEL, "nu": 0.5}, "K": 5, "seed": 1}, ["model.nu"]),
         ("simulate", {"model": {"kind": "toy", "factors": [0.5, 0.4], "dim": 2, "base": 0.6}, "K": 5},
          ["model.base", "model.dim"]),
@@ -952,7 +961,7 @@ def test_mutated_configs_of_every_subcommand_exit_0_2_or_3(run):
         ("pressure", shipped("pressure_toy_v0.json"), None),
         ("pressure", shipped("pressure_curve_toy.json"), None),
     ],
-    ids=["ldp-alphas", "toy-nu", "toy-factors", "chain-potential", "no-curve-recenter_k", "eigen", "met-check",
+    ids=["ldp-alphas", "ldp-V", "toy-nu", "toy-factors", "chain-potential", "no-curve-recenter_k", "eigen", "met-check",
          "conditions", "simulate", "coupling-check", "pressure-v0", "pressure-curve"],
 )
 def test_manifest_lists_the_keys_a_run_did_not_read(tmp_path, command, cfg, unread):

@@ -4,7 +4,7 @@
 
 Each case is one subcommand on one config: the shipped configs under
 ``CHANGE_ROOT/configs`` and one small Burgers ``attract`` config.  A run is
-``python -m fklab.cli <command> --config <cfg> --out <fresh dir> --threads 1``
+``python -m fklab.cli <command> --config <cfg> --out <fresh dir>``
 with fklab imported from ``<root>/src``, every thread pool pinned to one
 thread, and its wall time taken around the whole process, so interpreter
 start-up and imports count.  Pair i runs both trees on every case, the
@@ -30,7 +30,6 @@ PINNED = {
     "OPENBLAS_NUM_THREADS": "1",
     "MKL_NUM_THREADS": "1",
     "NUMEXPR_NUM_THREADS": "1",
-    "FK_LAB_THREADS": "1",
     "PYTHONHASHSEED": "0",
 }
 # (command, config): a shipped config by file name, or a config written here
@@ -52,7 +51,7 @@ CASES = [
 
 def run_once(root, command, cfg_path, out):
     env = dict(os.environ, **PINNED, PYTHONPATH=os.path.join(root, "src"))
-    argv = [sys.executable, "-m", "fklab.cli", command, "--config", cfg_path, "--out", out, "--threads", "1"]
+    argv = [sys.executable, "-m", "fklab.cli", command, "--config", cfg_path, "--out", out]
     start = time.perf_counter()
     proc = subprocess.run(argv, env=env, cwd=out, capture_output=True, text=True)
     wall = time.perf_counter() - start

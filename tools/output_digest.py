@@ -10,11 +10,8 @@ arrays by dtype, shape and bytes, floats by ``float.hex``, and every file a
 CLI run writes.  Run it in two checkouts and compare the lines: an equal
 line means bitwise-equal outputs.  Chain states are hashed as points
 (the chain's ``coords`` where the checkout has it), so a checkout whose chains
-carry coordinates and one whose chains carry indices hash alike.  Likewise a trajectory is hashed as its
-states, whether ``simulate`` returns them bare or in a result object, and
-a coupled pair as its states and flags, whether ``coupled_trajectories``
-takes one pair or a batch of them.  The ``coupling-check`` KS p-values have
-a case of their own.
+carry coordinates and one whose chains carry indices hash alike.  The
+``coupling-check`` KS p-values have a case of their own.
 
 Needs nothing beyond the standard library and fklab (with its numpy).  The
 full list takes about a minute on one core (50 s on a 2-vCPU Xeon);
@@ -76,23 +73,8 @@ def feed(h, obj):
 
 
 def points(model, X):
-    """Coordinates of ensemble states, whichever form the checkout uses."""
+    """Coordinates of ensemble states: a chain's ``coords``, a map's states as they are."""
     return model.coords(X) if hasattr(model, "coords") else X
-
-
-def trajectory(run):
-    """States of a ``simulate`` run, returned bare or in a result object."""
-    return getattr(run, "states", run)
-
-
-def coupled_pair(model, N, v, v_prime, K, seed):
-    """States (K+1, 2, dim) and flags (K, N) of one coupled pair, whichever
-    form the checkout's ``coupled_trajectories`` has."""
-    if hasattr(cl, "CoupledRun"):
-        run = cl.coupled_trajectories(model, N, v, v_prime, K, seed=seed)
-        return [run.states, run.coupled]
-    states, flags = cl.coupled_trajectories(model, N, np.stack([v, v_prime])[None], K, seed=seed)
-    return [states[:, 0], flags[:, 0]]
 
 
 def fit_fields(fit):
@@ -228,7 +210,7 @@ def chain_estimators():
     )
     out += [rep.residuals, rep.stderrs, rep.gamma, rep.verdict]
     out += [apps.path_average_samples(chain, Vfn.scaled(0.5), K.points[1] + 0.1, [1, 5, 30], 5000, seed=3)]
-    traj = trajectory(rc.simulate(chain, K.points[4], 300, seed=2, stream=1))
+    traj = rc.simulate(chain, K.points[4], 300, seed=2, stream=1)
     occ = DiscreteMeasure.from_samples(points(chain, traj)[:300])
     return out + [points(chain, traj), occ.support, occ.weights]
 
@@ -378,7 +360,7 @@ def exact_rate_function():
 def toy_estimators():
     model = toy_model()
     u0 = np.zeros(6)
-    out = [trajectory(rc.simulate(model, np.full(6, 0.5), 200, seed=11))]
+    out = [rc.simulate(model, np.full(6, 0.5), 200, seed=11)]
     out += list(fk.mc_semigroup_series(model, TOY_V, lambda U: U[:, 1], u0, 10, 2000, rc.rng_stream(3, 0)))
     out += fk_fields(model, fk.particle_fk(model, TOY_V, u0, k=40, n_particles=2000, seed=4))
     out += fit_fields(fk.pressure_estimate(model, TOY_V, u0, k_max=40, n_traj=2000, seed=5))
@@ -391,7 +373,8 @@ def toy_estimators():
     cloud = rc.attainability_cloud(model, np.zeros((1, 6)), 12, seed=10, max_points=1500)
     att = rc.attraction_counter(model, cloud, 0.4, np.full((1, 6), 0.8), n_traj=300, horizon=100, seed=11)
     out += [cloud, att.counts, att.delta, att.Lambda, att.censored_fraction, att.settling_shortcut]
-    out += coupled_pair(model, 3, np.full(6, 0.5), np.full(6, -0.5), 60, seed=12)
+    states, flags = cl.coupled_trajectories(model, 3, np.stack([np.full(6, 0.5), np.full(6, -0.5)])[None], 60, seed=12)
+    out += [states[:, 0], flags[:, 0]]  # one coupled pair
     pairs = np.random.default_rng(13).uniform(-0.5, 0.5, size=(12, 2, 6))
     f_list = [(lambda U: np.clip(U[:, 0], -1, 1), 1.0, 1.0)]
     feller = cl.feller_bound_check(model, TOY_V, f_list, pairs, 10, 0.7, np.ones(10), n_traj=500, seed=14)
@@ -420,7 +403,7 @@ def burgers_estimators():
     model = burgers_model()
     u0 = np.zeros(model.dim)
     u0[1] = 0.5
-    out = [trajectory(rc.simulate(model, u0, 20, seed=21))]
+    out = [rc.simulate(model, u0, 20, seed=21)]
     out += [model.map.apply_batch(np.random.default_rng(22).normal(size=(50, model.dim)) * 0.2)]
     out += fk_fields(model, fk.particle_fk(model, fk.PotentialFn.coordinate(1, clip=1.0), u0, k=10, n_particles=200, seed=23))
     rep = rc.verify_map_conditions(model, rc.SamplePlan(n_samples=50, n_iter=4, n_pairs=60, d_prime=l1_circle_metric(model.map), seed=24))
@@ -432,7 +415,7 @@ def burgers64_simulate():
     call per step."""
     model = rc.RDSModel(map=BurgersMap(nu=1.0, modes=64, dt=1e-3), kicks=rc.KickLaw.from_decay(8), rho=0.7)
     u0 = np.random.default_rng(41).normal(size=model.dim) * np.exp(-0.25 * np.arange(model.dim))
-    return trajectory(rc.simulate(model, 0.8 * u0 / np.linalg.norm(u0), 20, seed=42))
+    return rc.simulate(model, 0.8 * u0 / np.linalg.norm(u0), 20, seed=42)
 
 
 BURGERS_ATTRACT_CFG = {
@@ -470,7 +453,7 @@ def run_cli(command, cfg, drop=()):
             json.dump(cfg, fh)
         out = os.path.join(tmp, "out")
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            code = cli.main([command, "--config", path, "--out", out, "--threads", "1"])
+            code = cli.main([command, "--config", path, "--out", out])
         files = {}
         for name in sorted(os.listdir(out)) if os.path.isdir(out) else []:
             with open(os.path.join(out, name), "rb") as fh:
