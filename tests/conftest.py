@@ -300,7 +300,9 @@ def dual_lipschitz_bounds(pts, c):
     the path metric delta of d (whose t-Lipschitz functions are those of the
     LP's rows: rounded distances need not be a metric) and clipped to [-s, s];
     then <f, c> / (sup |f| + Lip f).  The distance row is divided by the
-    largest distance, so HiGHS's absolute tolerances hold at every scale."""
+    largest distance where that exceeds 1, so HiGHS's absolute tolerances
+    hold at large scales; below 1 the division would put up to 1e12 on z's
+    coefficient, and on atoms 1e-12 apart HiGHS then ended in status Unknown."""
     pos, neg = c > 0, c < 0
     C = _exact(c)
     P, N = C[pos].sum(), -C[neg].sum()
@@ -308,7 +310,7 @@ def dual_lipschitz_bounds(pts, c):
     if m == 0 or n == 0:
         return float(P + N), float(P + N)  # f = sign(c) attains P + N
     d = measure_metrics.distances(pts[pos], pts[neg])
-    top = d.max()
+    top = max(1.0, d.max())
     A_ub = np.vstack([np.append(d.ravel() / top, -1.0 / top), np.append(np.full(m * n, -2.0), -1.0),
                       np.hstack([_marginals(m, n), np.zeros((m + n, 1))])])
     b_ub = np.concatenate([[0.0, -float(P + N)], c[pos], -c[neg]])
