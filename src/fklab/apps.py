@@ -44,10 +44,9 @@ def path_average_samples(model, f, u0, k_set, n_traj, seed=0):
     return {k: out[k] for k in k_set}
 
 
-def _wilson(count, n, z=1.959963984540054):
-    """Wilson score interval for a binomial proportion."""
-    if n == 0:
-        return 0.0, 0.0, 1.0
+def _wilson(count, n):
+    """Wilson score interval for a binomial proportion, n >= 1."""
+    z = 1.959963984540054  # the two-sided 95% normal quantile
     p = count / n
     denom = 1 + z**2 / n
     center = (p + z**2 / (2 * n)) / denom

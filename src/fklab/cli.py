@@ -184,8 +184,7 @@ def _json_default(obj):
     raise TypeError(f"not serializable: {type(obj)}")
 
 
-def _json_text(payload, sha, seed):
-    payload = {"config_sha256": sha, "seed": seed, **payload}
+def _json_text(payload):
     return json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
 
 
@@ -346,7 +345,7 @@ def _cmd_coupling_check(cfg, seed):
     _, p2 = coupling_lab.ks_test(x2 / b, model.kicks.density.cdf)
     return {
         "N": N, "delta": delta, "coupling_probability": p_emp, "oracle_probability": p_oracle,
-        "z_score": (p_emp - p_oracle) / sigma if sigma > 0 else 0.0, "ks_pvalues": [p1, p2],
+        "z_score": (p_emp - p_oracle) / sigma, "ks_pvalues": [p1, p2],
         "decoupling_constant": coupling_lab.decoupling_constant(model.kicks, N),
     }, {}
 
@@ -371,8 +370,8 @@ def _cmd_conditions(cfg, seed):
         )
     if "kernel" in cfg:
         rep = kl.verify_theorem21(kernel, potential, params)
-        files["condition_report.json"] = rep.to_json() + "\n"
-        result["kernel_conditions"] = json.loads(rep.to_json())
+        result["kernel_conditions"] = {**vars(rep), "all_pass": rep.all_pass}
+        files["condition_report.json"] = _json_text(result["kernel_conditions"])
     if "model" in cfg:
         result["map_conditions"] = rc.verify_map_conditions(model, plan)
     return result, files
@@ -398,7 +397,7 @@ def _cmd_attract(cfg, seed):
     cloud_k, cloud_points, u0s = cfg("cloud_k"), cfg("cloud_points"), cfg("u0s", [np.full(model.dim, model.rho)])
     cloud = rc.attainability_cloud(model, np.zeros((1, model.dim)), cloud_k, seed=seed, max_points=cloud_points)
     att = rc.attraction_counter(model, cloud, eps, u0s, n_traj=n_traj, horizon=horizon, seed=seed)
-    hit = rc.hitting_time_stats(model, u0s, hit_eps, n_traj=n_traj, horizon=horizon, seed=seed + 1)
+    hit = rc.hitting_time_stats(model, u0s, hit_eps, n_traj=n_traj, horizon=horizon, seed=seed)
     return {
         "attraction": {
             "delta": att.delta, "Lambda": att.Lambda, "alpha_moment": att.alpha_moment,
@@ -408,7 +407,7 @@ def _cmd_attract(cfg, seed):
         },
         "hitting": {
             "delta": hit.delta, "censored_fraction": hit.censored_fraction,
-            "max_tau": int(max(t.max() for t in hit.taus.values())),
+            "max_tau": int(hit.taus.max()),
         },
     }, {"attractor_cloud.csv": (",".join(f"x{i}" for i in range(model.dim)), cloud)}
 
@@ -496,8 +495,9 @@ def main(argv=None):
                 "fklab": __version__, "numpy": np.__version__, "python": ".".join(map(str, sys.version_info[:3])),
             },
         }
-        _atomic_write(os.path.join(args.out, "results.json"), _json_text(result, sha, seed))
-        _atomic_write(os.path.join(args.out, "manifest.json"), _json_text(manifest, sha, seed))
+        stamp = {"config_sha256": sha, "seed": seed}
+        _atomic_write(os.path.join(args.out, "results.json"), _json_text({**stamp, **result}))
+        _atomic_write(os.path.join(args.out, "manifest.json"), _json_text({**stamp, **manifest}))
     except (np.linalg.LinAlgError, ArithmeticError, RuntimeError) as exc:
         print(f"numerical failure: {exc!r}", file=sys.stderr)
         return 3

@@ -14,8 +14,9 @@ add the same tail-kick floats, so tail coordinates that the map sends to
 equal values stay bitwise equal.  On the disagreement event the second
 component is the reflection of the first about the midpoint of the two
 means (reflection-maximal coupling, Bou-Rabee, Eberle and Zimmer 2020),
-which needs no further random draws.  A batch of pairs is advanced by
-one loop, :func:`coupled_trajectories`, on one stream.
+which needs no further random draws.  A batch of pairs is one (n, 2, dim)
+array, both sides mapped by one ``apply_batch`` a step (:func:`coupled_step`)
+and advanced on one stream by :func:`coupled_trajectories`.
 
 ``ks_test`` checks the coupled marginals against the kick law; from
 ``KS_ASYMP_MIN_N`` samples on it loads no scipy.
@@ -47,6 +48,7 @@ __all__ = [
 # exact one, whose cost depends on the draws at large n
 KS_ASYMP_MIN_N = 10_000
 KOLMOGOROV_SWITCH = 0.82  # kolmogorov_sf's theta series below, alternating above
+SQUEEZE_TOL = 1e-2  # squeezing_check's relative slack on gamma_N^r
 
 
 def tv_shifted(density, s):
@@ -92,25 +94,20 @@ def _coupled_coordinates(density, m1, m2, b, rng):
     return x1, x2, accept
 
 
-def coupled_step(model, N, U, U_prime, rng):
-    """One step of a batch of coupled pairs (rows of U and U_prime).
+def coupled_step(model, N, X, rng):
+    """One step of the (n, 2, dim) batch X of coupled pairs: (Y, coupled).
 
     Coordinates j <= N: per-coordinate maximal coupling of the shifted kick
-    laws.  Coordinates j > N (within the kick range): one draw added to both
-    sides, so the tail kicks agree bitwise.  Returns
-    (U1, U1_prime, coupled_mask), each with one row per pair.
+    laws, flagged in the (n, N) ``coupled``.  Coordinates j > N (within the
+    kick range): one draw per pair added to both sides, so the tail kicks
+    agree bitwise.
     """
-    n = U.shape[0]
-    S = model.map.apply_batch(np.vstack([U, U_prime]))
+    Y = model.map.apply_batch(X)
     law = model.kicks
     N = int(min(N, law.dim))
-    x1, x2, coupled = _coupled_coordinates(law.density, S[:n, :N], S[n:, :N], law.b[:N], rng)
-    shared = law.b[N:] * law.density.sample(rng, (n, law.dim - N))
-    V1, V2 = S[:n].copy(), S[n:].copy()
-    V1[:, :N], V2[:, :N] = x1, x2
-    V1[:, N : law.dim] += shared
-    V2[:, N : law.dim] += shared
-    return V1, V2, coupled
+    Y[:, 0, :N], Y[:, 1, :N], coupled = _coupled_coordinates(law.density, Y[:, 0, :N], Y[:, 1, :N], law.b[:N], rng)
+    Y[:, :, N : law.dim] += law.b[N:] * law.density.sample(rng, (len(X), 1, law.dim - N))
+    return Y, coupled
 
 
 def kolmogorov_sf(lam):
@@ -174,8 +171,7 @@ def coupled_trajectories(model, N, pairs, K, seed=0):
     flags = np.empty((K, len(pairs), int(min(N, model.kicks.dim))), dtype=bool)
     rng = rng_stream(seed, 0)
     for k in range(K):
-        u, up, flags[k] = coupled_step(model, N, states[k, :, 0], states[k, :, 1], rng)
-        states[k + 1] = np.stack([u, up], axis=1)
+        states[k + 1], flags[k] = coupled_step(model, N, states[k], rng)
     return states, flags
 
 
@@ -187,9 +183,9 @@ class SqueezingReport:
     verdict: str
 
 
-def squeezing_check(model, N, pairs, r_max, gamma_N, seed=0, tol=1e-2):
+def squeezing_check(model, N, pairs, r_max, gamma_N, seed=0):
     """On the all-agree event through step r, the pair distance must obey
-    ||u_r - u'_r|| <= (1 + tol) gamma_N^r ||u_0 - u'_0||.
+    ||u_r - u'_r|| <= (1 + SQUEEZE_TOL) gamma_N^r ||u_0 - u'_0||.
 
     ``pairs`` is an (n, 2, dim) array of initial pairs, advanced as one
     batch by :func:`coupled_trajectories`; the all-agree event is the
@@ -209,7 +205,7 @@ def squeezing_check(model, N, pairs, r_max, gamma_N, seed=0, tol=1e-2):
         ratios[r] = d / (gamma_N**r * base[keep])
         occurrences[r] = int(keep.sum())
     worst = max((v.max() for v in ratios.values() if v.size), default=None)
-    verdict = "inconclusive" if worst is None else "pass" if worst <= 1.0 + tol else "fail"
+    verdict = "inconclusive" if worst is None else "pass" if worst <= 1.0 + SQUEEZE_TOL else "fail"
     return SqueezingReport(ratios=ratios, occurrences=occurrences, gamma_N=gamma_N, verdict=verdict)
 
 

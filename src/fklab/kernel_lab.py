@@ -13,7 +13,6 @@ is read off one eigenvalue solve: ``-log rho(M / lam - h mu^T)``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -318,20 +317,6 @@ class ConditionReport:
         return all(
             part.get("verdict") == "pass"
             for part in (self.feller, self.irreducibility, self.concentration, self.expbound)
-        )
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "feller": self.feller,
-                "irreducibility": self.irreducibility,
-                "concentration": self.concentration,
-                "expbound": self.expbound,
-                "all_pass": self.all_pass,
-            },
-            indent=2,
-            sort_keys=True,
-            default=lambda obj: obj.tolist(),  # numpy arrays and scalars
         )
 
 

@@ -4,11 +4,12 @@ Two metrics are computed: the dual-Lipschitz norm (supremum of the integral
 difference over functions with sup-norm plus Lipschitz constant at most one)
 and the Kantorovich distance for the truncated cost ``1 ^ (theta d)``.  Both
 read the measures only through the signed weights c of mu1 - mu2 on their
-union support, and both are min-cost transports of c+ onto c-: one run of
-successive shortest paths gives the cost C(a) of moving a units.  The
-Kantorovich distance is C at the total mass, at the truncated cost (a
-metric, so shared mass stays put at no cost).  The dual-Lipschitz norm, by
-LP duality and minimax, is where C at cost d crosses the mass left unmoved.
+union support (equal points merged, distinct ones kept however close), and
+both are min-cost transports of c+ onto c-: one run of successive shortest
+paths gives the cost C(a) of moving a units.  The Kantorovich distance is
+C at the total mass, at the truncated cost (a metric, so shared mass stays
+put at no cost).  The dual-Lipschitz norm, by LP duality and minimax, is
+where C at cost d crosses the mass left unmoved.
 ``linprog``, the HiGHS seam, serves LPs outside this module.
 """
 
@@ -29,7 +30,6 @@ __all__ = [
     "distances",
 ]
 
-_MERGE_TOL = 1e-12
 # one transport of m sources and n sinks may make _AUGMENTATIONS (m + n)**2
 # augmentations; generated inputs of up to 12 points a side made 1.7 (m + n)
 _AUGMENTATIONS = 4
@@ -40,10 +40,7 @@ _HIGHS_TOLERANCES = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_to
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Nonnegative measure on finitely many points of R^d.
-
-    Support points closer than 1e-12 are merged (weights summed).
-    """
+    """Nonnegative measure on finitely many points of R^d; equal points are merged (weights summed)."""
 
     support: np.ndarray
     weights: np.ndarray
@@ -57,7 +54,7 @@ class DiscreteMeasure:
             raise ValueError("support and weights must be finite")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
-        pts, w = _merge_close(pts, w)
+        pts, w = _merge_equal(pts, w)
         object.__setattr__(self, "support", pts)
         object.__setattr__(self, "weights", w)
 
@@ -108,19 +105,17 @@ def lipschitz_constant(values, dists):
         return float(np.where(dists > 0, diff / dists, 0.0).max())
 
 
-def _merge_close(pts, w):
-    """Sort the points and sum the (signed) weights of each run of points
-    within the merge tolerance of their predecessor.  The run chains:
-    a point joins its predecessor's group even when the group's first point
-    is farther away, which matters only for runs spanning more than the
-    tolerance.  The sums run in sorted order from each group's first
-    weight, as one running total per group would."""
+def _merge_equal(pts, w):
+    """Sort the points and sum the (signed) weights of each run of equal
+    points, adjacent after the sort whatever else the support holds (-0.0
+    equals 0.0).  The sums run in sorted order from each run's first
+    weight, as one running total per run would."""
     if pts.shape[0] <= 1:
         return pts, w
     order = np.lexsort(pts.T[::-1])
     pts, w = pts[order], w[order]
     first = np.ones(w.shape[0], dtype=bool)
-    first[1:] = np.linalg.norm(pts[1:] - pts[:-1], axis=1) > _MERGE_TOL
+    first[1:] = (pts[1:] != pts[:-1]).any(axis=1)
     merged = w[first]
     np.add.at(merged, np.cumsum(first)[~first] - 1, w[~first])
     return pts[first], merged
@@ -128,9 +123,9 @@ def _merge_close(pts, w):
 
 def _union_support(mu1, mu2):
     """Common support of the two measures with the signed weights of
-    mu1 - mu2, coincident points collapsed."""
+    mu1 - mu2, equal points collapsed."""
     pts = np.vstack([mu1.support, mu2.support])
-    return _merge_close(pts, np.concatenate([mu1.weights, -mu2.weights]))
+    return _merge_equal(pts, np.concatenate([mu1.weights, -mu2.weights]))
 
 
 def _cost_curve(cost, supply, demand, kind):

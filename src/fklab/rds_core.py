@@ -354,7 +354,7 @@ def _ball_sample(rng, radius, n, dim):
 
 @dataclass
 class HittingReport:
-    taus: dict  # start index -> first hitting times (horizon + 1 if censored)
+    taus: np.ndarray  # (k, n_traj) first hitting times, row m from start m (horizon + 1 if censored)
     delta: float
     censored_fraction: float
     horizon: int
@@ -368,10 +368,10 @@ def hitting_time_stats(model, u0s, eps, n_traj=1000, horizon=1000, seed=0):
     largest exponent with empirical exp-moment below ``EXP_MOMENT_TARGET``.
 
     The k starts run as one ensemble of k ``n_traj`` rows on stream
-    (seed, 0), start m in block m (:func:`initial_ensemble`), whose times
-    are ``taus[m]``.  Censored trajectories (no hit within the horizon) are
-    excluded from the moment and reported as a fraction; the returned delta
-    is then a bound for the observed part only.
+    (seed, 1), start m in block m (:func:`initial_ensemble`), whose times
+    are row m of the (k, n_traj) array ``taus``.  Censored trajectories
+    (no hit within the horizon) are excluded from the moment and reported
+    as a fraction; delta then bounds the observed part only.
     """
     _require_map(model, "hitting_time_stats")
     if not 0 < eps < np.inf:
@@ -382,14 +382,14 @@ def hitting_time_stats(model, u0s, eps, n_traj=1000, horizon=1000, seed=0):
     hit0 = np.linalg.norm(U, axis=1) <= eps
     tau[hit0] = 0
     alive = ~hit0
-    for step, U, _ in propagate(model, U, rng_stream(seed, 0), horizon, active=alive):
+    for step, U, _ in propagate(model, U, rng_stream(seed, 1), horizon, active=alive):
         idx = np.flatnonzero(alive)
         hit = idx[np.linalg.norm(U[idx], axis=1) <= eps]
         tau[hit] = step
         alive[hit] = False
-    taus = dict(enumerate(tau.reshape(k, n_traj)))
+    taus = tau.reshape(k, n_traj)
 
-    observed = [t[t <= horizon] for t in taus.values()]
+    observed = [t[t <= horizon] for t in taus]
 
     def exp_moment(delta):  # the worst start's; infinite if a start has no hit
         return max(float(np.exp(delta * obs).mean()) if obs.size else np.inf for obs in observed)

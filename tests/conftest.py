@@ -8,6 +8,7 @@ import pytest
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fklab import coupling_lab as cl
 from fklab import feynman_kac as fk
 from fklab import fits
 from fklab import kernel_lab as kl
@@ -203,6 +204,24 @@ def reference_particle_loop(model, V, init, k, n, seed, tilts):
                 logw[:] = 0.0
             ens.history.append((step, ens.ess, resampled))
     return series, ensembles, rng
+
+
+def two_array_coupled_step(model, N, U, U_prime, rng):
+    """``coupling_lab.coupled_step`` with the pair's sides as two (n, dim)
+    arrays, mapped as one stacked batch and copied back out.  The oracle of
+    the (n, 2, dim) batch step, whose states and flags must equal these
+    bitwise."""
+    n = U.shape[0]
+    S = model.map.apply_batch(np.vstack([U, U_prime]))
+    law = model.kicks
+    N = int(min(N, law.dim))
+    x1, x2, coupled = cl._coupled_coordinates(law.density, S[:n, :N], S[n:, :N], law.b[:N], rng)
+    shared = law.b[N:] * law.density.sample(rng, (n, law.dim - N))
+    V1, V2 = S[:n].copy(), S[n:].copy()
+    V1[:, :N], V2[:, :N] = x1, x2
+    V1[:, N : law.dim] += shared
+    V2[:, N : law.dim] += shared
+    return V1, V2, coupled
 
 
 @pytest.fixture

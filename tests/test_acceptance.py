@@ -324,11 +324,11 @@ def test_criterion_08_coupling():
     z = (coupled.mean() - p_true) / sigma
     prob_ok = abs(z) <= 3
 
-    # squeezing over ten thousand pairs at tolerance 1e-2
+    # squeezing over ten thousand pairs at tolerance 1e-2 (cl.SQUEEZE_TOL)
     rngp = rc.rng_stream(89, 0)
     base = rngp.uniform(-0.3, 0.3, size=(10_000, 6))
     pairs = np.stack([base, base + 1e-3 * rngp.normal(size=base.shape)], axis=1)
-    srep = cl.squeezing_check(model, 3, pairs, r_max=8, gamma_N=toy.factors[3], seed=90, tol=1e-2)
+    srep = cl.squeezing_check(model, 3, pairs, r_max=8, gamma_N=toy.factors[3], seed=90)
     squeeze_ok = srep.verdict == "pass"
 
     ok = prop_b and ks_ok and prob_ok and squeeze_ok
@@ -460,7 +460,7 @@ def test_criterion_11_attraction_speed():
         model, [np.full(6, 0.9)], eps=0.3, n_traj=5_000, horizon=500, seed=10
     )
     toy_moment = max(
-        float(np.exp(toy_hit.delta * tau[tau <= 500]).mean()) for tau in toy_hit.taus.values()
+        float(np.exp(toy_hit.delta * tau[tau <= 500]).mean()) for tau in toy_hit.taus
     )
     toy_ok = toy_att.delta > 0 and toy_moment <= 2.0 and toy_hit.censored_fraction == 0
 
@@ -493,7 +493,7 @@ def test_criterion_11_attraction_speed():
         bmodel, [np.full(bm.dim, 0.6 / np.sqrt(bm.dim))], eps=0.35, n_traj=2_000, horizon=100, seed=4
     )
     b_moment = max(
-        float(np.exp(b_hit.delta * tau[tau <= 100]).mean()) for tau in b_hit.taus.values()
+        float(np.exp(b_hit.delta * tau[tau <= 100]).mean()) for tau in b_hit.taus
     )
     b_ok = b_att.delta > 0 and b_moment <= 2.0 and b_hit.censored_fraction == 0
     ok = toy_ok and b_ok

@@ -122,6 +122,40 @@ def test_conditions_on_kernel(tmp_path):
     assert rep["expbound"]["verdict"] == "pass"
 
 
+def test_condition_report_json_roundtrips(tmp_path):
+    # condition_report.json and results.json encode the one report, all_pass included
+    kernel = {"points": [[0.0], [1.0], [3.0]], "P": [[0.6, 0.4, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]], "A": [0, 1]}
+    cfg = write_cfg(tmp_path, {"kernel": kernel, "params": {"r": 0.5, "c": 0.5, "k_max": 30}, "seed": 2})
+    out = tmp_path / "out"
+    assert run_cli(["conditions", "--config", cfg, "--out", str(out)]) == 0
+    payload = json.loads((out / "condition_report.json").read_text())
+    assert payload == json.loads((out / "results.json").read_text())["kernel_conditions"]
+    assert payload["concentration"]["verdict"] == "fail"
+    assert payload["all_pass"] is False
+
+
+@pytest.mark.parametrize("seed, next_seed", [(6, 7), (2**64 - 1, 0)])
+def test_attract_streams_belong_to_their_seed(tmp_path, monkeypatch, seed, next_seed):
+    # the cloud, the attraction counter and the hitting times each draw from a
+    # stream of the run's own seed, so no two seeds share a key (mod 2^64, as
+    # rng_stream takes them)
+    stream, keys = rc.rng_stream, set()
+
+    def recording(s, key=0):
+        keys.add((s % 2**64, key % 2**64))
+        return stream(s, key)
+
+    monkeypatch.setattr(rc, "rng_stream", recording)
+    cfg = write_cfg(tmp_path, BASE_RUNS["attract"][1])
+    seen = []
+    for s in (seed, next_seed):
+        keys.clear()
+        assert run_cli(["attract", "--config", cfg, f"--seed={s}", "--out", str(tmp_path / str(s))]) == 0
+        seen.append(set(keys))
+    assert seen[0] == {(seed, 987), (seed, 0), (seed, 1)}
+    assert not seen[0] & seen[1]
+
+
 THREAD_RUNS = {
     "pressure": (
         {"model": TOY_MODEL, "potential": {"kind": "coordinate", "index": 0, "scale": 1.0, "clip": 2.0},

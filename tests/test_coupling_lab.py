@@ -6,7 +6,8 @@ from scipy import integrate, special, stats
 
 from fklab import coupling_lab as cl
 from fklab import rds_core as rc
-from fklab.dynamics_maps import ToyDiagonalMap
+from fklab.dynamics_maps import BurgersMap, ToyDiagonalMap
+from conftest import two_array_coupled_step
 
 
 @pytest.fixture(scope="module")
@@ -154,20 +155,20 @@ def test_reflection_off_the_coupled_event(law):
 
 def test_coupled_step_identical_states(model):
     rng = rc.rng_stream(4, 0)
-    U = np.full((4, 6), 0.2)
-    u1, u1p, coupled = cl.coupled_step(model, 3, U, U.copy(), rng)
-    assert u1.shape == (4, 6) and coupled.shape == (4, 3)
+    Y, coupled = cl.coupled_step(model, 3, np.full((4, 2, 6), 0.2), rng)
+    assert Y.shape == (4, 2, 6) and coupled.shape == (4, 3)
     assert coupled.all()
-    assert np.array_equal(u1, u1p)
+    assert np.array_equal(Y[:, 0], Y[:, 1])
 
 
 def test_coupled_step_zero_map_always_couples(law):
     tiny = ToyDiagonalMap(factors=np.full(6, 1e-300))
     model0 = rc.RDSModel(map=tiny, kicks=law, rho=1.0)
     rng = rc.rng_stream(5, 0)
-    u1, u1p, coupled = cl.coupled_step(model0, 4, np.full((50, 6), 0.5), np.full((50, 6), -0.5), rng)
+    X = np.stack([np.full((50, 6), 0.5), np.full((50, 6), -0.5)], axis=1)
+    Y, coupled = cl.coupled_step(model0, 4, X, rng)
     assert coupled.all()
-    assert np.array_equal(u1[:, :4], u1p[:, :4])
+    assert np.array_equal(Y[:, 0, :4], Y[:, 1, :4])
 
 
 def test_coupled_step_tail_kicks_shared_per_pair(model):
@@ -177,7 +178,8 @@ def test_coupled_step_tail_kicks_shared_per_pair(model):
     U = rng.uniform(-0.3, 0.3, size=(200, 6))
     Up = U.copy()
     Up[:, :3] += rng.uniform(-0.1, 0.1, size=(200, 3))  # pairs that differ only below N
-    u1, u1p, coupled = cl.coupled_step(model, 3, U, Up, rng)
+    Y, coupled = cl.coupled_step(model, 3, np.stack([U, Up], axis=1), rng)
+    u1, u1p = Y[:, 0], Y[:, 1]
     S1 = model.map.apply_batch(U)
     assert np.array_equal(u1[:, 3:], u1p[:, 3:])
     assert np.all(np.abs(u1[:, 3:] - S1[:, 3:]) <= model.kicks.b[3:])
@@ -204,9 +206,42 @@ def test_property_b_bitwise_along_runs(model):
 def test_coupled_trajectories_is_coupled_step_on_stream_0(model):
     pairs = np.random.default_rng(3).uniform(-0.3, 0.3, size=(5, 2, 6))
     states, flags = cl.coupled_trajectories(model, 3, pairs, K=4, seed=2)
-    rng, u, up = rc.rng_stream(2, 0), pairs[:, 0], pairs[:, 1]
+    rng, X = rc.rng_stream(2, 0), pairs
     for k in range(4):
-        u, up, coupled = cl.coupled_step(model, 3, u, up, rng)
+        X, coupled = cl.coupled_step(model, 3, X, rng)
+        assert np.array_equal(states[k + 1], X)
+        assert np.array_equal(flags[k], coupled)
+
+
+def _coupling_model(kind):
+    if kind == "toy-q":
+        toy = ToyDiagonalMap.geometric(6, base=0.7, ratio=0.8, q=0.35, cutoff_radius=1.5)
+        return rc.RDSModel(map=toy, kicks=rc.KickLaw.from_decay(6, b0=0.4, s=1.0), rho=1.0)
+    modes = {"burgers16": 16, "burgers64": 64}[kind]
+    return rc.RDSModel(map=BurgersMap(nu=1.0, modes=modes), kicks=rc.KickLaw.from_decay(8, b0=0.3, s=1.0), rho=0.7)
+
+
+@pytest.mark.parametrize(
+    "kind, N, n",
+    [
+        ("toy-q", 0, 1), ("toy-q", 3, 7), ("toy-q", 8, 300),
+        ("burgers16", 0, 7), ("burgers16", 3, 121), ("burgers16", 8, 300),
+        ("burgers64", 3, 1), ("burgers64", 8, 7),
+    ],
+)
+def test_coupled_trajectories_equal_the_two_array_step(kind, N, n):
+    # the batch maps both sides in one apply_batch, the oracle maps them
+    # stacked side after side; at M = 16 a chunk of the map holds 240 rows,
+    # so 121 and 300 pairs cross a chunk boundary in both layouts, and at
+    # start distances near 0.1 the runs hold coupled and uncoupled steps
+    model = _coupling_model(kind)
+    gen = np.random.default_rng(n + N)
+    base = gen.uniform(-0.3, 0.3, size=(n, model.dim)) / np.sqrt(model.dim)
+    pairs = np.stack([base, base + 0.1 * gen.normal(size=base.shape)], axis=1)
+    states, flags = cl.coupled_trajectories(model, N, pairs, K=5, seed=n)
+    rng, u, up = rc.rng_stream(n, 0), pairs[:, 0], pairs[:, 1]
+    for k in range(5):
+        u, up, coupled = two_array_coupled_step(model, N, u, up, rng)
         assert np.array_equal(states[k + 1, :, 0], u) and np.array_equal(states[k + 1, :, 1], up)
         assert np.array_equal(flags[k], coupled)
 
@@ -253,13 +288,13 @@ def _decoupling_cascade(model, N, u, up, r_max, rng):
     within r_max), advancing the pairs still agreeing with coupled_step."""
     n_pairs = u.shape[0]
     first_disagree = np.zeros(n_pairs, dtype=int)
-    u, up = u.copy(), up.copy()
+    X = np.stack([u, up], axis=1)
     alive = np.ones(n_pairs, dtype=bool)
     for r in range(1, r_max + 1):
         idx = np.flatnonzero(alive)
         if idx.size == 0:
             break
-        u[idx], up[idx], coupled = cl.coupled_step(model, N, u[idx], up[idx], rng)
+        X[idx], coupled = cl.coupled_step(model, N, X[idx], rng)
         ok = coupled.all(axis=1)
         first_disagree[idx[~ok]] = r
         alive[idx[~ok]] = False

@@ -491,17 +491,6 @@ def test_verify_theorem21_invariant_under_potential_shift(kernel, c, r):
     assert np.isfinite(shifted.feller["C"])  # even where h off A is a huge Cesaro surrogate
 
 
-def test_condition_report_json_roundtrips():
-    K = absorbing_three_state()
-    V0 = kl.PotentialVector.from_values(K, np.zeros(3))
-    rep = kl.verify_theorem21(K, V0, kl.VerifyParams(r=0.5, c=0.5, k_max=30))
-    import json
-
-    payload = json.loads(rep.to_json())
-    assert payload["concentration"]["verdict"] == "fail"
-    assert payload["all_pass"] is False
-
-
 def test_contraction_factor_identity_at_m0(rng):
     K, V = random_kernel_potential(rng, 5)
     M = kl.build_tilted_matrix(K, V)

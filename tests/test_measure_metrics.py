@@ -132,21 +132,42 @@ def test_support_merge_dedupes():
     assert sorted(m.weights) == pytest.approx([0.5, 0.5])
 
 
-def test_support_merge_chains_a_run_past_the_tolerance():
-    # each point is within 1e-12 of its predecessor, the last is 1.6e-12 from
-    # the first: the run is one group, kept at its first point
-    m = DiscreteMeasure(np.array([[1.6e-12], [0.0], [0.8e-12], [1.0]]), [0.125, 0.25, 0.125, 0.5])
-    assert m.support[:, 0].tolist() == [0.0, 1.0]
-    assert m.weights.tolist() == [0.5, 0.5]
+def test_support_merge_ignores_the_other_atoms():
+    # (0, 0) and (5e-13, 5e-13) are distinct atoms, whatever sorts between
+    # them; equal rows merge wherever they sit, -0.0 and 0.0 as one atom
+    m = DiscreteMeasure(np.array([[0.0, 0.0], [0.0, 5000.0], [5e-13, 5e-13]]), [0.25, 0.25, 0.5])
+    assert m.support.tolist() == [[0.0, 0.0], [0.0, 5000.0], [5e-13, 5e-13]]
+    m = DiscreteMeasure(np.array([[5e-13, 5e-13], [0.0, 5000.0], [-0.0, 0.0], [5e-13, 5e-13]]), [0.125] * 4)
+    assert m.support.tolist() == [[0.0, 0.0], [0.0, 5000.0], [5e-13, 5e-13]]
+    assert m.weights.tolist() == [0.125, 0.125, 0.25]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 30).flatmap(
+        lambda n: st.tuples(
+            arrays(np.float64, (n, 2), elements=st.sampled_from([0.0, -0.0, 5e-13, 1.0, 5000.0])),
+            arrays(np.float64, n, elements=st.integers(0, 64).map(lambda k: k / 64)),
+            st.permutations(range(n)),
+        )
+    )
+)
+def test_support_merge_is_invariant_under_permutation(case):
+    # dyadic weights sum exactly in any order, so the merged weights agree exactly
+    pts, w, perm = case
+    m, p = DiscreteMeasure(pts, w), DiscreteMeasure(pts[list(perm)], w[list(perm)])
+    assert np.array_equal(m.support, p.support) and np.array_equal(m.weights, p.weights)
+    if not np.signbit(pts).any():  # a run of 0.0 and -0.0 keeps its first zero's sign
+        assert m.support.tobytes() == p.support.tobytes()
 
 
 def running_total_merge(pts, w):
-    """The merge as one running total per group, point by point in sorted order."""
+    """The merge as one running total per run of equal points, point by point in sorted order."""
     order = np.lexsort(pts.T[::-1])
     pts, w = pts[order], w[order]
     keep_pts, keep_w = [pts[0]], [w[0]]
     for prev, p, wi in zip(pts[:-1], pts[1:], w[1:]):
-        if np.linalg.norm(p - prev) <= measure_metrics._MERGE_TOL:
+        if np.array_equal(p, prev):
             keep_w[-1] += wi
         else:
             keep_pts.append(p)
@@ -166,7 +187,7 @@ def running_total_merge(pts, w):
 def test_support_merge_sums_like_a_running_total(case):
     # coarse coordinates make long runs, where a pairwise sum would round differently
     pts, w = case
-    got_pts, got_w = measure_metrics._merge_close(pts, w)
+    got_pts, got_w = measure_metrics._merge_equal(pts, w)
     ref_pts, ref_w = running_total_merge(pts, w)
     assert np.array_equal(got_pts, ref_pts)
     assert got_w.tobytes() == ref_w.tobytes()

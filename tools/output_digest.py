@@ -10,7 +10,9 @@ arrays by dtype, shape and bytes, floats by ``float.hex``, and every file a
 CLI run writes.  Run it in two checkouts and compare the lines: an equal
 line means bitwise-equal outputs.  Chain states are hashed as points
 (the chain's ``coords`` where the checkout has it), so a checkout whose chains
-carry coordinates and one whose chains carry indices hash alike.  The
+carry coordinates and one whose chains carry indices hash alike.  Likewise
+hitting times are hashed as one (k, n) array and a condition report as its
+fields plus ``all_pass``, whatever form the checkout keeps them in.  The
 ``coupling-check`` KS p-values have a case of their own.
 
 Needs nothing beyond the standard library and fklab (with its numpy).  The
@@ -75,6 +77,16 @@ def feed(h, obj):
 def points(model, X):
     """Coordinates of ensemble states: a chain's ``coords``, a map's states as they are."""
     return model.coords(X) if hasattr(model, "coords") else X
+
+
+def hitting_times(hit):
+    """A hitting report's times as one (k, n) array: a checkout's dict of start rows stacked."""
+    return np.stack(list(hit.taus.values())) if isinstance(hit.taus, dict) else hit.taus
+
+
+def report_fields(rep):
+    """A condition report as its four parts and ``all_pass``, the payload ``fklab conditions`` writes."""
+    return {**vars(rep), "all_pass": rep.all_pass}
 
 
 def fit_fields(fit):
@@ -226,7 +238,7 @@ def exact_contraction():
         M = kl.build_tilted_matrix(K, V)
         triple = kl.perron_triple(M, K.A)
         rep = kl.verify_theorem21(K, V, kl.VerifyParams(r=0.3, c=0.5, k_max=40))
-        out.append(rep.to_json())
+        out.append(report_fields(rep))
         if rep.all_pass:
             out.append(kl.contraction_search(M, triple, K.points, feller_C=rep.feller["C"]))
     return out
@@ -250,10 +262,10 @@ def exact_conditions():
     for K, V in kernels:
         for c in (0.0, -20.0, 9.0):
             V_c = kl.PotentialVector.from_values(K, V.V + c)
-            out.append(kl.verify_theorem21(K, V_c, kl.VerifyParams(r=0.3, c=0.5, k_max=40)).to_json())
+            out.append(report_fields(kl.verify_theorem21(K, V_c, kl.VerifyParams(r=0.3, c=0.5, k_max=40))))
     K = kl.FiniteKernel(points=[[0.0], [1.0]], P=[[1.0, 0.25], [0.0, 0.25]], A=[1])
     for k_max in (30, 50, 80):
-        out.append(kl.verify_theorem21(K, kl.PotentialVector.from_values(K, [0.0, 0.0]), kl.VerifyParams(k_max=k_max)).to_json())
+        out.append(report_fields(kl.verify_theorem21(K, kl.PotentialVector.from_values(K, [0.0, 0.0]), kl.VerifyParams(k_max=k_max))))
     return out
 
 
@@ -369,7 +381,7 @@ def toy_estimators():
     out += [fk.h_estimate(model, TOY_V, np.full(6, 0.3), k=10, lam=1.0, n_traj=2000, seed=7)]
     out += [apps.path_average_samples(model, TOY_V, u0, [1, 10, 40], 2000, seed=8)]
     hit = rc.hitting_time_stats(model, np.full((2, 6), 0.8), 0.3, n_traj=300, horizon=200, seed=9)
-    out += [hit.taus, hit.delta, hit.censored_fraction]
+    out += [hitting_times(hit), hit.delta, hit.censored_fraction]
     cloud = rc.attainability_cloud(model, np.zeros((1, 6)), 12, seed=10, max_points=1500)
     att = rc.attraction_counter(model, cloud, 0.4, np.full((1, 6), 0.8), n_traj=300, horizon=100, seed=11)
     out += [cloud, att.counts, att.delta, att.Lambda, att.censored_fraction, att.settling_shortcut]
